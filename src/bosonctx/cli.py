@@ -82,7 +82,7 @@ def _emit(text: str, output: str | None) -> None:
 
 
 def _report_json(payload: dict) -> str:
-    return json.dumps(payload, indent=2) + "\n"
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
 def _header(**fields) -> dict:
@@ -101,7 +101,9 @@ def cmd_simulate(parser, args) -> int:
 def _table_for_analysis(parser, args) -> OutcomeTable:
     if args.input is not None:
         try:
-            return load_table(args.input)
+            table = load_table(args.input)
+            table.validate()
+            return table
         except (OSError, ValueError) as exc:
             parser.exit(2, f"error: cannot read table {args.input!r}: {exc}\n")
     return full_table(_resolve_beamsplitter(parser, args), _resolve_eta(parser, args))
@@ -149,7 +151,11 @@ def cmd_bounds(parser, args) -> int:
             theta_n = n
     else:
         parser.error(f"--graph must be pentagon, triangle or cycle:N, got {spec!r}")
-    payload = _header(graph=spec, alpha=independence_number(graph))
+    try:
+        alpha = independence_number(graph)
+    except ValueError as exc:
+        parser.exit(2, f"error: cannot bound {spec!r}: {exc}\n")
+    payload = _header(graph=spec, alpha=alpha)
     if theta_n is not None:
         payload["theta_lovasz"] = lovasz_theta_odd_cycle(theta_n)
     payload["fractional_max"] = fractional_packing_max(graph)
@@ -184,8 +190,8 @@ def cmd_sweep(parser, args) -> int:
 
 
 def cmd_verify(parser, args) -> int:
-    if args.tolerance <= 0:
-        parser.error(f"--tolerance must be positive, got {args.tolerance!r}")
+    if not (math.isfinite(args.tolerance) and args.tolerance > 0):
+        parser.error(f"--tolerance must be finite and positive, got {args.tolerance!r}")
     try:
         table = load_table(args.input)
         table.validate_structure()

@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Mapping, Sequence
 
-import numpy as np
-
 from .experiment import (
     FIBERS,
     REFLECTED,
@@ -32,7 +30,6 @@ PENTAGON = "pentagon"
 TRIANGLE = "triangle"
 
 MAX_EXACT_INDEPENDENCE = 24
-MAX_EXACT_PACKING = 12
 
 
 @dataclass(frozen=True)
@@ -208,8 +205,6 @@ def independence_number(graph: ExclusivityGraph) -> int:
     n = len(graph.vertices)
     if n > MAX_EXACT_INDEPENDENCE:
         raise ValueError(f"exact search limited to {MAX_EXACT_INDEPENDENCE} vertices, got {n}")
-    if n == 0:
-        return 0
     index = {v: i for i, v in enumerate(graph.vertices)}
     adjacency = [0] * n
     for u, v in graph.edges:
@@ -248,28 +243,33 @@ def lovasz_theta_odd_cycle(n: int) -> float:
 
 
 def fractional_packing_max(graph: ExclusivityGraph) -> float:
-    """Exact optimum of max sum(p_i) with p_i + p_j <= 1 on edges, p_i in [0, 1].
-
-    The feasible polytope has half-integral extreme points, so enumerating
-    p_i in {0, 1/2, 1} (in integer half-units) is exact.
-    """
+    """Exact optimum of max sum(p_i) with p_i + p_j <= 1 on edges, p_i in [0, 1]:
+    n - nu/2, with nu a maximum matching of the bipartite double cover (left copy
+    of i joined to right copy of j for each edge {i, j}), because the LP is
+    half-integral (Nemhauser-Trotter) and Konig's theorem applies."""
     n = len(graph.vertices)
-    if n > MAX_EXACT_PACKING:
-        raise ValueError(f"exact enumeration limited to {MAX_EXACT_PACKING} vertices, got {n}")
-    if n == 0:
-        return 0.0
-    if not graph.edges:
-        return float(n)
     index = {v: i for i, v in enumerate(graph.vertices)}
-    # all {0, 1, 2}^n points, encoded in half-units
-    codes = np.arange(3 ** n, dtype=np.int64)
-    points = (codes[:, None] // (3 ** np.arange(n, dtype=np.int64))) % 3
-    points = points.astype(np.int8)
-    feasible = np.ones(len(points), dtype=bool)
+    neighbours: list[list[int]] = [[] for _ in range(n)]
     for u, v in graph.edges:
-        feasible &= points[:, index[u]] + points[:, index[v]] <= 2
-    best_halves = int(points[feasible].sum(axis=1, dtype=np.int64).max())
-    return best_halves / 2.0
+        neighbours[index[u]].append(index[v])
+        neighbours[index[v]].append(index[u])
+    owner = [-1] * n  # left copy matched to each right copy
+    seen = [False] * n  # right copies a failed search proved dead ends
+    for root in range(n):  # iterative DFS; path holds (left, right it came by, untried)
+        path = [(root, -1, iter(neighbours[root]))]
+        while path:
+            right = next((r for r in path[-1][2] if not seen[r]), -1)
+            if right < 0:
+                path.pop()
+            elif owner[right] >= 0:
+                seen[right] = True
+                path.append((owner[right], right, iter(neighbours[owner[right]])))
+            else:
+                for left, via, _ in reversed(path):
+                    owner[right], right = left, via
+                seen = [False] * n
+                break
+    return n - sum(left >= 0 for left in owner) / 2
 
 
 # -- distinguishability sweeps ----------------------------------------------

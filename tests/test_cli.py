@@ -4,7 +4,7 @@ import math
 import pytest
 
 from bosonctx import __version__
-from bosonctx.cli import main
+from bosonctx.cli import _report_json, main
 from bosonctx.experiment import parse_table
 
 
@@ -97,6 +97,21 @@ class TestAnalyze:
             main(["analyze", "--test", "pentagon", "--input", "/nonexistent.json"])
         assert err.value.code == 2
 
+    def test_invalid_probability_is_parse_error(self, capsys, tmp_path):
+        path = tmp_path / "table.json"
+        run_cli(capsys, "simulate", "-o", str(path))
+        payload = json.loads(path.read_text())
+        for record in payload["records"]:
+            if record["context"] == "A" and record["outcome"] == "at":
+                record["probability"] = 5.0
+        path.write_text(json.dumps(payload))
+        with pytest.raises(SystemExit) as err:
+            main(["analyze", "--test", "pentagon", "--input", str(path)])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
 
 class TestBounds:
     def test_pentagon(self, capsys):
@@ -127,6 +142,22 @@ class TestBounds:
         assert report["alpha"] == 3
         assert report["fractional_max"] == 3.0
         assert "theta_lovasz" not in report
+
+    def test_thirteen_cycle(self, capsys):
+        code, out = run_cli(capsys, "bounds", "--graph", "cycle:13")
+        assert code == 0
+        report = json.loads(out)
+        assert report["alpha"] == 6
+        assert report["fractional_max"] == 6.5
+
+    def test_graph_beyond_alpha_search_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["bounds", "--graph", "cycle:25"])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
 
     def test_bad_graph_is_usage_error(self, capsys):
         for bad in ("hexagon", "cycle:x", "cycle:2"):
@@ -222,6 +253,20 @@ class TestVerify:
         with pytest.raises(SystemExit) as err:
             main(["verify", "--input", str(path), "--tolerance", "0"])
         assert err.value.code == 2
+
+    @pytest.mark.parametrize("tolerance", ["nan", "inf", "-1"])
+    def test_non_finite_or_negative_tolerance_is_usage_error(self, capsys, tmp_path,
+                                                             tolerance):
+        path = tmp_path / "table.json"
+        run_cli(capsys, "simulate", "-o", str(path))
+        with pytest.raises(SystemExit) as err:
+            main(["verify", "--input", str(path), "--tolerance", tolerance])
+        assert err.value.code == 2
+        assert capsys.readouterr().out == ""
+
+    def test_reports_are_strict_json(self):
+        with pytest.raises(ValueError):
+            _report_json({"tolerance": math.nan})
 
 
 class TestUsage:

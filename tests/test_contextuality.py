@@ -44,6 +44,14 @@ def random_event_set(rng: random.Random, max_events: int = 6) -> list[EventSpec]
     return events
 
 
+def random_graph(rng: random.Random, n: int, p: float) -> ExclusivityGraph:
+    """G(n, p) on vertices v0..v{n-1}."""
+    vertices = tuple(f"v{i}" for i in range(n))
+    edges = frozenset(tuple(sorted(pair))
+                      for pair in combinations(vertices, 2) if rng.random() < p)
+    return ExclusivityGraph(vertices, edges)
+
+
 class TestStandardEvents:
     def test_pentagon_definition(self):
         events = standard_events(PENTAGON)
@@ -199,15 +207,12 @@ class TestIndependenceNumber:
     def test_edgeless_graph(self):
         graph = ExclusivityGraph(("a", "b", "c", "d"), frozenset())
         assert independence_number(graph) == 4
+        assert independence_number(ExclusivityGraph((), frozenset())) == 0
 
     def test_matches_subset_enumeration(self):
         rng = random.Random(23)
         for _ in range(30):
-            n = rng.randint(1, 9)
-            vertices = tuple(f"v{i}" for i in range(n))
-            edges = frozenset(tuple(sorted(pair))
-                              for pair in combinations(vertices, 2) if rng.random() < 0.4)
-            graph = ExclusivityGraph(vertices, edges)
+            graph = random_graph(rng, rng.randint(1, 9), 0.4)
             assert independence_number(graph) == subset_independence_number(graph)
 
     def test_vertex_limit(self):
@@ -249,15 +254,47 @@ class TestFractionalPackingMax:
     def test_edgeless_graph(self):
         graph = ExclusivityGraph(("a", "b", "c"), frozenset())
         assert fractional_packing_max(graph) == 3.0
+        assert fractional_packing_max(ExclusivityGraph((), frozenset())) == 0.0
 
     def test_matches_quarter_step_grid_oracle(self):
         for graph in (cycle_graph(5), cycle_graph(3), cycle_graph(7)):
             assert fractional_packing_max(graph) == grid_packing_max(graph, 4)
 
-    def test_vertex_limit(self):
-        big = ExclusivityGraph(tuple(f"v{i}" for i in range(13)), frozenset())
-        with pytest.raises(ValueError):
-            fractional_packing_max(big)
+    def test_large_odd_cycles(self):
+        assert fractional_packing_max(cycle_graph(13)) == 6.5
+        assert fractional_packing_max(cycle_graph(501)) == 250.5
+
+    def test_complete_graph_is_half_n(self):
+        for n in range(2, 15):
+            names = tuple(f"v{i}" for i in range(n))
+            graph = ExclusivityGraph(names, frozenset(combinations(names, 2)))
+            assert fractional_packing_max(graph) == n / 2
+
+    def test_long_shuffled_path_needs_no_recursion(self):
+        names = [f"v{i}" for i in range(4000)]
+        edges = frozenset(tuple(sorted(pair)) for pair in zip(names, names[1:]))
+        order = names[:]
+        random.Random(4000).shuffle(order)
+        assert fractional_packing_max(ExclusivityGraph(tuple(order), edges)) == 2000.0
+
+    def test_matches_half_step_grid_oracle_on_random_graphs(self):
+        rng = random.Random(2014)
+        for _ in range(200):
+            graph = random_graph(rng, rng.randint(0, 8), rng.random())
+            assert fractional_packing_max(graph) == grid_packing_max(graph, 2)
+
+    def test_matches_linprog_on_30_vertex_graphs(self):
+        linprog = pytest.importorskip("scipy.optimize").linprog
+        rng = random.Random(1974)
+        for _ in range(20):
+            graph = random_graph(rng, 30, rng.uniform(0.05, 0.4))
+            index = {v: i for i, v in enumerate(graph.vertices)}
+            rows = [[1.0 if i in (index[u], index[v]) else 0.0 for i in range(30)]
+                    for u, v in sorted(graph.edges)]
+            result = linprog([-1.0] * 30, A_ub=rows, b_ub=[1.0] * len(rows),
+                             bounds=[(0.0, 1.0)] * 30)
+            assert result.status == 0
+            assert fractional_packing_max(graph) == pytest.approx(-result.fun, abs=1e-7)
 
 
 class TestSweepEta:
