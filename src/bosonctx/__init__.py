@@ -10,17 +10,10 @@ quantum, and algebraic packing bounds.
 __version__ = "0.1.0"
 
 from .contextuality import (
-    PENTAGON,
-    TRIANGLE,
     EventSpec,
     ExclusivityGraph,
-    SweepResult,
-    all_assignments,
-    assignment_satisfies,
-    cycle_graph,
     derive_exclusivity,
     event_probability,
-    events_exclusive,
     fractional_packing_max,
     independence_number,
     inequality_sum,
@@ -30,47 +23,19 @@ from .contextuality import (
     sweep_eta,
 )
 from .experiment import (
-    ALL_CONTEXTS,
-    COINCIDENCE,
-    FIBERS,
-    PAIR_CONTEXTS,
-    REFLECTED,
-    TRANSMITTED,
-    CheckReport,
-    IdentityResult,
     OutcomeTable,
     check_indistinguishability,
     check_no_disturbance,
     full_table,
-    load_table,
-    make_outcome,
-    marginal_probability,
-    outcome_assigns,
-    outcome_matches,
     parse_table,
-    run_context,
 )
-from .fock import (
-    FockState,
-    PureState,
-    basis_state,
-    fock_basis,
-    inner_product,
-    make_fock,
-    normalize,
-    pure_state,
-    state_norm,
-)
+from .fock import PureState, basis_state, make_fock
 from .optics import (
     BALANCED,
     BeamsplitterSpec,
     DistinguishabilityParam,
-    PairDistribution,
-    SinglePhotonDistribution,
     apply_interferometer,
     beamsplitter_unitary,
     pair_outcome_distribution,
-    permanent,
-    scattering_amplitude,
     single_outcome_distribution,
 )

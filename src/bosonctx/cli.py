@@ -11,9 +11,6 @@ Data goes to stdout (or ``--output``), diagnostics to stderr.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
-import json
 import math
 import sys
 from typing import Sequence
@@ -38,8 +35,10 @@ from .experiment import (
     OutcomeTable,
     check_indistinguishability,
     check_no_disturbance,
+    dump_json,
     full_table,
     load_table,
+    write_csv,
 )
 from .optics import BeamsplitterSpec, DistinguishabilityParam
 
@@ -73,16 +72,15 @@ def _resolve_eta(parser: argparse.ArgumentParser,
     return DistinguishabilityParam(args.eta)
 
 
-def _emit(text: str, output: str | None) -> None:
+def _emit(parser: argparse.ArgumentParser, text: str, output: str | None) -> None:
     if output is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(output, "w", newline="") as handle:
             handle.write(text)
-
-
-def _report_json(payload: dict) -> str:
-    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+    except OSError as exc:
+        parser.exit(2, f"error: cannot write {output!r}: {exc}\n")
 
 
 def _header(**fields) -> dict:
@@ -94,7 +92,7 @@ def cmd_simulate(parser, args) -> int:
     d = _resolve_eta(parser, args)
     table = full_table(bs, d)
     text = table.to_json() if args.format == "json" else table.to_csv()
-    _emit(text, args.output)
+    _emit(parser, text, args.output)
     return 0
 
 
@@ -128,7 +126,7 @@ def cmd_analyze(parser, args) -> int:
         q_bound = lovasz_theta_odd_cycle(5)
         payload["q_bound"] = q_bound
         payload["violates_q"] = total > q_bound
-    _emit(_report_json(payload), args.output)
+    _emit(parser, dump_json(payload), args.output)
     return 0
 
 
@@ -159,7 +157,7 @@ def cmd_bounds(parser, args) -> int:
     if theta_n is not None:
         payload["theta_lovasz"] = lovasz_theta_odd_cycle(theta_n)
     payload["fractional_max"] = fractional_packing_max(graph)
-    _emit(_report_json(payload), args.output)
+    _emit(parser, dump_json(payload), args.output)
     return 0
 
 
@@ -169,23 +167,13 @@ def cmd_sweep(parser, args) -> int:
         parser.error(f"--steps must be >= 2, got {args.steps}")
     result = sweep_eta(args.test, bs, steps=args.steps)
     if args.format == "json":
-        payload = _header(**result.to_dict())
-        text = _report_json(payload)
+        text = dump_json(_header(**result.to_dict()))
     else:
-        buf = io.StringIO()
-        buf.write(f"# schema={SCHEMA_VERSION}\n")
-        buf.write(f"# test={result.test}\n")
-        buf.write(f"# theta={result.theta!r}\n")
-        for name, value in result.bounds.items():
-            buf.write(f"# bound_{name}={value!r}\n")
-        for name, value in result.crossings.items():
-            buf.write(f"# crossing_{name}={value!r}\n")
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["eta", "sum"])
-        for eta, total in zip(result.etas, result.sums):
-            writer.writerow([repr(eta), repr(total)])
-        text = buf.getvalue()
-    _emit(text, args.output)
+        meta = {"test": result.test, "theta": result.theta,
+                **{f"bound_{name}": value for name, value in result.bounds.items()},
+                **{f"crossing_{name}": value for name, value in result.crossings.items()}}
+        text = write_csv(meta, ("eta", "sum"), zip(result.etas, result.sums))
+    _emit(parser, text, args.output)
     return 0
 
 
@@ -213,7 +201,7 @@ def cmd_verify(parser, args) -> int:
         normalization={"passed": norm_ok, "max_deviation": normalization},
         checks=[r.to_dict() for r in reports],
     )
-    _emit(_report_json(payload), args.output)
+    _emit(parser, dump_json(payload), args.output)
     return 0 if passed else 1
 
 

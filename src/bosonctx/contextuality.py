@@ -1,5 +1,5 @@
 """Exclusive events, exclusivity graphs, inequality sums, and the bound
-hierarchy: deterministic-assignment (noncontextual) maximum, the odd-cycle
+hierarchy: the noncontextual maximum (independence number), the odd-cycle
 projective quantum bound, and the algebraic fractional-packing ceiling.
 
 Two events are exclusive when some fiber is required transmitted by one and
@@ -11,17 +11,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
 from typing import Iterable, Mapping, Sequence
 
 from .experiment import (
-    FIBERS,
     REFLECTED,
     TRANSMITTED,
     OutcomeTable,
     full_table,
     make_outcome,
-    outcome_matches,
+    matching_mass,
     validate_context,
 )
 from .optics import BeamsplitterSpec, DistinguishabilityParam
@@ -169,8 +167,7 @@ def event_probability(table: OutcomeTable, event: EventSpec) -> float:
     """
     if event.context not in table.contexts:
         raise ValueError(f"table has no context {event.context!r} for event {event.label!r}")
-    return sum(p for token, p in table.context_distribution(event.context).items()
-               if outcome_matches(token, event.requirements))
+    return matching_mass(table.contexts[event.context], event.requirements)
 
 
 def inequality_sum(table: OutcomeTable, events: Sequence[EventSpec]) -> float:
@@ -180,24 +177,17 @@ def inequality_sum(table: OutcomeTable, events: Sequence[EventSpec]) -> float:
 # -- bounds -----------------------------------------------------------------
 
 
-def all_assignments() -> list[dict[str, str]]:
-    """The 8 deterministic transmit/reflect assignments to the three photons."""
-    return [dict(zip(FIBERS, values))
-            for values in product((TRANSMITTED, REFLECTED), repeat=len(FIBERS))]
-
-
-def assignment_satisfies(assignment: Mapping[str, str], event: EventSpec) -> bool:
-    return all(assignment[fiber] == value for fiber, value in event.requirements.items())
-
-
 def noncontextual_max(events: Sequence[EventSpec]) -> int:
     """Most events any single outcome pre-assignment can satisfy at once.
 
     Deterministic assignments are extreme points of the noncontextual
-    polytope, so this integer bounds every noncontextual mixture.
+    polytope, so this integer bounds every noncontextual mixture.  It is the
+    independence number of the derived exclusivity graph: a requirement fixes
+    one fiber's label, so events that are compatible in pairs never disagree
+    on a fiber and one assignment satisfies them all.  The event labels must
+    be distinct, and :func:`independence_number` caps the events at 24.
     """
-    return max(sum(assignment_satisfies(a, e) for e in events)
-               for a in all_assignments())
+    return independence_number(derive_exclusivity(events))
 
 
 def independence_number(graph: ExclusivityGraph) -> int:

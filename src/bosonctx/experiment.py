@@ -24,7 +24,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .optics import (
     BeamsplitterSpec,
@@ -96,6 +96,12 @@ def outcome_matches(token: str, requirements: Mapping[str, str]) -> bool:
     return all(got.get(fiber) == value for fiber, value in requirements.items())
 
 
+def matching_mass(distribution: Mapping[str, float],
+                  requirements: Mapping[str, str]) -> float:
+    """Probability mass of the outcomes that satisfy every requirement."""
+    return sum(p for token, p in distribution.items() if outcome_matches(token, requirements))
+
+
 def _validate_outcome_for_context(token: str, ctx: str) -> None:
     if token == COINCIDENCE:
         if len(ctx) != 2:
@@ -135,8 +141,7 @@ def run_context(ctx: str, bs: BeamsplitterSpec,
         both_t, both_r = pair.resolved_coincidence
         dist[f"{f1}t,{f2}t"] = both_t
         dist[f"{f1}r,{f2}r"] = both_r
-    T, R = bs.transmittance, bs.reflectance
-    dist[COINCIDENCE] = d.eta * (T - R) ** 2
+    dist[COINCIDENCE] = pair.p_unresolved
     return dist
 
 
@@ -203,34 +208,29 @@ class OutcomeTable:
         return records
 
     def to_json(self) -> str:
-        payload = {
+        return dump_json({
             "schema": SCHEMA_VERSION,
             "theta": self.theta,
             "eta": self.eta,
             "records": self.to_records(),
-        }
-        return json.dumps(payload, indent=2) + "\n"
+        })
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write(f"# schema={SCHEMA_VERSION}\n")
-        buf.write(f"# theta={self.theta!r}\n")
-        buf.write(f"# eta={self.eta!r}\n")
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["context", "outcome", "probability"])
-        for rec in self.to_records():
-            writer.writerow([rec["context"], rec["outcome"], repr(rec["probability"])])
-        return buf.getvalue()
+        return write_csv({"theta": self.theta, "eta": self.eta},
+                         ("context", "outcome", "probability"),
+                         ((r["context"], r["outcome"], r["probability"])
+                          for r in self.to_records()))
 
     @classmethod
-    def from_records(cls, theta: float, eta: float,
-                     records: list[Mapping]) -> "OutcomeTable":
+    def from_records(cls, theta, eta, records: list[Mapping]) -> "OutcomeTable":
+        """Build a table from parsed values.  Theta, eta and every probability
+        must be numbers that fit a float; a boolean is not a number here."""
         contexts: dict[str, dict[str, float]] = {}
         for rec in records:
             try:
                 ctx = validate_context(str(rec["context"]))
                 token = str(rec["outcome"])
-                p = float(rec["probability"])
+                p = _number(rec["probability"], "probability")
             except (KeyError, TypeError) as exc:
                 raise ValueError(f"bad table record {rec!r}") from exc
             _validate_outcome_for_context(token, ctx)
@@ -238,23 +238,21 @@ class OutcomeTable:
             if token in dist:
                 raise ValueError(f"duplicate record for {ctx!r}/{token!r}")
             dist[token] = p
-        return cls(float(theta), float(eta), contexts)
+        return cls(_number(theta, "theta"), _number(eta, "eta"), contexts)
 
     @classmethod
     def from_json(cls, text: str) -> "OutcomeTable":
         try:
             payload = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise ValueError(f"not valid JSON: {exc}") from exc
         if not isinstance(payload, dict):
             raise ValueError("table JSON must be an object")
         if payload.get("schema", SCHEMA_VERSION) != SCHEMA_VERSION:
             raise ValueError(f"unsupported schema {payload.get('schema')!r}")
         try:
-            theta = float(payload["theta"])
-            eta = float(payload["eta"])
-            records = payload["records"]
-        except (KeyError, TypeError) as exc:
+            theta, eta, records = payload["theta"], payload["eta"], payload["records"]
+        except KeyError as exc:
             raise ValueError("table JSON needs theta, eta and records") from exc
         if not isinstance(records, list):
             raise ValueError("records must be a list")
@@ -280,12 +278,41 @@ class OutcomeTable:
                 f"CSV header must be context,outcome,probability, got {reader.fieldnames}")
         if "theta" not in meta or "eta" not in meta:
             raise ValueError("CSV table needs '# theta=' and '# eta=' metadata lines")
+        return cls.from_records(meta["theta"], meta["eta"], list(reader))
+
+
+def _number(value, name: str) -> float:
+    """A table number as a float.
+
+    JSON booleans are refused although ``float(True)`` works, and so is an
+    integer too large for a float; both raise ``ValueError`` like bad text.
+    """
+    if not isinstance(value, bool):
         try:
-            theta = float(meta["theta"])
-            eta = float(meta["eta"])
-        except ValueError as exc:
-            raise ValueError("CSV theta/eta metadata must be numbers") from exc
-        return cls.from_records(theta, eta, list(reader))
+            return float(value)
+        except (OverflowError, TypeError, ValueError):
+            pass
+    raise ValueError(f"{name} must be a number that fits a float, got {value!r:.40}")
+
+
+def dump_json(payload: Mapping) -> str:
+    """Strict RFC 8259 JSON (no NaN or Infinity), two-space indent, final newline."""
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+
+
+def write_csv(meta: Mapping[str, object], header: Sequence[str],
+              rows: Iterable[Sequence]) -> str:
+    """CSV text: ``# schema=``, one ``# key=value`` line per metadata entry,
+    then the header and the rows.  Floats are written as ``str``, which is the
+    shortest text that reads back to the same float."""
+    buf = io.StringIO()
+    buf.write(f"# schema={SCHEMA_VERSION}\n")
+    for key, value in meta.items():
+        buf.write(f"# {key}={value}\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
 
 
 def parse_table(text: str) -> OutcomeTable:
@@ -329,13 +356,10 @@ def marginal_probability(table: OutcomeTable, ctx: str, fiber: str, value: str) 
     """
     if fiber not in ctx:
         raise ValueError(f"fiber {fiber!r} not measured in context {ctx!r}")
-    weights = _coincidence_weights(table.theta)
-    total = 0.0
-    for token, p in table.context_distribution(ctx).items():
-        if token == COINCIDENCE:
-            total += p * weights[value]
-        elif outcome_assigns(token).get(fiber) == value:
-            total += p
+    dist = table.context_distribution(ctx)
+    total = matching_mass(dist, {fiber: value})
+    if COINCIDENCE in dist:
+        total += dist[COINCIDENCE] * _coincidence_weights(table.theta)[value]
     return total
 
 
@@ -439,19 +463,14 @@ def check_indistinguishability(table: OutcomeTable,
     """
     _require_complete(table)
     identities: list[IdentityResult] = []
-
-    def pattern_probability(ctx: str, requirements: dict[str, str]) -> float:
-        return sum(p for token, p in table.context_distribution(ctx).items()
-                   if outcome_matches(token, requirements))
-
     for fiber in FIBERS:
         c1, c2 = [c for c in PAIR_CONTEXTS if fiber in c]
         partner1 = c1.replace(fiber, "")
         partner2 = c2.replace(fiber, "")
         for own in (TRANSMITTED, REFLECTED):
             for other in (TRANSMITTED, REFLECTED):
-                p1 = pattern_probability(c1, {fiber: own, partner1: other})
-                p2 = pattern_probability(c2, {fiber: own, partner2: other})
+                p1 = matching_mass(table.contexts[c1], {fiber: own, partner1: other})
+                p2 = matching_mass(table.contexts[c2], {fiber: own, partner2: other})
                 identities.append(IdentityResult(
                     name=f"pattern {fiber}={own}, partner={other}: {c1} vs {c2}",
                     lhs=p1, rhs=p2, deviation=abs(p1 - p2),

@@ -67,17 +67,22 @@ class SinglePhotonDistribution:
 class PairDistribution:
     """Output statistics for one photon in each input port.
 
-    ``p_coincidence`` is the total probability of one photon per output port.
+    ``p_unresolved`` is the interfering bosonic fraction of the one photon per
+    output port coincidence, a single outcome that labels neither photon.
     For partially distinguishable photons (eta < 1) the classical fraction of
     that coincidence splits into (both transmitted, both reflected) and is
-    reported in ``resolved_coincidence``; the interfering bosonic fraction is
-    a single unresolvable outcome and carries no such split.
+    reported in ``resolved_coincidence``.
     """
 
     p_bunch_port1: float
     p_bunch_port2: float
-    p_coincidence: float
+    p_unresolved: float
     resolved_coincidence: tuple[float, float] | None = None
+
+    @property
+    def p_coincidence(self) -> float:
+        """Total probability of one photon per output port, resolved or not."""
+        return self.p_unresolved + sum(self.resolved_coincidence or ())
 
 
 def beamsplitter_unitary(bs: BeamsplitterSpec) -> np.ndarray:
@@ -179,8 +184,7 @@ def pair_outcome_distribution(bs: BeamsplitterSpec,
     T, R = bs.transmittance, bs.reflectance
     eta = d.eta
     p_bunch = (1.0 + eta) * T * R
-    p_coinc = eta * (T - R) ** 2 + (1.0 - eta) * (T * T + R * R)
     resolved = None
     if eta < 1.0:
         resolved = ((1.0 - eta) * T * T, (1.0 - eta) * R * R)
-    return PairDistribution(p_bunch, p_bunch, p_coinc, resolved)
+    return PairDistribution(p_bunch, p_bunch, eta * (T - R) ** 2, resolved)

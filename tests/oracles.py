@@ -3,8 +3,9 @@
 Each oracle deliberately avoids the code path it checks: the permanent is
 expanded over all permutations, two-photon amplitudes come from expanding
 the transformed creation operators by hand, the packing LP is maximized
-over a refined probability grid, and the independence number is found by
-enumerating every vertex subset.
+over a refined probability grid, the independence number is found by
+enumerating every vertex subset, and the noncontextual bound by trying all
+eight deterministic transmit/reflect assignments.
 """
 
 from __future__ import annotations
@@ -72,3 +73,17 @@ def subset_independence_number(graph) -> int:
             if not any(graph.has_edge(u, v) for u, v in combinations(subset, 2)):
                 return size
     return best
+
+
+def all_assignments() -> list[dict[str, str]]:
+    """The 8 deterministic transmit/reflect assignments to the three photons."""
+    return [dict(zip("ABC", values)) for values in product("tr", repeat=3)]
+
+
+def assignment_satisfies(assignment, event) -> bool:
+    return all(assignment[fiber] == value for fiber, value in event.requirements.items())
+
+
+def assignment_noncontextual_max(events) -> int:
+    """Most events that one deterministic assignment satisfies, over all 8."""
+    return max(sum(assignment_satisfies(a, e) for e in events) for a in all_assignments())

@@ -4,8 +4,8 @@ import math
 import pytest
 
 from bosonctx import __version__
-from bosonctx.cli import _report_json, main
-from bosonctx.experiment import parse_table
+from bosonctx.cli import main
+from bosonctx.experiment import dump_json, parse_table
 
 
 def run_cli(capsys, *argv):
@@ -266,7 +266,48 @@ class TestVerify:
 
     def test_reports_are_strict_json(self):
         with pytest.raises(ValueError):
-            _report_json({"tolerance": math.nan})
+            dump_json({"tolerance": math.nan})
+
+
+class TestStrictNumbers:
+    @pytest.mark.parametrize("command", [["analyze", "--test", "pentagon"], ["verify"]],
+                             ids=["analyze", "verify"])
+    @pytest.mark.parametrize("field,value", [("theta", True), ("theta", 10 ** 400),
+                                             ("probability", 10 ** 400)],
+                             ids=["bool_theta", "huge_theta", "huge_probability"])
+    def test_non_float_number_is_parse_error(self, capsys, tmp_path, command, field, value):
+        path = tmp_path / "table.json"
+        run_cli(capsys, "simulate", "-o", str(path))
+        payload = json.loads(path.read_text())
+        (payload["records"][0] if field == "probability" else payload)[field] = value
+        path.write_text(json.dumps(payload))
+        with pytest.raises(SystemExit) as err:
+            main([*command, "--input", str(path)])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
+class TestOutputPath:
+    @pytest.mark.parametrize("argv", [
+        ["simulate"],
+        ["analyze", "--test", "pentagon"],
+        ["bounds", "--graph", "pentagon"],
+        ["sweep", "--test", "triangle", "--steps", "3"],
+        ["verify", "--input", "{table}"],
+    ], ids=["simulate", "analyze", "bounds", "sweep", "verify"])
+    @pytest.mark.parametrize("target", ["missing/out.json", "."], ids=["missing_dir", "a_dir"])
+    def test_unwritable_output_is_usage_error(self, capsys, tmp_path, argv, target):
+        table = tmp_path / "table.json"
+        run_cli(capsys, "simulate", "-o", str(table))
+        argv = [arg.format(table=table) for arg in argv]
+        with pytest.raises(SystemExit) as err:
+            main([*argv, "-o", str(tmp_path / target)])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
 
 
 class TestUsage:

@@ -9,8 +9,6 @@ from bosonctx.contextuality import (
     TRIANGLE,
     EventSpec,
     ExclusivityGraph,
-    all_assignments,
-    assignment_satisfies,
     cycle_graph,
     derive_exclusivity,
     event_probability,
@@ -26,7 +24,13 @@ from bosonctx.contextuality import (
 from bosonctx.experiment import OutcomeTable, full_table
 from bosonctx.optics import BALANCED, BeamsplitterSpec, DistinguishabilityParam
 
-from oracles import grid_packing_max, subset_independence_number
+from oracles import (
+    all_assignments,
+    assignment_noncontextual_max,
+    assignment_satisfies,
+    grid_packing_max,
+    subset_independence_number,
+)
 
 IDEAL = DistinguishabilityParam(1.0)
 
@@ -194,7 +198,8 @@ class TestNoncontextualMax:
             events = [EventSpec(f"x{i}", e.context, e.requirements)
                       for i, e in enumerate(events)]
             graph = derive_exclusivity(events)
-            assert noncontextual_max(events) == independence_number(graph)
+            assert independence_number(graph) == assignment_noncontextual_max(events)
+            assert noncontextual_max(events) == assignment_noncontextual_max(events)
 
 
 class TestIndependenceNumber:

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -160,9 +161,17 @@ class TestSerialization:
         assert set(rec) == {"context", "outcome", "probability"}
 
     def test_garbage_rejected(self):
-        for garbage in ("", "not a table", '{"theta": 1}', "a,b\n1,2\n"):
+        for garbage in ("", "not a table", '{"theta": 1}', "a,b\n1,2\n", "[" * 100_000):
             with pytest.raises(ValueError):
                 parse_table(garbage)
+
+    @pytest.mark.parametrize("field", ["theta", "eta", "probability"])
+    @pytest.mark.parametrize("value", [True, 10 ** 400], ids=["bool", "huge_int"])
+    def test_numbers_must_be_floats(self, field, value):
+        payload = json.loads(full_table(BALANCED, IDEAL).to_json())
+        (payload["records"][0] if field == "probability" else payload)[field] = value
+        with pytest.raises(ValueError, match=field):
+            parse_table(json.dumps(payload))
 
     def test_duplicate_records_rejected(self):
         table = full_table(BALANCED, IDEAL)

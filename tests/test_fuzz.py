@@ -1,0 +1,136 @@
+"""Property tests of the two outside inputs: table files and argv.
+
+``parse_table`` may refuse a text only with ``ValueError``, and ``main`` must
+end with exit code 0, 1 or 2 whatever its arguments.  The argv grammar keeps
+``--steps`` at most 200 and ``cycle:N`` at most 30, so no case does much work.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from bosonctx.cli import main
+from bosonctx.experiment import full_table, parse_table
+from bosonctx.optics import BeamsplitterSpec, DistinguishabilityParam
+
+SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+
+TABLE = full_table(BeamsplitterSpec(0.3), DistinguishabilityParam(0.37))
+TABLE_TEXTS = (TABLE.to_json(), TABLE.to_csv())
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=5), inner,
+                                                                 max_size=3),
+    max_leaves=8)
+
+
+@st.composite
+def edited_tables(draw) -> str:
+    """A serialized table with a few short spans replaced by arbitrary text."""
+    text = draw(st.sampled_from(TABLE_TEXTS))
+    for _ in range(draw(st.integers(1, 3))):
+        start = draw(st.integers(0, len(text)))
+        end = draw(st.integers(start, min(len(text), start + 20)))
+        text = text[:start] + draw(st.text(max_size=10)) + text[end:]
+    return text
+
+
+@st.composite
+def json_tables(draw) -> str:
+    """A JSON table with one header field or one record field set to any JSON value."""
+    payload = json.loads(TABLE_TEXTS[0])
+    value = draw(JSON_VALUES)
+    if draw(st.booleans()):
+        payload[draw(st.sampled_from(["schema", "theta", "eta", "records"]))] = value
+    else:
+        record = draw(st.sampled_from(payload["records"]))
+        record[draw(st.sampled_from(["context", "outcome", "probability"]))] = value
+    return json.dumps(payload)
+
+
+@SETTINGS
+@given(st.text() | edited_tables() | json_tables())
+def test_parse_table_raises_only_value_error(text):
+    try:
+        parse_table(text)
+    except ValueError:
+        pass
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory) -> dict[str, str]:
+    directory = tmp_path_factory.mktemp("fuzz-inputs")
+    files = {
+        "table.json": TABLE_TEXTS[0],
+        "table.csv": TABLE_TEXTS[1],
+        "perturbed.csv": "".join("A,at,0.5\n" if line.startswith("A,at,") else line
+                                 for line in TABLE_TEXTS[1].splitlines(keepends=True)),
+        "bool-theta.json": TABLE_TEXTS[0].replace('"theta": 0.3', '"theta": true', 1),
+        "garbage.txt": "not a table\n",
+    }
+    for name, text in files.items():
+        (directory / name).write_text(text)
+    paths = {name: str(directory / name) for name in files}
+    paths.update(missing=str(directory / "missing.json"), directory=str(directory),
+                 out=str(directory / "out.txt"), unwritable=str(directory / "missing" / "x"))
+    return paths
+
+
+NUMBERS = st.sampled_from(["0", "0.3", "1", "1.2", "-7", "1e308", "nan", "inf", "-inf", "x", ""])
+ETAS = st.sampled_from(["0", "0.37", "1", "1.5", "-0.1", "nan", "x"])
+STEPS = st.integers(-3, 200).map(str) | st.sampled_from(["x", ""])
+GRAPHS = (st.sampled_from(["pentagon", "triangle", "square", "cycle:", "cycle:x", ""])
+          | st.integers(-2, 30).map(lambda n: f"cycle:{n}"))
+TESTS = st.sampled_from(["pentagon", "triangle", "hexagon"])
+FILES = st.sampled_from(["table.json", "table.csv", "perturbed.csv", "bool-theta.json",
+                         "garbage.txt", "missing", "directory"])
+TOLERANCES = st.sampled_from(["1e-12", "1e-3", "0", "-1", "nan", "inf", "x"])
+
+OPTIONS = {
+    "simulate": {"--theta": NUMBERS, "--theta-deg": NUMBERS, "--eta": ETAS,
+                 "--format": st.sampled_from(["json", "csv", "xml"])},
+    "analyze": {"--test": TESTS, "--theta": NUMBERS, "--theta-deg": NUMBERS, "--eta": ETAS,
+                "--input": FILES},
+    "bounds": {"--graph": GRAPHS},
+    "sweep": {"--test": TESTS, "--theta": NUMBERS, "--theta-deg": NUMBERS, "--steps": STEPS,
+              "--format": st.sampled_from(["json", "csv", "xml"])},
+    "verify": {"--input": FILES, "--tolerance": TOLERANCES},
+}
+
+
+@st.composite
+def argvs(draw, paths: dict[str, str]) -> list[str]:
+    command = draw(st.sampled_from([*OPTIONS, "frobnicate"]))
+    argv = [command]
+    options = OPTIONS.get(command, {})
+    for flag in draw(st.lists(st.sampled_from(sorted(options)), max_size=4)) if options else []:
+        value = draw(options[flag])
+        argv += [flag, paths.get(value, value) if flag == "--input" else value]
+    if draw(st.booleans()):
+        argv += ["-o", paths[draw(st.sampled_from(["out", "unwritable", "directory"]))]]
+    if draw(st.integers(0, 9)) == 0:
+        argv.insert(draw(st.integers(0, len(argv))),
+                    draw(st.sampled_from(["-h", "--version", "--bogus", "-o"])))
+    return argv
+
+
+@SETTINGS
+@given(data=st.data())
+def test_main_exits_with_a_contract_code(inputs, data):
+    argv = data.draw(argvs(inputs))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2)
