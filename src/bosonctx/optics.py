@@ -91,30 +91,58 @@ def beamsplitter_unitary(bs: BeamsplitterSpec) -> np.ndarray:
     return np.array([[c, 1j * s], [1j * s, c]], dtype=complex)
 
 
+class _Rows(tuple):
+    """Checked rows of Python complex, which ``_square_rows`` passes through as is.
+
+    So ``apply_interferometer`` checks its unitary once per call, and
+    ``permanent`` does not re-check the submatrices ``scattering_amplitude``
+    cuts from it.
+    """
+
+
+def _number(x) -> complex:
+    """``x`` as a Python complex; a string is refused even when it spells a number."""
+    if isinstance(x, str):
+        raise TypeError
+    return complex(x)
+
+
+def _square_rows(matrix, name: str) -> _Rows:
+    """The rows of a non-empty square matrix of numbers; anything else is a ``ValueError``."""
+    if type(matrix) is _Rows:
+        return matrix
+    try:
+        rows = _Rows(tuple(map(_number, row)) for row in matrix)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{name} must be a square matrix of numbers") from None
+    if not rows or any(len(row) != len(rows) for row in rows):
+        raise ValueError(f"{name} must be a non-empty square matrix, got {len(rows)} "
+                         f"rows of lengths {sorted({len(row) for row in rows})}")
+    return rows
+
+
 def permanent(matrix) -> complex:
     """Matrix permanent via Ryser's formula with Gray-code subset updates.
 
-    Runs in O(2^n * n) for an n x n matrix; exact up to floating point.
+    ``matrix`` is a non-empty square list of lists, tuple of tuples or 2-D
+    ``ndarray`` of numbers; anything else raises ``ValueError``.  Runs in
+    O(2^n * n) for an n x n matrix in plain Python; exact up to floating point.
     """
-    m = np.asarray(matrix, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"permanent requires a square matrix, got shape {m.shape}")
-    n = m.shape[0]
-    if n == 0:
-        raise ValueError("permanent requires at least a 1x1 matrix")
-
-    row_sums = np.zeros(n, dtype=complex)
+    rows = _square_rows(matrix, "permanent")
+    n = len(rows)
+    cols = list(zip(*rows))
+    row_sums = [0j] * n
     total = 0j
     gray = 0
     for k in range(1, 1 << n):
         new_gray = k ^ (k >> 1)
         changed = new_gray ^ gray
-        j = changed.bit_length() - 1
+        col = cols[changed.bit_length() - 1]
         if new_gray & changed:
-            row_sums += m[:, j]
+            row_sums = [r + c for r, c in zip(row_sums, col)]
         else:
-            row_sums -= m[:, j]
-        term = complex(np.prod(row_sums))
+            row_sums = [r - c for r, c in zip(row_sums, col)]
+        term = math.prod(row_sums)
         total += -term if new_gray.bit_count() & 1 else term
         gray = new_gray
     return total if n % 2 == 0 else -total
@@ -125,11 +153,10 @@ def scattering_amplitude(unitary, state_in: FockState, state_out: FockState) -> 
 
     Equals the permanent of the unitary with column i repeated n_i times and
     row j repeated m_j times, divided by sqrt(prod n_i! * prod m_j!).
+    ``unitary`` takes the same forms as in ``permanent``.
     """
-    u = np.asarray(unitary, dtype=complex)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        raise ValueError(f"unitary must be square, got shape {u.shape}")
-    modes = u.shape[0]
+    u = _square_rows(unitary, "unitary")
+    modes = len(u)
     if state_in.modes != modes or state_out.modes != modes:
         raise ValueError(
             f"mode count mismatch: unitary has {modes}, states have "
@@ -140,9 +167,9 @@ def scattering_amplitude(unitary, state_in: FockState, state_out: FockState) -> 
     if state_in.total == 0:
         return 1 + 0j
 
-    cols = np.repeat(np.arange(modes), state_in.occupations)
-    rows = np.repeat(np.arange(modes), state_out.occupations)
-    sub = u[np.ix_(rows, cols)]
+    cols = [i for i, n in enumerate(state_in.occupations) for _ in range(n)]
+    sub = _Rows(tuple(u[i][c] for c in cols)
+                for i, m in enumerate(state_out.occupations) for _ in range(m))
     weight = 1.0
     for n in state_in.occupations:
         weight *= math.factorial(n)
@@ -154,13 +181,16 @@ def scattering_amplitude(unitary, state_in: FockState, state_out: FockState) -> 
 def apply_interferometer(state: PureState, unitary, *,
                          prune: float = DEFAULT_PRUNE) -> PureState:
     """Linear extension of the scattering amplitudes to a full superposition."""
-    u = np.asarray(unitary, dtype=complex)
-    if u.ndim != 2 or u.shape[0] != u.shape[1] or u.shape[0] != state.modes:
+    u = _square_rows(unitary, "unitary")
+    if len(u) != state.modes:
         raise ValueError(
-            f"unitary shape {u.shape} does not match {state.modes} modes")
+            f"unitary has {len(u)} modes, the state has {state.modes}")
+    bases: dict[int, list[FockState]] = {}
     out_terms: dict[FockState, complex] = {}
     for fock, amp in state.terms.items():
-        for out in fock_basis(fock.total, state.modes):
+        if fock.total not in bases:
+            bases[fock.total] = fock_basis(fock.total, state.modes)
+        for out in bases[fock.total]:
             a = amp * scattering_amplitude(u, fock, out)
             if a != 0j:
                 out_terms[out] = out_terms.get(out, 0j) + a

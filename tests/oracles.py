@@ -1,7 +1,8 @@
 """Independent brute-force oracles used only by the test suite.
 
 Each oracle deliberately avoids the code path it checks: the permanent is
-expanded over all permutations, two-photon amplitudes come from expanding
+expanded over all permutations (and, for bit-for-bit comparison, computed by
+the same Ryser/Gray-code recurrence on numpy arrays), two-photon amplitudes come from expanding
 the transformed creation operators by hand, the packing LP is maximized
 over a refined probability grid, the independence number is found by
 enumerating every vertex subset, and the noncontextual bound by trying all
@@ -27,6 +28,31 @@ def naive_permanent(matrix) -> complex:
             term *= m[i, j]
         total += term
     return total
+
+
+def numpy_ryser_permanent(matrix) -> complex:
+    """Ryser's formula with Gray-code updates on numpy arrays.
+
+    The same recurrence, step order and sign rule as ``optics.permanent``, so
+    the two must agree exactly, not just to rounding.
+    """
+    m = np.asarray(matrix, dtype=complex)
+    n = m.shape[0]
+    row_sums = np.zeros(n, dtype=complex)
+    total = 0j
+    gray = 0
+    for k in range(1, 1 << n):
+        new_gray = k ^ (k >> 1)
+        changed = new_gray ^ gray
+        j = changed.bit_length() - 1
+        if new_gray & changed:
+            row_sums += m[:, j]
+        else:
+            row_sums -= m[:, j]
+        term = complex(np.prod(row_sums))
+        total += -term if new_gray.bit_count() & 1 else term
+        gray = new_gray
+    return total if n % 2 == 0 else -total
 
 
 def two_photon_closed_form(theta: float) -> dict[tuple[int, int], complex]:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from bosonctx import optics
 from bosonctx.fock import basis_state, fock_basis, make_fock, pure_state, state_norm
 from bosonctx.optics import (
     BALANCED,
@@ -16,10 +17,45 @@ from bosonctx.optics import (
     single_outcome_distribution,
 )
 
-from oracles import naive_permanent, single_photon_closed_form, two_photon_closed_form
+from oracles import (
+    naive_permanent,
+    numpy_ryser_permanent,
+    single_photon_closed_form,
+    two_photon_closed_form,
+)
 
 THETA_GRID = np.linspace(0.0, math.pi / 2, 20)
 ETA_GRID = np.linspace(0.0, 1.0, 20)
+
+# Each is not a non-empty square matrix of numbers: ragged, 1-D, 2x3, 0x0,
+# empty, a scalar, a non-numeric string entry, a numeric string entry, a
+# list of strings, a None entry in a 1x1 and in a 2x2 matrix (numpy read it
+# as NaN), a 3-D array and an integer beyond the float range.
+MALFORMED = [
+    [[1, 2], [3]],
+    [1, 2],
+    np.ones((2, 3)),
+    np.zeros((0, 0)),
+    [],
+    3.0,
+    [[1, "x"], [2, 3]],
+    [["1"]],
+    ["12", "34"],
+    [[None]],
+    [[1, 2], [None, 4]],
+    np.ones((2, 2, 2)),
+    [[10**400]],
+]
+
+
+class CountingRows(tuple):
+    """A tuple of rows that counts how often its rows are iterated."""
+
+    reads = 0
+
+    def __iter__(self):
+        self.reads += 1
+        return super().__iter__()
 
 
 class TestBeamsplitterSpec:
@@ -81,10 +117,24 @@ class TestPermanent:
         assert permanent(np.ones((4, 4))) == pytest.approx(math.factorial(4))
 
     def test_non_square_rejected(self):
-        with pytest.raises(ValueError):
-            permanent(np.ones((2, 3)))
-        with pytest.raises(ValueError):
-            permanent(np.zeros((0, 0)))
+        for bad in MALFORMED:
+            with pytest.raises(ValueError):
+                permanent(bad)
+
+    def test_bit_identical_to_numpy_ryser(self):
+        rng = np.random.default_rng(17)
+        for n in range(1, 11):
+            m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            assert permanent(m) == numpy_ryser_permanent(m)
+
+    def test_input_forms_agree(self):
+        rng = np.random.default_rng(21)
+        m = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
+        forms = [m, m.tolist(), tuple(map(tuple, m.tolist()))]
+        results = [permanent(form) for form in forms]
+        assert all(type(r) is complex for r in results)
+        assert results[0] == results[1] == results[2]
+        assert type(permanent([[1, 2], [3, 4]])) is complex
 
 
 class TestScatteringAmplitude:
@@ -110,6 +160,20 @@ class TestScatteringAmplitude:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
             scattering_amplitude(np.eye(3), make_fock([1, 1]), make_fock([1, 1]))
+
+    def test_malformed_unitary_rejected(self):
+        for bad in MALFORMED:
+            with pytest.raises(ValueError):
+                scattering_amplitude(bad, make_fock([1, 1]), make_fock([2, 0]))
+
+    def test_input_forms_agree(self):
+        u = beamsplitter_unitary(BeamsplitterSpec(0.7))
+        forms = [u, u.tolist(), tuple(map(tuple, u.tolist()))]
+        for occ in ([2, 0], [1, 1], [0, 2]):
+            amps = [scattering_amplitude(f, make_fock([1, 1]), make_fock(occ))
+                    for f in forms]
+            assert all(type(a) is complex for a in amps)
+            assert amps[0] == amps[1] == amps[2]
 
     def test_matches_creation_operator_expansion_on_grid(self):
         for theta in THETA_GRID:
@@ -164,6 +228,40 @@ class TestApplyInterferometer:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
             apply_interferometer(basis_state([1, 0]), np.eye(3))
+
+    def test_malformed_unitary_rejected(self):
+        for bad in MALFORMED:
+            with pytest.raises(ValueError):
+                apply_interferometer(basis_state([1, 1]), bad)
+
+    def test_superposition_over_two_totals_is_the_sum_of_its_terms(self):
+        u = beamsplitter_unitary(BeamsplitterSpec(0.4)) @ np.diag([1, 1j])
+        terms = {(2, 0): 0.5, (1, 1): 0.5j, (1, 0): -0.5, (0, 1): 0.5}
+        out = apply_interferometer(pure_state(terms), u)
+        expected: dict = {}
+        for occ, amp in terms.items():
+            part = apply_interferometer(basis_state(list(occ)), u)
+            for fock, a in part.terms.items():
+                expected[fock.occupations] = expected.get(fock.occupations, 0j) + amp * a
+        assert {f.occupations for f in out.terms} == \
+            {occ for occ, a in expected.items() if abs(a) > 1e-12}
+        for occ, a in expected.items():
+            assert out.amplitude(list(occ)) == pytest.approx(a, abs=1e-14)
+
+    def test_set_up_happens_once_per_call(self, monkeypatch):
+        calls = []
+        real_fock_basis = optics.fock_basis
+        monkeypatch.setattr(optics, "fock_basis",
+                            lambda total, modes: calls.append(total) or
+                            real_fock_basis(total, modes))
+        u = CountingRows(map(tuple, beamsplitter_unitary(BALANCED).tolist()))
+        terms = {(2, 0): 0.5, (1, 1): 0.5, (1, 0): 0.5, (0, 1): 0.5}
+        apply_interferometer(pure_state(terms), u)
+        assert sorted(calls) == [1, 2]
+        assert u.reads == 1
+        calls.clear()
+        apply_interferometer(basis_state([2, 1]), u)
+        assert calls == [3]
 
 
 class TestSingleOutcomeDistribution:
