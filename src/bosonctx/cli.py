@@ -5,7 +5,9 @@ sum vs bounds), ``bounds`` (graph bound hierarchy), ``sweep`` (sum vs eta
 with bound crossings), ``verify`` (consistency checks on a table file).
 
 Exit codes: 0 success, 1 a verification check failed, 2 usage or parse error.
-Data goes to stdout (or ``--output``), diagnostics to stderr.
+Data goes to stdout (or ``--output``), diagnostics to stderr.  Every input the
+library refuses (``ValueError``) and every file that cannot be read or written
+(``OSError``) is exit 2 with one ``error:`` line and no usage text.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from .contextuality import (
     sweep_eta,
 )
 from .experiment import (
+    DEFAULT_TOLERANCE,
     SCHEMA_VERSION,
     OutcomeTable,
     check_indistinguishability,
@@ -55,60 +58,41 @@ def _add_eta_arg(parser: argparse.ArgumentParser) -> None:
                         help="photon overlap in [0, 1]; 1 = identical photons (default: 1)")
 
 
-def _resolve_beamsplitter(parser: argparse.ArgumentParser,
-                          args: argparse.Namespace) -> BeamsplitterSpec:
-    theta = args.theta
+def _resolve_beamsplitter(args: argparse.Namespace) -> BeamsplitterSpec:
     if args.theta_deg is not None:
-        theta = math.radians(args.theta_deg)
-    if not math.isfinite(theta):
-        parser.error(f"theta must be finite, got {theta!r}")
-    return BeamsplitterSpec(theta)
+        return BeamsplitterSpec(math.radians(args.theta_deg))
+    return BeamsplitterSpec(args.theta)
 
 
-def _resolve_eta(parser: argparse.ArgumentParser,
-                 args: argparse.Namespace) -> DistinguishabilityParam:
-    if not (0.0 <= args.eta <= 1.0):
-        parser.error(f"--eta must lie in [0, 1], got {args.eta!r}")
-    return DistinguishabilityParam(args.eta)
-
-
-def _emit(parser: argparse.ArgumentParser, text: str, output: str | None) -> None:
+def _emit(text: str, output: str | None) -> None:
     if output is None:
         sys.stdout.write(text)
         return
-    try:
-        with open(output, "w", newline="") as handle:
-            handle.write(text)
-    except OSError as exc:
-        parser.exit(2, f"error: cannot write {output!r}: {exc}\n")
+    with open(output, "w", newline="") as handle:
+        handle.write(text)
 
 
 def _header(**fields) -> dict:
     return {"schema": SCHEMA_VERSION, "version": __version__, **fields}
 
 
-def cmd_simulate(parser, args) -> int:
-    bs = _resolve_beamsplitter(parser, args)
-    d = _resolve_eta(parser, args)
-    table = full_table(bs, d)
+def cmd_simulate(args) -> int:
+    table = full_table(_resolve_beamsplitter(args), DistinguishabilityParam(args.eta))
     text = table.to_json() if args.format == "json" else table.to_csv()
-    _emit(parser, text, args.output)
+    _emit(text, args.output)
     return 0
 
 
-def _table_for_analysis(parser, args) -> OutcomeTable:
+def _table_for_analysis(args) -> OutcomeTable:
     if args.input is not None:
-        try:
-            table = load_table(args.input)
-            table.validate()
-            return table
-        except (OSError, ValueError) as exc:
-            parser.exit(2, f"error: cannot read table {args.input!r}: {exc}\n")
-    return full_table(_resolve_beamsplitter(parser, args), _resolve_eta(parser, args))
+        table = load_table(args.input)
+        table.validate()
+        return table
+    return full_table(_resolve_beamsplitter(args), DistinguishabilityParam(args.eta))
 
 
-def cmd_analyze(parser, args) -> int:
-    table = _table_for_analysis(parser, args)
+def cmd_analyze(args) -> int:
+    table = _table_for_analysis(args)
     events = standard_events(args.test)
     total = inequality_sum(table, events)
     nc_bound = noncontextual_max(events)
@@ -120,17 +104,17 @@ def cmd_analyze(parser, args) -> int:
                 for e in events],
         sum=total,
         nc_bound=nc_bound,
-        violates_nc=total > nc_bound,
+        violates_nc=total > nc_bound + DEFAULT_TOLERANCE,
     )
     if args.test == PENTAGON:
         q_bound = lovasz_theta_odd_cycle(5)
         payload["q_bound"] = q_bound
-        payload["violates_q"] = total > q_bound
-    _emit(parser, dump_json(payload), args.output)
+        payload["violates_q"] = total > q_bound + DEFAULT_TOLERANCE
+    _emit(dump_json(payload), args.output)
     return 0
 
 
-def cmd_bounds(parser, args) -> int:
+def cmd_bounds(args) -> int:
     spec: str = args.graph
     theta_n: int | None = None
     if spec in (PENTAGON, TRIANGLE):
@@ -138,34 +122,22 @@ def cmd_bounds(parser, args) -> int:
         if spec == PENTAGON:
             theta_n = 5
     elif spec.startswith("cycle:"):
-        try:
-            n = int(spec.split(":", 1)[1])
-        except ValueError:
-            parser.error(f"bad cycle size in {spec!r}")
-        if n < 3:
-            parser.error(f"cycle size must be >= 3, got {n}")
+        n = int(spec.split(":", 1)[1])
         graph = cycle_graph(n)
         if n % 2 == 1:
             theta_n = n
     else:
-        parser.error(f"--graph must be pentagon, triangle or cycle:N, got {spec!r}")
-    try:
-        alpha = independence_number(graph)
-    except ValueError as exc:
-        parser.exit(2, f"error: cannot bound {spec!r}: {exc}\n")
-    payload = _header(graph=spec, alpha=alpha)
+        raise ValueError(f"--graph must be pentagon, triangle or cycle:N, got {spec!r}")
+    payload = _header(graph=spec, alpha=independence_number(graph))
     if theta_n is not None:
         payload["theta_lovasz"] = lovasz_theta_odd_cycle(theta_n)
     payload["fractional_max"] = fractional_packing_max(graph)
-    _emit(parser, dump_json(payload), args.output)
+    _emit(dump_json(payload), args.output)
     return 0
 
 
-def cmd_sweep(parser, args) -> int:
-    bs = _resolve_beamsplitter(parser, args)
-    if args.steps < 2:
-        parser.error(f"--steps must be >= 2, got {args.steps}")
-    result = sweep_eta(args.test, bs, steps=args.steps)
+def cmd_sweep(args) -> int:
+    result = sweep_eta(args.test, _resolve_beamsplitter(args), steps=args.steps)
     if args.format == "json":
         text = dump_json(_header(**result.to_dict()))
     else:
@@ -173,24 +145,19 @@ def cmd_sweep(parser, args) -> int:
                 **{f"bound_{name}": value for name, value in result.bounds.items()},
                 **{f"crossing_{name}": value for name, value in result.crossings.items()}}
         text = write_csv(meta, ("eta", "sum"), zip(result.etas, result.sums))
-    _emit(parser, text, args.output)
+    _emit(text, args.output)
     return 0
 
 
-def cmd_verify(parser, args) -> int:
-    if not (math.isfinite(args.tolerance) and args.tolerance > 0):
-        parser.error(f"--tolerance must be finite and positive, got {args.tolerance!r}")
-    try:
-        table = load_table(args.input)
-        table.validate_structure()
-    except (OSError, ValueError) as exc:
-        parser.exit(2, f"error: cannot read table {args.input!r}: {exc}\n")
-
+def cmd_verify(args) -> int:
     tol = args.tolerance
-    normalization = max(abs(sum(dist.values()) - 1.0)
-                        for ctx, dist in table.contexts.items())
-    norm_ok = normalization <= tol
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"--tolerance must be finite and positive, got {tol!r}")
+    table = load_table(args.input)
+    # each checker validates the table's structure before it compares anything
     reports = [check_no_disturbance(table, tol), check_indistinguishability(table, tol)]
+    normalization = max(abs(sum(dist.values()) - 1.0) for dist in table.contexts.values())
+    norm_ok = normalization <= tol
     passed = norm_ok and all(r.passed for r in reports)
     payload = _header(
         input=args.input,
@@ -201,7 +168,7 @@ def cmd_verify(parser, args) -> int:
         normalization={"passed": norm_ok, "max_deviation": normalization},
         checks=[r.to_dict() for r in reports],
     )
-    _emit(parser, dump_json(payload), args.output)
+    _emit(dump_json(payload), args.output)
     return 0 if passed else 1
 
 
@@ -245,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run consistency checks on a stored table")
     p.add_argument("--input", required=True, help="table file (JSON or CSV)")
-    p.add_argument("--tolerance", type=float, default=1e-12)
+    p.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
     p.add_argument("--output", "-o", default=None)
     p.set_defaults(handler=cmd_verify)
     return parser
@@ -254,7 +221,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.handler(parser, args)
+    try:
+        return args.handler(args)
+    except (OSError, ValueError) as exc:
+        parser.exit(2, f"error: {exc}\n")
 
 
 def entrypoint() -> None:

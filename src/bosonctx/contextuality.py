@@ -55,15 +55,6 @@ class EventSpec:
                 raise ValueError(f"bad requirement value {value!r} in event {self.label!r}")
         object.__setattr__(self, "requirements", reqs)
 
-    def to_dict(self) -> dict:
-        return {"label": self.label, "context": self.context,
-                "requirements": dict(self.requirements)}
-
-    @classmethod
-    def from_dict(cls, payload: Mapping) -> "EventSpec":
-        return cls(str(payload["label"]), str(payload["context"]),
-                   dict(payload["requirements"]))
-
 
 def _event(context: str, requirements: dict[str, str]) -> EventSpec:
     return EventSpec(make_outcome(requirements), context, requirements)
@@ -110,19 +101,6 @@ class ExclusivityGraph:
             if u not in known or v not in known:
                 raise ValueError(f"edge ({u!r}, {v!r}) uses unknown vertices")
 
-    def has_edge(self, u: str, v: str) -> bool:
-        return tuple(sorted((u, v))) in self.edges
-
-    def to_dict(self) -> dict:
-        return {"vertices": list(self.vertices),
-                "edges": sorted(list(e) for e in self.edges)}
-
-    @classmethod
-    def from_dict(cls, payload: Mapping) -> "ExclusivityGraph":
-        vertices = tuple(str(v) for v in payload["vertices"])
-        edges = frozenset(_edge(str(u), str(v)) for u, v in payload["edges"])
-        return cls(vertices, edges)
-
 
 def _edge(u: str, v: str) -> tuple[str, str]:
     return tuple(sorted((u, v)))  # type: ignore[return-value]
@@ -165,9 +143,7 @@ def event_probability(table: OutcomeTable, event: EventSpec) -> float:
 
     The unresolved coincidence labels no fiber, so it never contributes.
     """
-    if event.context not in table.contexts:
-        raise ValueError(f"table has no context {event.context!r} for event {event.label!r}")
-    return matching_mass(table.contexts[event.context], event.requirements)
+    return matching_mass(table.context_distribution(event.context), event.requirements)
 
 
 def inequality_sum(table: OutcomeTable, events: Sequence[EventSpec]) -> float:

@@ -401,12 +401,6 @@ class CheckReport:
         }
 
 
-def _require_complete(table: OutcomeTable) -> None:
-    missing = [ctx for ctx in ALL_CONTEXTS if ctx not in table.contexts]
-    if missing:
-        raise ValueError(f"incomplete table, missing contexts: {missing}")
-
-
 def _finish(check: str, tol: float, identities: list[IdentityResult]) -> CheckReport:
     checked = [i for i in identities if i.checked]
     max_dev = max((i.deviation for i in checked), default=0.0)
@@ -424,9 +418,10 @@ def check_no_disturbance(table: OutcomeTable,
     single-fiber context, but only where the pair context's unresolved
     coincidence mass is within tolerance: when unresolved mass is present the
     marginal depends on the apportionment convention rather than on data, so
-    the single-context comparison is reported but marked as skipped.
+    the single-context comparison is reported but marked as skipped.  A table
+    that fails :meth:`OutcomeTable.validate_structure` raises ``ValueError``.
     """
-    _require_complete(table)
+    table.validate_structure()
     identities: list[IdentityResult] = []
     for fiber in FIBERS:
         pair_ctxs = [c for c in PAIR_CONTEXTS if fiber in c]
@@ -459,9 +454,10 @@ def check_indistinguishability(table: OutcomeTable,
 
     For each fiber the four labeled patterns (own value, partner value) and
     the unresolved coincidence rate must agree between the two pair contexts
-    the fiber takes part in.
+    the fiber takes part in.  A table that fails
+    :meth:`OutcomeTable.validate_structure` raises ``ValueError``.
     """
-    _require_complete(table)
+    table.validate_structure()
     identities: list[IdentityResult] = []
     for fiber in FIBERS:
         c1, c2 = [c for c in PAIR_CONTEXTS if fiber in c]

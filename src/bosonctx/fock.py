@@ -6,7 +6,6 @@ scenario in this package involves at most a few photons in a few modes.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
@@ -60,7 +59,6 @@ class PureState:
 
     Instances are immutable by convention: build them with :func:`pure_state`
     (which validates, coerces and prunes) and treat ``terms`` as read-only.
-    Normalization is explicit, see :func:`normalize`.
     """
 
     terms: dict[FockState, complex]
@@ -101,30 +99,6 @@ def basis_state(occupations: Iterable[int]) -> PureState:
     """Unit-amplitude state on a single occupation vector."""
     fock = make_fock(occupations)
     return PureState({fock: 1.0 + 0j}, fock.modes)
-
-
-def inner_product(u: PureState, v: PureState) -> complex:
-    """Sesquilinear inner product <u|v>, conjugate-linear in the first argument."""
-    if u.modes != v.modes:
-        raise ValueError(f"mode count mismatch: {u.modes} vs {v.modes}")
-    small, large = (u.terms, v.terms) if len(u.terms) <= len(v.terms) else (v.terms, u.terms)
-    total = 0j
-    for fock in small:
-        if fock in large:
-            total += u.terms[fock].conjugate() * v.terms[fock]
-    return total
-
-
-def state_norm(u: PureState) -> float:
-    return math.sqrt(inner_product(u, u).real)
-
-
-def normalize(u: PureState) -> PureState:
-    """Rescale to unit norm.  Raises on the zero state."""
-    n = state_norm(u)
-    if n == 0.0:
-        raise ValueError("cannot normalize the zero state")
-    return PureState({fock: amp / n for fock, amp in u.terms.items()}, u.modes)
 
 
 def fock_basis(total: int, modes: int) -> list[FockState]:

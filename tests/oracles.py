@@ -6,7 +6,8 @@ the same Ryser/Gray-code recurrence on numpy arrays), two-photon amplitudes come
 the transformed creation operators by hand, the packing LP is maximized
 over a refined probability grid, the independence number is found by
 enumerating every vertex subset, and the noncontextual bound by trying all
-eight deterministic transmit/reflect assignments.
+eight deterministic transmit/reflect assignments.  The state norm and the
+edge test are small helpers the library itself does not need.
 """
 
 from __future__ import annotations
@@ -89,6 +90,16 @@ def grid_packing_max(graph, step_denominator: int = 4) -> float:
     return best / q
 
 
+def state_norm(state) -> float:
+    """Euclidean norm of a PureState's amplitude vector."""
+    return math.sqrt(sum(abs(amp) ** 2 for _, amp in state))
+
+
+def graph_has_edge(graph, u: str, v: str) -> bool:
+    """Whether the exclusivity graph joins ``u`` and ``v``, in either order."""
+    return (u, v) in graph.edges or (v, u) in graph.edges
+
+
 def subset_independence_number(graph) -> int:
     """Plain enumeration of all vertex subsets, largest independent one wins."""
     n = len(graph.vertices)
@@ -96,7 +107,7 @@ def subset_independence_number(graph) -> int:
     best = 0
     for size in range(n, 0, -1):
         for subset in combinations(names, size):
-            if not any(graph.has_edge(u, v) for u, v in combinations(subset, 2)):
+            if not any(graph_has_edge(graph, u, v) for u, v in combinations(subset, 2)):
                 return size
     return best
 

@@ -5,7 +5,7 @@ import pytest
 
 from bosonctx import __version__
 from bosonctx.cli import main
-from bosonctx.experiment import dump_json, parse_table
+from bosonctx.experiment import DEFAULT_TOLERANCE, dump_json, parse_table
 
 
 def run_cli(capsys, *argv):
@@ -111,6 +111,30 @@ class TestAnalyze:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
+class TestBoundTolerance:
+    """A sum that meets a bound up to rounding is not reported as a violation."""
+
+    @pytest.mark.parametrize("test,theta,eta,flag,bound", [
+        # sweep crossings where the computed sum lands one ulp above the bound
+        ("pentagon", "0.4445353604829558", "0.9652870165964988", "violates_nc", "nc_bound"),
+        ("pentagon", "0.5301437602932776", "0.959617422732518", "violates_q", "q_bound"),
+        # the balanced-splitter crossings 3/2 + eta = 2 and 3(1 + eta)/4 = 1
+        ("pentagon", str(math.pi / 4), "0.5", "violates_nc", "nc_bound"),
+        ("triangle", str(math.pi / 4), str(1 / 3), "violates_nc", "nc_bound"),
+    ], ids=["pentagon_nc_rounding", "pentagon_q_rounding", "pentagon_nc_half",
+            "triangle_nc_third"])
+    def test_sum_at_the_bound_does_not_violate(self, capsys, test, theta, eta, flag, bound):
+        code, out = run_cli(capsys, "analyze", "--test", test, "--theta", theta, "--eta", eta)
+        assert code == 0
+        report = json.loads(out)
+        assert abs(report["sum"] - report[bound]) <= DEFAULT_TOLERANCE
+        assert report[flag] is False
+
+    def test_sum_just_past_the_tolerance_violates(self, capsys):
+        _, out = run_cli(capsys, "analyze", "--test", "pentagon", "--eta", "0.500000001")
+        assert json.loads(out)["violates_nc"] is True
 
 
 class TestBounds:
@@ -308,6 +332,41 @@ class TestOutputPath:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
+class TestErrorPath:
+    """Every input error is exit 2 with one ``error:`` line on stderr and no usage."""
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--eta", "2"],
+        ["simulate", "--theta", "nan"],
+        ["simulate", "--theta-deg", "inf"],
+        ["bounds", "--graph", "cycle:2"],
+        ["bounds", "--graph", "cycle:x"],
+        ["bounds", "--graph", "cycle:25"],
+        ["bounds", "--graph", "square"],
+        ["sweep", "--test", "pentagon", "--steps", "1"],
+        ["verify", "--input", "{table}", "--tolerance", "nan"],
+        ["analyze", "--test", "pentagon", "--input", "{dir}/missing.json"],
+        ["verify", "--input", "{garbage}"],
+        ["simulate", "-o", "{dir}/missing/out.json"],
+    ], ids=["eta_2", "theta_nan", "theta_deg_inf", "cycle_2", "cycle_x", "cycle_25",
+            "graph_square", "steps_1", "tolerance_nan", "missing_input", "garbage_table",
+            "output_in_missing_dir"])
+    def test_input_error_is_one_error_line(self, capsys, tmp_path, argv):
+        table = tmp_path / "table.json"
+        run_cli(capsys, "simulate", "-o", str(table))
+        garbage = tmp_path / "garbage.json"
+        garbage.write_text("this is not a table")
+        argv = [arg.format(table=table, garbage=garbage, dir=tmp_path) for arg in argv]
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+        assert captured.err.endswith("\n")
+        assert "usage:" not in captured.err
 
 
 class TestUsage:

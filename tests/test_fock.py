@@ -1,18 +1,8 @@
 import math
 
-import numpy as np
 import pytest
 
-from bosonctx.fock import (
-    FockState,
-    basis_state,
-    fock_basis,
-    inner_product,
-    make_fock,
-    normalize,
-    pure_state,
-    state_norm,
-)
+from bosonctx.fock import FockState, fock_basis, make_fock, pure_state
 
 
 class TestMakeFock:
@@ -61,62 +51,6 @@ class TestPureState:
         with pytest.raises(ValueError):
             pure_state({})
         assert pure_state({}, modes=2).modes == 2
-
-
-class TestInnerProduct:
-    def test_normalized_state_has_unit_self_overlap(self):
-        st = normalize(pure_state({(2, 0): 1.0, (0, 2): -1.0}))
-        assert inner_product(st, st) == pytest.approx(1.0, abs=1e-12)
-
-    def test_orthogonal_basis_states(self):
-        assert inner_product(basis_state([2, 0]), basis_state([0, 2])) == 0j
-
-    def test_symmetric_antisymmetric_orthogonal(self):
-        minus = normalize(pure_state({(2, 0): 1.0, (0, 2): -1.0}))
-        plus = normalize(pure_state({(2, 0): 1.0, (0, 2): 1.0}))
-        assert inner_product(minus, plus) == pytest.approx(0.0, abs=1e-12)
-
-    def test_mode_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            inner_product(basis_state([1, 0]), basis_state([1, 0, 0]))
-
-    def test_conjugate_symmetry_and_positivity(self):
-        rng = np.random.default_rng(7)
-        basis = fock_basis(2, 3)
-        for _ in range(25):
-            amps_u = rng.normal(size=len(basis)) + 1j * rng.normal(size=len(basis))
-            amps_v = rng.normal(size=len(basis)) + 1j * rng.normal(size=len(basis))
-            u = pure_state(dict(zip(basis, amps_u)))
-            v = pure_state(dict(zip(basis, amps_v)))
-            uv = inner_product(u, v)
-            vu = inner_product(v, u)
-            assert uv == pytest.approx(vu.conjugate(), abs=1e-12)
-            uu = inner_product(u, u)
-            assert uu.imag == 0.0
-            assert uu.real >= 0.0
-
-
-class TestNormalize:
-    def test_rescaling(self):
-        st = normalize(pure_state({(1, 1): 2.0}))
-        assert st.amplitude((1, 1)) == pytest.approx(1.0)
-
-    def test_two_term_norm(self):
-        st = normalize(pure_state({(2, 0): 1.0, (0, 2): -1.0}))
-        assert st.amplitude((2, 0)) == pytest.approx(1 / math.sqrt(2))
-        assert st.amplitude((0, 2)) == pytest.approx(-1 / math.sqrt(2))
-
-    def test_zero_state_rejected(self):
-        with pytest.raises(ValueError):
-            normalize(pure_state({}, modes=2))
-
-    def test_random_states_end_up_unit_norm(self):
-        rng = np.random.default_rng(11)
-        basis = fock_basis(3, 2)
-        for _ in range(50):
-            amps = rng.normal(size=len(basis)) + 1j * rng.normal(size=len(basis))
-            st = normalize(pure_state(dict(zip(basis, amps))))
-            assert abs(state_norm(st) - 1.0) <= 1e-12
 
 
 class TestFockBasis:

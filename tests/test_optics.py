@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bosonctx import optics
-from bosonctx.fock import basis_state, fock_basis, make_fock, pure_state, state_norm
+from bosonctx.fock import basis_state, fock_basis, make_fock, pure_state
 from bosonctx.optics import (
     BALANCED,
     BeamsplitterSpec,
@@ -21,6 +21,7 @@ from oracles import (
     naive_permanent,
     numpy_ryser_permanent,
     single_photon_closed_form,
+    state_norm,
     two_photon_closed_form,
 )
 
