@@ -24,6 +24,7 @@ from .contextuality import (
     cycle_graph,
     derive_exclusivity,
     event_probability,
+    exact_search_size,
     fractional_packing_max,
     independence_number,
     inequality_sum,
@@ -122,7 +123,7 @@ def cmd_bounds(args) -> int:
         if spec == PENTAGON:
             theta_n = 5
     elif spec.startswith("cycle:"):
-        n = int(spec.split(":", 1)[1])
+        n = exact_search_size(int(spec.split(":", 1)[1]))
         graph = cycle_graph(n)
         if n % 2 == 1:
             theta_n = n

@@ -4,7 +4,8 @@ projective quantum bound, and the algebraic fractional-packing ceiling.
 
 Two events are exclusive when some fiber is required transmitted by one and
 reflected by the other; equivalently, when no global transmit/reflect
-assignment satisfies both.  Event labels reuse the outcome token grammar.
+assignment satisfies both.  The standard events are labelled with
+:func:`~bosonctx.experiment.make_outcome`.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .experiment import (
+    OUTCOMES,
     REFLECTED,
     TRANSMITTED,
     OutcomeTable,
@@ -22,6 +24,7 @@ from .experiment import (
     matching_mass,
     validate_context,
 )
+from .fock import is_whole
 from .optics import BeamsplitterSpec, DistinguishabilityParam
 
 PENTAGON = "pentagon"
@@ -43,16 +46,12 @@ class EventSpec:
     requirements: Mapping[str, str]
 
     def __post_init__(self) -> None:
-        validate_context(self.context)
+        # valid when non-empty and part of the labels of an outcome of the context
         reqs = dict(self.requirements)
-        if not reqs:
-            raise ValueError(f"event {self.label!r} has no requirements")
-        for fiber, value in reqs.items():
-            if fiber not in self.context:
-                raise ValueError(
-                    f"event {self.label!r} constrains {fiber!r} outside context {self.context!r}")
-            if value not in (TRANSMITTED, REFLECTED):
-                raise ValueError(f"bad requirement value {value!r} in event {self.label!r}")
+        outcomes = OUTCOMES[validate_context(self.context)]
+        if not reqs or not any(reqs.items() <= labels.items() for labels in outcomes.values()):
+            raise ValueError(f"event {self.label!r} needs t/r labels for fibers of "
+                             f"{self.context!r}, got {reqs!r}")
         object.__setattr__(self, "requirements", reqs)
 
 
@@ -108,7 +107,7 @@ def _edge(u: str, v: str) -> tuple[str, str]:
 
 def cycle_graph(n: int) -> ExclusivityGraph:
     """The n-cycle on vertices v0..v{n-1}."""
-    if n != int(n) or n < 3:
+    if not is_whole(n) or n < 3:
         raise ValueError(f"cycle needs an integer n >= 3, got {n!r}")
     n = int(n)
     names = tuple(f"v{i}" for i in range(n))
@@ -166,11 +165,16 @@ def noncontextual_max(events: Sequence[EventSpec]) -> int:
     return independence_number(derive_exclusivity(events))
 
 
-def independence_number(graph: ExclusivityGraph) -> int:
-    """Exact maximum independent set size by branch and bound on bitmasks."""
-    n = len(graph.vertices)
+def exact_search_size(n: int) -> int:
+    """``n``, or ``ValueError`` if :func:`independence_number` refuses n vertices."""
     if n > MAX_EXACT_INDEPENDENCE:
         raise ValueError(f"exact search limited to {MAX_EXACT_INDEPENDENCE} vertices, got {n}")
+    return n
+
+
+def independence_number(graph: ExclusivityGraph) -> int:
+    """Exact maximum independent set size by branch and bound on bitmasks."""
+    n = exact_search_size(len(graph.vertices))
     index = {v: i for i, v in enumerate(graph.vertices)}
     adjacency = [0] * n
     for u, v in graph.edges:
@@ -201,9 +205,8 @@ def lovasz_theta_odd_cycle(n: int) -> float:
     This is the projective quantum ceiling for a cyclic exclusivity
     structure; for n = 5 it equals sqrt(5).
     """
-    if n != int(n) or int(n) < 3 or int(n) % 2 == 0:
+    if not is_whole(n) or n < 3 or n % 2 == 0:
         raise ValueError(f"closed form requires an odd integer n >= 3, got {n!r}")
-    n = int(n)
     c = math.cos(math.pi / n)
     return n * c / (1.0 + c)
 

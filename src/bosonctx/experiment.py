@@ -6,14 +6,15 @@ Fibers are named A, B, C and each holds one photon.  A context connects one
 or two fibers to the beamsplitter; the six contexts are A, B, C, AB, AC, BC,
 with the alphabetically first fiber of a pair entering input port 1.
 
-Outcome token grammar (used in tables, event definitions and files):
+Outcome tokens (in tables and table files) are the closed set
+:data:`OUTCOMES`; any other spelling, such as ``At`` or ``bt,ar``, is refused.
 
-* a single-fiber outcome is a two-character token, lowercase fiber letter
-  followed by ``t`` (transmitted) or ``r`` (reflected), e.g. ``at``;
+* a single-fiber outcome is the lowercase fiber letter followed by ``t``
+  (transmitted) or ``r`` (reflected), e.g. ``at``;
 * a pair outcome joins the two tokens in port order with a comma,
   e.g. ``ar,bt`` means A reflected and B transmitted;
-* ``coinc`` is the unresolved one-photon-per-output-port coincidence of the
-  interfering bosonic fraction, which carries no per-fiber labels.
+* ``coinc``, in pair contexts only, is the unresolved one-photon-per-output-port
+  coincidence of the interfering bosonic fraction, which labels no fiber.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from .optics import (
@@ -69,22 +71,30 @@ def make_outcome(assignments: Mapping[str, str]) -> str:
     return ",".join(parts)
 
 
-def outcome_assigns(token: str) -> dict[str, str]:
-    """Per-fiber labels carried by an outcome token.
+def _context_outcomes(ctx: str) -> Mapping[str, Mapping[str, str]]:
+    # Table order: t, r for one fiber; for a pair, bunching at port 1 (first
+    # fiber t, second r), at port 2, both t, both r, then the label-free coinc.
+    t, r = TRANSMITTED, REFLECTED
+    rows = [(t,), (r,)] if len(ctx) == 1 else [(t, r), (r, t), (t, t), (r, r), ()]
+    labels = (MappingProxyType(dict(zip(ctx, row))) for row in rows)
+    return MappingProxyType({make_outcome(a) if a else COINCIDENCE: a for a in labels})
+
+
+# Every context's outcome tokens, each with its read-only per-fiber labels.
+OUTCOMES = MappingProxyType({ctx: _context_outcomes(ctx) for ctx in ALL_CONTEXTS})
+_LABELS = {token: a for outcomes in OUTCOMES.values() for token, a in outcomes.items()}
+
+
+def outcome_assigns(token: str) -> Mapping[str, str]:
+    """Read-only per-fiber labels carried by an outcome token.
 
     The unresolved coincidence assigns nothing and returns an empty mapping.
+    A token outside :data:`OUTCOMES` raises ``ValueError``.
     """
-    if token == COINCIDENCE:
-        return {}
-    labels: dict[str, str] = {}
-    for part in token.split(","):
-        if len(part) != 2 or part[0].upper() not in FIBERS or part[1] not in "tr":
-            raise ValueError(f"malformed outcome token {token!r}")
-        fiber = part[0].upper()
-        if fiber in labels:
-            raise ValueError(f"fiber repeated in outcome token {token!r}")
-        labels[fiber] = part[1]
-    return labels
+    try:
+        return _LABELS[token]
+    except KeyError:
+        raise ValueError(f"unknown outcome token {token!r}") from None
 
 
 def outcome_matches(token: str, requirements: Mapping[str, str]) -> bool:
@@ -92,8 +102,7 @@ def outcome_matches(token: str, requirements: Mapping[str, str]) -> bool:
 
     ``coinc`` never matches: it leaves both fibers unlabeled.
     """
-    got = outcome_assigns(token)
-    return all(got.get(fiber) == value for fiber, value in requirements.items())
+    return requirements.items() <= outcome_assigns(token).items()
 
 
 def matching_mass(distribution: Mapping[str, float],
@@ -103,46 +112,26 @@ def matching_mass(distribution: Mapping[str, float],
 
 
 def _validate_outcome_for_context(token: str, ctx: str) -> None:
-    if token == COINCIDENCE:
-        if len(ctx) != 2:
-            raise ValueError(f"{COINCIDENCE!r} is only valid in a pair context, not {ctx!r}")
-        return
-    labels = outcome_assigns(token)
-    if set(labels) != set(ctx):
-        raise ValueError(f"outcome {token!r} does not label exactly the fibers of {ctx!r}")
-    # canonical port order: tokens must be sorted alphabetically
-    if token != make_outcome(labels):
-        raise ValueError(f"outcome {token!r} is not in canonical port order")
+    if token not in OUTCOMES[ctx]:
+        raise ValueError(f"context {ctx!r} has no outcome {token!r}; "
+                         f"expected one of {', '.join(OUTCOMES[ctx])}")
 
 
 def run_context(ctx: str, bs: BeamsplitterSpec,
                 d: DistinguishabilityParam) -> dict[str, float]:
-    """Outcome distribution for one context, keyed by outcome token.
-
-    Pair contexts map bunching at output port 1 to (first fiber transmitted,
-    second reflected) and bunching at port 2 to the opposite labels.  The
-    resolved both-transmitted / both-reflected entries appear only for
-    eta < 1; the unresolved bosonic coincidence is always present.
+    """Outcome distribution for one context, keyed by the tokens of
+    ``OUTCOMES[ctx]`` in their order.  A pair context's resolved both-t and
+    both-r entries appear only for eta < 1; ``coinc`` is always present.
     """
     ctx = validate_context(ctx)
     if len(ctx) == 1:
         single = single_outcome_distribution(bs)
-        f = ctx.lower()
-        return {f + TRANSMITTED: single.p_transmitted,
-                f + REFLECTED: single.p_reflected}
-
-    f1, f2 = ctx[0].lower(), ctx[1].lower()
-    pair = pair_outcome_distribution(bs, d)
-    dist = {
-        f"{f1}t,{f2}r": pair.p_bunch_port1,
-        f"{f1}r,{f2}t": pair.p_bunch_port2,
-    }
-    if pair.resolved_coincidence is not None:
-        both_t, both_r = pair.resolved_coincidence
-        dist[f"{f1}t,{f2}t"] = both_t
-        dist[f"{f1}r,{f2}r"] = both_r
-    dist[COINCIDENCE] = pair.p_unresolved
-    return dist
+        values = (single.p_transmitted, single.p_reflected)
+    else:
+        pair = pair_outcome_distribution(bs, d)
+        both_t, both_r = pair.resolved_coincidence or (None, None)
+        values = (pair.p_bunch_port1, pair.p_bunch_port2, both_t, both_r, pair.p_unresolved)
+    return {token: p for token, p in zip(OUTCOMES[ctx], values) if p is not None}
 
 
 @dataclass(frozen=True)
@@ -170,12 +159,11 @@ class OutcomeTable:
         return self.contexts[ctx]
 
     def validate_structure(self) -> None:
-        """Shape checks only: contexts, token grammar, header sanity."""
-        for ctx in ALL_CONTEXTS:
-            if ctx not in self.contexts:
-                raise ValueError(f"table is missing context {ctx!r}")
+        """Shape checks only: the six contexts, their outcome tokens, header sanity."""
+        if self.contexts.keys() != set(ALL_CONTEXTS):
+            raise ValueError(f"table needs the contexts {', '.join(ALL_CONTEXTS)}, "
+                             f"got {list(self.contexts)}")
         for ctx, dist in self.contexts.items():
-            validate_context(ctx)
             for token, p in dist.items():
                 _validate_outcome_for_context(token, ctx)
                 if not math.isfinite(p):
@@ -424,17 +412,17 @@ def check_no_disturbance(table: OutcomeTable,
     table.validate_structure()
     identities: list[IdentityResult] = []
     for fiber in FIBERS:
-        pair_ctxs = [c for c in PAIR_CONTEXTS if fiber in c]
-        for value in (TRANSMITTED, REFLECTED):
-            marginals = {c: marginal_probability(table, c, fiber, value) for c in pair_ctxs}
-            c1, c2 = pair_ctxs
+        c1, c2 = [c for c in PAIR_CONTEXTS if fiber in c]
+        for single_token, labels in OUTCOMES[fiber].items():
+            value = labels[fiber]
+            marginals = {c: marginal_probability(table, c, fiber, value) for c in (c1, c2)}
             identities.append(IdentityResult(
                 name=f"marginal {fiber}={value}: {c1} vs {c2}",
                 lhs=marginals[c1], rhs=marginals[c2],
                 deviation=abs(marginals[c1] - marginals[c2]),
             ))
-            p_single = table.probability(fiber, fiber.lower() + value)
-            for c in pair_ctxs:
+            p_single = table.probability(fiber, single_token)
+            for c in (c1, c2):
                 unresolved = table.context_distribution(c).get(COINCIDENCE, 0.0)
                 resolvable = unresolved <= tol
                 identities.append(IdentityResult(

@@ -31,6 +31,14 @@ class FockState:
         return "|" + ",".join(str(n) for n in self.occupations) + ">"
 
 
+def is_whole(n) -> bool:
+    """Whether ``n`` equals an integer; an infinity or NaN does not."""
+    try:
+        return n == int(n)
+    except (OverflowError, ValueError):
+        return False
+
+
 def make_fock(occupations: Iterable[int]) -> FockState:
     """Validate an occupation vector and wrap it as a FockState.
 
@@ -41,10 +49,8 @@ def make_fock(occupations: Iterable[int]) -> FockState:
         raise ValueError("occupation vector must be non-empty")
     cleaned = []
     for n in occ:
-        if n != int(n):
-            raise ValueError(f"occupation numbers must be integers, got {n!r}")
-        if int(n) < 0:
-            raise ValueError(f"occupation numbers must be non-negative, got {n!r}")
+        if not is_whole(n) or n < 0:
+            raise ValueError(f"occupation numbers must be non-negative integers, got {n!r}")
         cleaned.append(int(n))
     return FockState(tuple(cleaned))
 

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import pytest
 
@@ -182,6 +183,19 @@ class TestBounds:
         assert captured.out == ""
         assert captured.err.startswith("error:") and captured.err.count("\n") == 1
         assert "Traceback" not in captured.err
+
+    def test_oversized_cycle_is_refused_before_it_is_built(self, capsys):
+        tracemalloc.start()
+        try:
+            with pytest.raises(SystemExit) as err:
+                main(["bounds", "--graph", "cycle:1000000"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert err.value.code == 2
+        assert peak < 1_000_000
+        assert capsys.readouterr().err == (
+            "error: exact search limited to 24 vertices, got 1000000\n")
 
     def test_bad_graph_is_usage_error(self, capsys):
         for bad in ("hexagon", "cycle:x", "cycle:2"):

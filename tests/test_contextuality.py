@@ -87,6 +87,15 @@ class TestStandardEvents:
             EventSpec("bad", "AB", {"C": "t"})
         with pytest.raises(ValueError):
             EventSpec("bad", "AB", {"A": "x"})
+        with pytest.raises(ValueError):
+            EventSpec("bad", "AB", {"A": "T"})
+        with pytest.raises(ValueError):
+            EventSpec("bad", "AB", {"A": "t", "C": "t"})
+        with pytest.raises(ValueError):
+            EventSpec("bad", "BA", {"A": "t"})
+        with pytest.raises(ValueError):
+            EventSpec("bad", "AB", {"A": None})
+        assert EventSpec("ok", "AB", {"B": "r"}).requirements == {"B": "r"}
 
 
 class TestDeriveExclusivity:
@@ -222,6 +231,12 @@ class TestIndependenceNumber:
         with pytest.raises(ValueError):
             independence_number(big)
 
+    def test_cycle_graph_needs_an_integer_of_at_least_three(self):
+        for bad in (2, 0, -5, 4.5, float("inf"), float("-inf"), float("nan"), "5"):
+            with pytest.raises(ValueError):
+                cycle_graph(bad)
+        assert cycle_graph(4.0) == cycle_graph(4)
+
 
 class TestLovaszThetaOddCycle:
     def test_pentagon_value_is_sqrt_five(self):
@@ -236,7 +251,7 @@ class TestLovaszThetaOddCycle:
         assert lovasz_theta_odd_cycle(7) == pytest.approx(3.3176672073940964, abs=1e-12)
 
     def test_even_or_small_n_rejected(self):
-        for bad in (4, 2, 1, 0, -3, 6):
+        for bad in (4, 2, 1, 0, -3, 6, 5.5, float("inf"), float("-inf"), float("nan")):
             with pytest.raises(ValueError):
                 lovasz_theta_odd_cycle(bad)
 

@@ -8,6 +8,7 @@ from bosonctx.experiment import (
     ALL_CONTEXTS,
     COINCIDENCE,
     FIBERS,
+    OUTCOMES,
     PAIR_CONTEXTS,
     REFLECTED,
     TRANSMITTED,
@@ -46,15 +47,39 @@ class TestTokens:
     def test_parse_round_trip(self):
         assert outcome_assigns("ar,bt") == {"A": "r", "B": "t"}
         assert outcome_assigns("coinc") == {}
+        for outcomes in OUTCOMES.values():
+            for token in outcomes:
+                if token != COINCIDENCE:
+                    assert make_outcome(outcome_assigns(token)) == token
+
+    def test_catalogue_has_the_nineteen_outcomes(self):
+        assert list(OUTCOMES) == list(ALL_CONTEXTS)
+        assert [len(OUTCOMES[ctx]) for ctx in ALL_CONTEXTS] == [2, 2, 2, 5, 5, 5]
+        assert list(OUTCOMES["B"]) == ["bt", "br"]
+        assert list(OUTCOMES["AC"]) == ["at,cr", "ar,ct", "at,ct", "ar,cr", COINCIDENCE]
+        tokens = {token for outcomes in OUTCOMES.values() for token in outcomes}
+        assert len(tokens) == 19
+        for ctx, outcomes in OUTCOMES.items():
+            for token, labels in outcomes.items():
+                assert labels == outcome_assigns(token)
+                assert set(labels) == (set() if token == COINCIDENCE else set(ctx))
+
+    def test_labels_are_read_only(self):
+        with pytest.raises(TypeError):
+            outcome_assigns("at")["A"] = "r"
+        with pytest.raises(TypeError):
+            OUTCOMES["AB"]["at,br"] = {}
 
     def test_malformed_tokens_rejected(self):
-        for bad in ("~ab", "a", "ta", "ax", "at,at", "dt"):
+        for bad in ("~ab", "a", "ta", "ax", "at,at", "dt",
+                    "At", "bt,ar", "at ", "ar,bt,ct"):
             with pytest.raises(ValueError):
                 outcome_assigns(bad)
 
     def test_coincidence_matches_no_requirement(self):
         assert not outcome_matches(COINCIDENCE, {"A": "t"})
         assert not outcome_matches(COINCIDENCE, {"A": "t", "B": "t"})
+        assert not outcome_matches(COINCIDENCE, {"A": None})
 
     def test_matching_is_exact_on_required_fibers(self):
         assert outcome_matches("ar,bt", {"A": "r", "B": "t"})
@@ -91,6 +116,16 @@ class TestRunContext:
     def test_invalid_context_rejected(self):
         with pytest.raises(ValueError):
             run_context("BA", BALANCED, IDEAL)
+
+    @pytest.mark.parametrize("eta", [0.0, 0.37, 1.0])
+    def test_keys_follow_the_catalogue(self, eta):
+        for ctx in ALL_CONTEXTS:
+            resolved = set()
+            if len(ctx) == 2 and eta == 1.0:
+                resolved = {make_outcome(dict.fromkeys(ctx, v)) for v in (TRANSMITTED, REFLECTED)}
+            expected = [token for token in OUTCOMES[ctx] if token not in resolved]
+            dist = run_context(ctx, BeamsplitterSpec(0.7), DistinguishabilityParam(eta))
+            assert list(dist) == expected
 
 
 class TestFullTable:
@@ -133,6 +168,9 @@ class TestFullTable:
                              {**table.contexts, "A": {"at": 0.5, "br": 0.5}})
         with pytest.raises(ValueError):
             alien.validate()
+        extra = OutcomeTable(table.theta, table.eta, {**table.contexts, "D": {}})
+        with pytest.raises(ValueError):
+            extra.validate()
 
 
 class TestSerialization:
@@ -172,6 +210,20 @@ class TestSerialization:
         (payload["records"][0] if field == "probability" else payload)[field] = value
         with pytest.raises(ValueError, match=field):
             parse_table(json.dumps(payload))
+
+    def test_tokens_outside_the_catalogue_rejected(self):
+        table = full_table(BALANCED, DistinguishabilityParam(0.37))
+        bad = [(ctx, COINCIDENCE) for ctx in FIBERS]
+        for ctx in PAIR_CONTEXTS:
+            for token in list(OUTCOMES[ctx])[:4]:
+                first, second = token.split(",")
+                bad += [(ctx, f"{second},{first}"), (ctx, token.upper()),
+                        (ctx, f"{first}, {second}"), (ctx, first), (ctx, f"{token},")]
+        for ctx, token in bad:
+            records = table.to_records() + [
+                {"context": ctx, "outcome": token, "probability": 0.0}]
+            with pytest.raises(ValueError, match="has no outcome"):
+                OutcomeTable.from_records(table.theta, table.eta, records)
 
     def test_duplicate_records_rejected(self):
         table = full_table(BALANCED, IDEAL)

@@ -26,8 +26,9 @@ class TestMakeFock:
             make_fock([])
 
     def test_fractional_entry_rejected(self):
-        with pytest.raises(ValueError):
-            make_fock([1, 0.5])
+        for bad in (0.5, float("inf"), float("-inf"), float("nan")):
+            with pytest.raises(ValueError):
+                make_fock([1, bad])
 
     def test_integral_floats_accepted(self):
         assert make_fock([1.0, 2.0]) == FockState((1, 2))
