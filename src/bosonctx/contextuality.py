@@ -22,6 +22,7 @@ from .experiment import (
     full_table,
     make_outcome,
     matching_mass,
+    outcome_matches,
     validate_context,
 )
 from .fock import is_whole
@@ -46,10 +47,10 @@ class EventSpec:
     requirements: Mapping[str, str]
 
     def __post_init__(self) -> None:
-        # valid when non-empty and part of the labels of an outcome of the context
+        # valid when non-empty and met by some outcome of the context
         reqs = dict(self.requirements)
         outcomes = OUTCOMES[validate_context(self.context)]
-        if not reqs or not any(reqs.items() <= labels.items() for labels in outcomes.values()):
+        if not reqs or not any(outcome_matches(token, reqs) for token in outcomes):
             raise ValueError(f"event {self.label!r} needs t/r labels for fibers of "
                              f"{self.context!r}, got {reqs!r}")
         object.__setattr__(self, "requirements", reqs)
@@ -172,14 +173,26 @@ def exact_search_size(n: int) -> int:
     return n
 
 
+def _neighbours(graph: ExclusivityGraph) -> list[list[int]]:
+    """Each vertex's neighbours, as indices into ``graph.vertices``."""
+    index = {v: i for i, v in enumerate(graph.vertices)}
+    neighbours: list[list[int]] = [[] for _ in graph.vertices]
+    for u, v in graph.edges:
+        i, j = index[u], index[v]
+        neighbours[i].append(j)
+        neighbours[j].append(i)
+    return neighbours
+
+
 def independence_number(graph: ExclusivityGraph) -> int:
     """Exact maximum independent set size by branch and bound on bitmasks."""
     n = exact_search_size(len(graph.vertices))
-    index = {v: i for i, v in enumerate(graph.vertices)}
-    adjacency = [0] * n
-    for u, v in graph.edges:
-        adjacency[index[u]] |= 1 << index[v]
-        adjacency[index[v]] |= 1 << index[u]
+    adjacency = []
+    for neighbours in _neighbours(graph):
+        mask = 0
+        for j in neighbours:
+            mask |= 1 << j
+        adjacency.append(mask)
 
     best = 0
 
@@ -217,11 +230,7 @@ def fractional_packing_max(graph: ExclusivityGraph) -> float:
     of i joined to right copy of j for each edge {i, j}), because the LP is
     half-integral (Nemhauser-Trotter) and Konig's theorem applies."""
     n = len(graph.vertices)
-    index = {v: i for i, v in enumerate(graph.vertices)}
-    neighbours: list[list[int]] = [[] for _ in range(n)]
-    for u, v in graph.edges:
-        neighbours[index[u]].append(index[v])
-        neighbours[index[v]].append(index[u])
+    neighbours = _neighbours(graph)
     owner = [-1] * n  # left copy matched to each right copy
     seen = [False] * n  # right copies a failed search proved dead ends
     for root in range(n):  # iterative DFS; path holds (left, right it came by, untried)

@@ -15,6 +15,10 @@ Outcome tokens (in tables and table files) are the closed set
   e.g. ``ar,bt`` means A reflected and B transmitted;
 * ``coinc``, in pair contexts only, is the unresolved one-photon-per-output-port
   coincidence of the interfering bosonic fraction, which labels no fiber.
+
+:meth:`OutcomeTable.validate_structure` (contexts, tokens, header and each
+probability's range) gates both checkers; :meth:`OutcomeTable.validate` adds
+normalization.  An outcome a table leaves out counts as probability 0.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .optics import (
     BeamsplitterSpec,
@@ -147,38 +151,30 @@ class OutcomeTable:
     eta: float
     contexts: dict[str, dict[str, float]]
 
-    def probability(self, ctx: str, outcome: str) -> float:
-        dist = self.context_distribution(ctx)
-        if outcome not in dist:
-            raise ValueError(f"context {ctx!r} has no outcome {outcome!r}")
-        return dist[outcome]
-
     def context_distribution(self, ctx: str) -> dict[str, float]:
         if ctx not in self.contexts:
             raise ValueError(f"table has no context {ctx!r}")
         return self.contexts[ctx]
 
-    def validate_structure(self) -> None:
-        """Shape checks only: the six contexts, their outcome tokens, header sanity."""
+    def validate_structure(self, tol: float = DEFAULT_TOLERANCE) -> None:
+        """Every check but normalization: the six contexts, their outcome tokens,
+        each probability within [0, 1] up to ``tol`` (not NaN), header sanity."""
         if self.contexts.keys() != set(ALL_CONTEXTS):
             raise ValueError(f"table needs the contexts {', '.join(ALL_CONTEXTS)}, "
                              f"got {list(self.contexts)}")
         for ctx, dist in self.contexts.items():
             for token, p in dist.items():
                 _validate_outcome_for_context(token, ctx)
-                if not math.isfinite(p):
-                    raise ValueError(f"probability of {token!r} in {ctx!r} is not finite")
+                if not (-tol <= p <= 1.0 + tol):
+                    raise ValueError(
+                        f"probability {p!r} of {token!r} in {ctx!r} is outside [0, 1]")
         if not (0.0 <= self.eta <= 1.0) or not math.isfinite(self.theta):
             raise ValueError("table header needs finite theta and eta in [0, 1]")
 
     def validate(self, tol: float = DEFAULT_TOLERANCE) -> None:
-        """Structure plus probability range and per-context normalization."""
-        self.validate_structure()
+        """:meth:`validate_structure` plus per-context normalization."""
+        self.validate_structure(tol)
         for ctx, dist in self.contexts.items():
-            for token, p in dist.items():
-                if not (-tol <= p <= 1.0 + tol):
-                    raise ValueError(
-                        f"probability {p!r} of {token!r} in {ctx!r} is outside [0, 1]")
             total = sum(dist.values())
             if abs(total - 1.0) > tol:
                 raise ValueError(
@@ -326,15 +322,6 @@ def full_table(bs: BeamsplitterSpec, d: DistinguishabilityParam) -> OutcomeTable
 # -- consistency checks ---------------------------------------------------
 
 
-def _coincidence_weights(theta: float) -> dict[str, float]:
-    # Split unresolved coincidence mass between the two classical paths
-    # (both transmitted vs both reflected) by their squared weights.
-    T = math.cos(theta) ** 2
-    R = math.sin(theta) ** 2
-    denom = T * T + R * R
-    return {TRANSMITTED: T * T / denom, REFLECTED: R * R / denom}
-
-
 def marginal_probability(table: OutcomeTable, ctx: str, fiber: str, value: str) -> float:
     """Marginal probability that ``fiber`` got ``value`` within one context.
 
@@ -347,29 +334,41 @@ def marginal_probability(table: OutcomeTable, ctx: str, fiber: str, value: str) 
     dist = table.context_distribution(ctx)
     total = matching_mass(dist, {fiber: value})
     if COINCIDENCE in dist:
-        total += dist[COINCIDENCE] * _coincidence_weights(table.theta)[value]
+        bs = BeamsplitterSpec(table.theta)
+        T, R = bs.transmittance, bs.reflectance
+        squared = {TRANSMITTED: T * T, REFLECTED: R * R}[value]
+        total += dist[COINCIDENCE] * (squared / (T * T + R * R))
     return total
 
 
 @dataclass(frozen=True)
 class IdentityResult:
-    """One checked identity: a name, the two compared values, their deviation."""
+    """One checked identity: a name and the two compared values."""
 
     name: str
     lhs: float
     rhs: float
-    deviation: float
     checked: bool = True
     note: str = ""
+
+    @property
+    def deviation(self) -> float:
+        return abs(self.lhs - self.rhs)
 
 
 @dataclass(frozen=True)
 class CheckReport:
     check: str
     tolerance: float
-    passed: bool
-    max_deviation: float
     identities: tuple[IdentityResult, ...]
+
+    @property
+    def passed(self) -> bool:
+        return all(i.deviation <= self.tolerance for i in self.identities if i.checked)
+
+    @property
+    def max_deviation(self) -> float:
+        return max((i.deviation for i in self.identities if i.checked), default=0.0)
 
     def failures(self) -> list[IdentityResult]:
         return [i for i in self.identities if i.checked and i.deviation > self.tolerance]
@@ -389,11 +388,12 @@ class CheckReport:
         }
 
 
-def _finish(check: str, tol: float, identities: list[IdentityResult]) -> CheckReport:
-    checked = [i for i in identities if i.checked]
-    max_dev = max((i.deviation for i in checked), default=0.0)
-    passed = all(i.deviation <= tol for i in checked)
-    return CheckReport(check, tol, passed, max_dev, tuple(identities))
+def _fibers_and_pairs(table: OutcomeTable, tol: float) -> Iterator[tuple[str, str, str]]:
+    """Validate ``table``'s structure, then yield each fiber and its two pair contexts."""
+    table.validate_structure(tol)
+    for fiber in FIBERS:
+        c1, c2 = (c for c in PAIR_CONTEXTS if fiber in c)
+        yield fiber, c1, c2
 
 
 def check_no_disturbance(table: OutcomeTable,
@@ -408,32 +408,26 @@ def check_no_disturbance(table: OutcomeTable,
     marginal depends on the apportionment convention rather than on data, so
     the single-context comparison is reported but marked as skipped.  A table
     that fails :meth:`OutcomeTable.validate_structure` raises ``ValueError``.
+    An outcome missing from the table counts as probability 0.
     """
-    table.validate_structure()
     identities: list[IdentityResult] = []
-    for fiber in FIBERS:
-        c1, c2 = [c for c in PAIR_CONTEXTS if fiber in c]
-        for single_token, labels in OUTCOMES[fiber].items():
-            value = labels[fiber]
+    for fiber, c1, c2 in _fibers_and_pairs(table, tol):
+        for value in (TRANSMITTED, REFLECTED):
             marginals = {c: marginal_probability(table, c, fiber, value) for c in (c1, c2)}
-            identities.append(IdentityResult(
-                name=f"marginal {fiber}={value}: {c1} vs {c2}",
-                lhs=marginals[c1], rhs=marginals[c2],
-                deviation=abs(marginals[c1] - marginals[c2]),
-            ))
-            p_single = table.probability(fiber, single_token)
+            identities.append(IdentityResult(f"marginal {fiber}={value}: {c1} vs {c2}",
+                                             marginals[c1], marginals[c2]))
+            p_single = marginal_probability(table, fiber, fiber, value)
             for c in (c1, c2):
                 unresolved = table.context_distribution(c).get(COINCIDENCE, 0.0)
                 resolvable = unresolved <= tol
                 identities.append(IdentityResult(
                     name=f"marginal {fiber}={value}: {c} vs single-{fiber}",
                     lhs=marginals[c], rhs=p_single,
-                    deviation=abs(marginals[c] - p_single),
                     checked=resolvable,
                     note="" if resolvable else (
                         f"skipped: unresolved coincidence mass {unresolved!r} in {c}"),
                 ))
-    return _finish("no_disturbance", tol, identities)
+    return CheckReport("no_disturbance", tol, tuple(identities))
 
 
 def check_indistinguishability(table: OutcomeTable,
@@ -445,10 +439,8 @@ def check_indistinguishability(table: OutcomeTable,
     the fiber takes part in.  A table that fails
     :meth:`OutcomeTable.validate_structure` raises ``ValueError``.
     """
-    table.validate_structure()
     identities: list[IdentityResult] = []
-    for fiber in FIBERS:
-        c1, c2 = [c for c in PAIR_CONTEXTS if fiber in c]
+    for fiber, c1, c2 in _fibers_and_pairs(table, tol):
         partner1 = c1.replace(fiber, "")
         partner2 = c2.replace(fiber, "")
         for own in (TRANSMITTED, REFLECTED):
@@ -456,13 +448,8 @@ def check_indistinguishability(table: OutcomeTable,
                 p1 = matching_mass(table.contexts[c1], {fiber: own, partner1: other})
                 p2 = matching_mass(table.contexts[c2], {fiber: own, partner2: other})
                 identities.append(IdentityResult(
-                    name=f"pattern {fiber}={own}, partner={other}: {c1} vs {c2}",
-                    lhs=p1, rhs=p2, deviation=abs(p1 - p2),
-                ))
+                    f"pattern {fiber}={own}, partner={other}: {c1} vs {c2}", p1, p2))
         q1 = table.context_distribution(c1).get(COINCIDENCE, 0.0)
         q2 = table.context_distribution(c2).get(COINCIDENCE, 0.0)
-        identities.append(IdentityResult(
-            name=f"unresolved coincidence: {c1} vs {c2}",
-            lhs=q1, rhs=q2, deviation=abs(q1 - q2),
-        ))
-    return _finish("indistinguishability", tol, identities)
+        identities.append(IdentityResult(f"unresolved coincidence: {c1} vs {c2}", q1, q2))
+    return CheckReport("indistinguishability", tol, tuple(identities))

@@ -2,6 +2,7 @@
 
 States are kept sparse (occupation vector -> complex amplitude) because every
 scenario in this package involves at most a few photons in a few modes.
+Terms with ``|amplitude| <= PRUNE`` are dropped when a state is built.
 """
 
 from __future__ import annotations
@@ -9,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
-DEFAULT_PRUNE = 1e-15
+PRUNE = 1e-15
 
 
 @dataclass(frozen=True)
@@ -78,12 +79,11 @@ class PureState:
         return iter(self.terms.items())
 
 
-def pure_state(terms: Mapping, *, modes: int | None = None,
-               prune: float = DEFAULT_PRUNE) -> PureState:
+def pure_state(terms: Mapping, *, modes: int | None = None) -> PureState:
     """Build a PureState from a mapping of occupation vectors to amplitudes.
 
     Keys may be FockStates or plain integer sequences.  Terms with
-    |amplitude| <= ``prune`` are dropped.  The result is not normalized.
+    |amplitude| <= ``PRUNE`` are dropped.  The result is not normalized.
     """
     clean: dict[FockState, complex] = {}
     for key, amp in terms.items():
@@ -94,7 +94,7 @@ def pure_state(terms: Mapping, *, modes: int | None = None,
             raise ValueError(
                 f"mode count mismatch: expected {modes}, got {fock.modes} for {fock}")
         a = complex(amp)
-        if abs(a) > prune:
+        if abs(a) > PRUNE:
             clean[fock] = a
     if modes is None:
         raise ValueError("cannot infer mode count from an empty state; pass modes=")

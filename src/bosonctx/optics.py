@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import DEFAULT_PRUNE, FockState, PureState, fock_basis, pure_state
+from .fock import FockState, PureState, fock_basis, pure_state
 
 
 @dataclass(frozen=True)
@@ -178,9 +178,9 @@ def scattering_amplitude(unitary, state_in: FockState, state_out: FockState) -> 
     return permanent(sub) / math.sqrt(weight)
 
 
-def apply_interferometer(state: PureState, unitary, *,
-                         prune: float = DEFAULT_PRUNE) -> PureState:
-    """Linear extension of the scattering amplitudes to a full superposition."""
+def apply_interferometer(state: PureState, unitary) -> PureState:
+    """Linear extension of the scattering amplitudes to a full superposition;
+    terms with ``|amplitude| <= fock.PRUNE`` are dropped."""
     u = _square_rows(unitary, "unitary")
     if len(u) != state.modes:
         raise ValueError(
@@ -194,7 +194,7 @@ def apply_interferometer(state: PureState, unitary, *,
             a = amp * scattering_amplitude(u, fock, out)
             if a != 0j:
                 out_terms[out] = out_terms.get(out, 0j) + a
-    return pure_state(out_terms, modes=state.modes, prune=prune)
+    return pure_state(out_terms, modes=state.modes)
 
 
 def single_outcome_distribution(bs: BeamsplitterSpec) -> SinglePhotonDistribution:

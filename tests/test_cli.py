@@ -6,13 +6,31 @@ import pytest
 
 from bosonctx import __version__
 from bosonctx.cli import main
-from bosonctx.experiment import DEFAULT_TOLERANCE, dump_json, parse_table
+from bosonctx.experiment import DEFAULT_TOLERANCE, dump_json, full_table, parse_table
+from bosonctx.optics import BeamsplitterSpec, DistinguishabilityParam
+
+OUT_OF_RANGE_ERROR = "error: probability 1.5 of 'at' in 'A' is outside [0, 1]\n"
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out
+
+
+def out_of_range_table() -> str:
+    """JSON table with p(t) = 1.5 and p(r) = -0.5 in each single-fiber context.
+
+    The pair contexts are simulated at theta = 0.3, eta = 0.37.  They hold
+    unresolved coincidence mass, so no single-context identity is checked and
+    both checkers pass; only the range check refuses the table.
+    """
+    table = full_table(BeamsplitterSpec(0.3), DistinguishabilityParam(0.37))
+    payload = json.loads(table.to_json())
+    for record in payload["records"]:
+        if len(record["context"]) == 1:
+            record["probability"] = 1.5 if record["outcome"].endswith("t") else -0.5
+    return json.dumps(payload)
 
 
 class TestSimulate:
@@ -22,14 +40,14 @@ class TestSimulate:
         payload = json.loads(out)
         assert payload["schema"] == 1
         table = parse_table(out)
-        assert table.probability("A", "at") == pytest.approx(0.5, abs=1e-12)
+        assert table.contexts["A"]["at"] == pytest.approx(0.5, abs=1e-12)
 
     def test_csv_table(self, capsys):
         code, out = run_cli(capsys, "simulate", "--format", "csv")
         assert code == 0
         assert out.splitlines()[0] == "# schema=1"
         table = parse_table(out)
-        assert table.probability("AB", "ar,bt") == pytest.approx(0.5, abs=1e-12)
+        assert table.contexts["AB"]["ar,bt"] == pytest.approx(0.5, abs=1e-12)
 
     def test_output_is_deterministic(self, capsys):
         _, first = run_cli(capsys, "simulate", "--eta", "0.25")
@@ -44,7 +62,7 @@ class TestSimulate:
     def test_fully_transmissive(self, capsys):
         _, out = run_cli(capsys, "simulate", "--theta", "0")
         table = parse_table(out)
-        assert table.probability("B", "bt") == 1.0
+        assert table.contexts["B"]["bt"] == 1.0
 
     def test_eta_out_of_range_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as err:
@@ -285,6 +303,27 @@ class TestVerify:
             main(["verify", "--input", str(path)])
         assert err.value.code == 2
 
+    def test_omitted_zero_entry_counts_as_zero(self, capsys, tmp_path):
+        full, partial = tmp_path / "full.json", tmp_path / "partial.json"
+        run_cli(capsys, "simulate", "--theta", "0", "--eta", "0.5", "-o", str(full))
+        payload = json.loads(full.read_text())
+        kept = [r for r in payload["records"] if (r["context"], r["outcome"]) != ("A", "ar")]
+        assert len(kept) == len(payload["records"]) - 1
+        partial.write_text(json.dumps({**payload, "records": kept}))
+        code, out = run_cli(capsys, "verify", "--input", str(partial))
+        assert code == 0
+        _, full_out = run_cli(capsys, "verify", "--input", str(full))
+        assert json.loads(out)["checks"] == json.loads(full_out)["checks"]
+
+    def test_out_of_range_table_is_refused_like_analyze_input(self, capsys, tmp_path):
+        path = tmp_path / "table.json"
+        path.write_text(out_of_range_table())
+        for argv in (["verify"], ["analyze", "--test", "pentagon"]):
+            with pytest.raises(SystemExit) as err:
+                main([*argv, "--input", str(path)])
+            assert err.value.code == 2
+            assert capsys.readouterr().err == OUT_OF_RANGE_ERROR
+
     def test_bad_tolerance_is_usage_error(self, capsys, tmp_path):
         path = tmp_path / "table.json"
         run_cli(capsys, "simulate", "-o", str(path))
@@ -364,15 +403,19 @@ class TestErrorPath:
         ["analyze", "--test", "pentagon", "--input", "{dir}/missing.json"],
         ["verify", "--input", "{garbage}"],
         ["simulate", "-o", "{dir}/missing/out.json"],
+        ["verify", "--input", "{out_of_range}"],
     ], ids=["eta_2", "theta_nan", "theta_deg_inf", "cycle_2", "cycle_x", "cycle_25",
             "graph_square", "steps_1", "tolerance_nan", "missing_input", "garbage_table",
-            "output_in_missing_dir"])
+            "output_in_missing_dir", "verify_out_of_range"])
     def test_input_error_is_one_error_line(self, capsys, tmp_path, argv):
         table = tmp_path / "table.json"
         run_cli(capsys, "simulate", "-o", str(table))
         garbage = tmp_path / "garbage.json"
         garbage.write_text("this is not a table")
-        argv = [arg.format(table=table, garbage=garbage, dir=tmp_path) for arg in argv]
+        out_of_range = tmp_path / "out-of-range.json"
+        out_of_range.write_text(out_of_range_table())
+        argv = [arg.format(table=table, garbage=garbage, dir=tmp_path,
+                           out_of_range=out_of_range) for arg in argv]
         with pytest.raises(SystemExit) as err:
             main(argv)
         assert err.value.code == 2

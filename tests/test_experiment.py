@@ -136,17 +136,17 @@ class TestFullTable:
 
     def test_reference_values_at_balanced_ideal(self):
         table = full_table(BALANCED, IDEAL)
-        assert table.probability("A", "at") == pytest.approx(0.5, abs=1e-12)
-        assert table.probability("AB", "ar,bt") == pytest.approx(0.5, abs=1e-12)
+        assert table.contexts["A"]["at"] == pytest.approx(0.5, abs=1e-12)
+        assert table.contexts["AB"]["ar,bt"] == pytest.approx(0.5, abs=1e-12)
 
     def test_fully_transmissive_angle(self):
         table = full_table(BeamsplitterSpec(0.0), IDEAL)
         for f in FIBERS:
-            assert table.probability(f, f.lower() + "t") == pytest.approx(1.0, abs=1e-12)
+            assert table.contexts[f][f.lower() + "t"] == pytest.approx(1.0, abs=1e-12)
 
     def test_half_overlap_pair_entry(self):
         table = full_table(BALANCED, DistinguishabilityParam(0.5))
-        assert table.probability("AB", "ar,bt") == pytest.approx(3 / 8, abs=1e-12)
+        assert table.contexts["AB"]["ar,bt"] == pytest.approx(3 / 8, abs=1e-12)
 
     def test_every_context_normalized_on_grid(self):
         for theta in THETA_GRID:
@@ -171,6 +171,23 @@ class TestFullTable:
         extra = OutcomeTable(table.theta, table.eta, {**table.contexts, "D": {}})
         with pytest.raises(ValueError):
             extra.validate()
+
+    @pytest.mark.parametrize("p", [1.5, -0.5, math.nan, math.inf, -math.inf])
+    def test_probability_outside_the_unit_interval_fails_every_gate(self, p):
+        table = full_table(BeamsplitterSpec(0.3), DistinguishabilityParam(0.37))
+        bad = OutcomeTable(table.theta, table.eta, {**table.contexts, "A": {"at": p}})
+        for gate in (bad.validate_structure, bad.validate,
+                     lambda: check_no_disturbance(bad), lambda: check_indistinguishability(bad)):
+            with pytest.raises(ValueError, match="is outside"):
+                gate()
+
+    def test_range_gate_uses_the_tolerance(self):
+        table = full_table(BALANCED, IDEAL)
+        nudged = OutcomeTable(table.theta, table.eta, {**table.contexts, "A": {"at": 1 + 1e-6}})
+        nudged.validate_structure(tol=1e-3)
+        assert check_no_disturbance(nudged, tol=1e-3).identities
+        with pytest.raises(ValueError, match="is outside"):
+            check_no_disturbance(nudged, tol=1e-9)
 
 
 class TestSerialization:
@@ -239,7 +256,7 @@ class TestMarginals:
             table = full_table(BALANCED, DistinguishabilityParam(float(eta)))
             for fiber in FIBERS:
                 for value in (TRANSMITTED, REFLECTED):
-                    single = table.probability(fiber, fiber.lower() + value)
+                    single = table.contexts[fiber][fiber.lower() + value]
                     for ctx in PAIR_CONTEXTS:
                         if fiber in ctx:
                             m = marginal_probability(table, ctx, fiber, value)
@@ -249,7 +266,7 @@ class TestMarginals:
         for theta in THETA_GRID:
             table = full_table(BeamsplitterSpec(float(theta)), CLASSICAL)
             for fiber in FIBERS:
-                single = table.probability(fiber, fiber.lower() + "t")
+                single = table.contexts[fiber][fiber.lower() + "t"]
                 for ctx in PAIR_CONTEXTS:
                     if fiber in ctx:
                         m = marginal_probability(table, ctx, fiber, "t")

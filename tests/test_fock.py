@@ -40,10 +40,6 @@ class TestPureState:
         assert st.amplitude((0, 1)) == 0j
         assert len(st.terms) == 1
 
-    def test_prune_threshold_configurable(self):
-        st = pure_state({(1, 0): 1.0, (0, 1): 1e-16}, prune=0.0)
-        assert st.amplitude((0, 1)) == pytest.approx(1e-16)
-
     def test_mode_mismatch_rejected(self):
         with pytest.raises(ValueError):
             pure_state({(1, 0): 1.0, (0, 1, 0): 1.0})

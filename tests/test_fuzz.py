@@ -1,7 +1,8 @@
 """Property tests of the two outside inputs: table files and argv.
 
-``parse_table`` may refuse a text only with ``ValueError``, and ``main`` must
-end with exit code 0, 1 or 2 whatever its arguments.  The argv grammar keeps
+``parse_table`` may refuse a text only with ``ValueError``, ``main`` must
+end with exit code 0, 1 or 2 whatever its arguments, and a table that
+``verify`` passes also passes ``OutcomeTable.validate``.  The argv grammar keeps
 ``--steps`` at most 200 and ``cycle:N`` at most 30, so no case does much work.
 """
 
@@ -15,17 +16,34 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bosonctx.cli import main
-from bosonctx.experiment import full_table, parse_table
+from bosonctx.experiment import full_table, load_table, parse_table
 from bosonctx.optics import BeamsplitterSpec, DistinguishabilityParam
 
 SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
 TABLE = full_table(BeamsplitterSpec(0.3), DistinguishabilityParam(0.37))
 TABLE_TEXTS = (TABLE.to_json(), TABLE.to_csv())
+
+
+def _edit_records(table, edit) -> str:
+    """``table`` as JSON, with each record passed through ``edit`` (None drops it)."""
+    payload = json.loads(table.to_json())
+    payload["records"] = [r for r in map(edit, payload["records"]) if r is not None]
+    return json.dumps(payload)
+
+
+# p(t) = 1.5 and p(r) = -0.5 in each single-fiber context, normalized and
+# passing both checkers, since every pair context holds unresolved mass
+OUT_OF_RANGE = _edit_records(TABLE, lambda r: r if len(r["context"]) == 2 else {
+    **r, "probability": 1.5 if r["outcome"].endswith("t") else -0.5})
+# the table at theta = 0, eta = 0.5 without its zero A,ar record
+OMITTED_ZERO = _edit_records(
+    full_table(BeamsplitterSpec(0.0), DistinguishabilityParam(0.5)),
+    lambda r: None if (r["context"], r["outcome"]) == ("A", "ar") else r)
 
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
@@ -77,6 +95,8 @@ def inputs(tmp_path_factory) -> dict[str, str]:
                                  for line in TABLE_TEXTS[1].splitlines(keepends=True)),
         "bool-theta.json": TABLE_TEXTS[0].replace('"theta": 0.3', '"theta": true', 1),
         "garbage.txt": "not a table\n",
+        "out-of-range.json": OUT_OF_RANGE,
+        "omitted-zero.json": OMITTED_ZERO,
     }
     for name, text in files.items():
         (directory / name).write_text(text)
@@ -93,7 +113,8 @@ GRAPHS = (st.sampled_from(["pentagon", "triangle", "square", "cycle:", "cycle:x"
           | st.integers(-2, 30).map(lambda n: f"cycle:{n}"))
 TESTS = st.sampled_from(["pentagon", "triangle", "hexagon"])
 FILES = st.sampled_from(["table.json", "table.csv", "perturbed.csv", "bool-theta.json",
-                         "garbage.txt", "missing", "directory"])
+                         "garbage.txt", "out-of-range.json", "omitted-zero.json", "missing",
+                         "directory"])
 TOLERANCES = st.sampled_from(["1e-12", "1e-3", "0", "-1", "nan", "inf", "x"])
 
 OPTIONS = {
@@ -134,3 +155,23 @@ def test_main_exits_with_a_contract_code(inputs, data):
         except SystemExit as exc:
             code = exc.code
     assert code in (0, 1, 2)
+
+
+@SETTINGS
+@given(edited_tables() | json_tables())
+@example(OUT_OF_RANGE)
+def test_a_table_verify_passes_is_valid(inputs, text):
+    path = f"{inputs['directory']}/candidate.txt"
+    with open(path, "w") as handle:
+        handle.write(text)
+    try:
+        table = load_table(path)
+    except ValueError:
+        return
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(["verify", "--input", path])
+        except SystemExit as exc:
+            code = exc.code
+    if code == 0:  # the report says "passed": true
+        table.validate()

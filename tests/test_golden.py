@@ -3,7 +3,8 @@
 The expected stdout of case ``name`` is ``tests/golden/<name>.out``.  Tables
 for ``verify`` and ``analyze --input`` are written by ``simulate -o`` into a
 scratch directory, so their path is replaced by ``<dir>`` before comparing.
-After an intended output change, record the files again with::
+After an intended output change, record the files again, together with the
+demos' stdout that ``tests/test_demos.py`` compares, with::
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -18,6 +19,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
+import test_demos
 
 from bosonctx.cli import main
 
@@ -125,6 +127,7 @@ def record() -> None:
                 sys.exit(f"{name}: exit {code}, expected {expected_code}")
             (GOLDEN / f"{name}.out").write_bytes(out)
     print(f"recorded {len(CASES)} cases in {GOLDEN}")
+    test_demos.record()
 
 
 if __name__ == "__main__":
