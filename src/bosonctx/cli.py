@@ -157,7 +157,7 @@ def cmd_verify(args) -> int:
     table = load_table(args.input)
     # each checker validates the table's structure before it compares anything
     reports = [check_no_disturbance(table, tol), check_indistinguishability(table, tol)]
-    normalization = max(abs(sum(dist.values()) - 1.0) for dist in table.contexts.values())
+    normalization, _ = table.normalization_deviation()
     norm_ok = normalization <= tol
     passed = norm_ok and all(r.passed for r in reports)
     payload = _header(

@@ -15,15 +15,13 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .experiment import (
-    OUTCOMES,
     REFLECTED,
     TRANSMITTED,
     OutcomeTable,
+    check_requirements,
     full_table,
     make_outcome,
     matching_mass,
-    outcome_matches,
-    validate_context,
 )
 from .fock import is_whole
 from .optics import BeamsplitterSpec, DistinguishabilityParam
@@ -47,12 +45,8 @@ class EventSpec:
     requirements: Mapping[str, str]
 
     def __post_init__(self) -> None:
-        # valid when non-empty and met by some outcome of the context
         reqs = dict(self.requirements)
-        outcomes = OUTCOMES[validate_context(self.context)]
-        if not reqs or not any(outcome_matches(token, reqs) for token in outcomes):
-            raise ValueError(f"event {self.label!r} needs t/r labels for fibers of "
-                             f"{self.context!r}, got {reqs!r}")
+        check_requirements(self.context, reqs)
         object.__setattr__(self, "requirements", reqs)
 
 
@@ -94,7 +88,7 @@ class ExclusivityGraph:
     def __post_init__(self) -> None:
         known = set(self.vertices)
         if len(known) != len(self.vertices):
-            raise ValueError("duplicate vertex labels")
+            raise ValueError(f"vertex labels must be distinct, got {list(self.vertices)}")
         for u, v in self.edges:
             if u == v:
                 raise ValueError(f"self-loop on {u!r}")
@@ -124,15 +118,12 @@ def events_exclusive(e1: EventSpec, e2: EventSpec) -> bool:
 
 
 def derive_exclusivity(events: Sequence[EventSpec]) -> ExclusivityGraph:
-    labels = [e.label for e in events]
-    if len(set(labels)) != len(labels):
-        raise ValueError(f"event labels must be distinct, got {labels}")
     edges = set()
     for i, e1 in enumerate(events):
         for e2 in events[i + 1:]:
             if events_exclusive(e1, e2):
                 edges.add(_edge(e1.label, e2.label))
-    return ExclusivityGraph(tuple(labels), frozenset(edges))
+    return ExclusivityGraph(tuple(e.label for e in events), frozenset(edges))
 
 
 # -- probabilities and inequality sums -------------------------------------
@@ -294,15 +285,14 @@ def sweep_eta(test: str, bs: BeamsplitterSpec,
     projective quantum bound) found by linear interpolation."""
     events = standard_events(test)
     if etas is None:
-        if steps < 2:
-            raise ValueError(f"need at least 2 grid points, got {steps}")
+        if not is_whole(steps) or steps < 2:
+            raise ValueError(f"need a whole number of at least 2 grid points, got {steps!r}")
+        steps = int(steps)
         grid = [i / (steps - 1) for i in range(steps)]
     else:
         grid = [float(e) for e in etas]
         if len(grid) < 2:
             raise ValueError("eta grid needs at least 2 points")
-        if any(not (0.0 <= e <= 1.0) for e in grid):
-            raise ValueError("eta grid must lie within [0, 1]")
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("eta grid must be strictly increasing")
 

@@ -16,8 +16,9 @@ Outcome tokens (in tables and table files) are the closed set
 * ``coinc``, in pair contexts only, is the unresolved one-photon-per-output-port
   coincidence of the interfering bosonic fraction, which labels no fiber.
 
-:meth:`OutcomeTable.validate_structure` (contexts, tokens, header and each
-probability's range) gates both checkers; :meth:`OutcomeTable.validate` adds
+JSON and CSV share one header rule (schema 1 if given; theta and eta given).
+:meth:`OutcomeTable.validate_structure` (contexts, tokens, each probability's
+range, then the header) gates both checkers; :meth:`OutcomeTable.validate` adds
 normalization.  An outcome a table leaves out counts as probability 0.
 """
 
@@ -26,7 +27,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 from types import MappingProxyType
@@ -115,6 +115,14 @@ def matching_mass(distribution: Mapping[str, float],
     return sum(p for token, p in distribution.items() if outcome_matches(token, requirements))
 
 
+def check_requirements(ctx: str, requirements: Mapping[str, str]) -> None:
+    """Refuse ``requirements`` unless ``ctx`` is a context, they are non-empty
+    and some outcome of ``ctx`` meets them all."""
+    outcomes = OUTCOMES[validate_context(ctx)]
+    if not requirements or not any(outcome_matches(token, requirements) for token in outcomes):
+        raise ValueError(f"context {ctx!r} has no outcome meeting {dict(requirements)!r}")
+
+
 def _validate_outcome_for_context(token: str, ctx: str) -> None:
     if token not in OUTCOMES[ctx]:
         raise ValueError(f"context {ctx!r} has no outcome {token!r}; "
@@ -158,7 +166,8 @@ class OutcomeTable:
 
     def validate_structure(self, tol: float = DEFAULT_TOLERANCE) -> None:
         """Every check but normalization: the six contexts, their outcome tokens,
-        each probability within [0, 1] up to ``tol`` (not NaN), header sanity."""
+        each probability within [0, 1] up to ``tol`` (not NaN), then theta and eta
+        through their parameter types."""
         if self.contexts.keys() != set(ALL_CONTEXTS):
             raise ValueError(f"table needs the contexts {', '.join(ALL_CONTEXTS)}, "
                              f"got {list(self.contexts)}")
@@ -168,17 +177,19 @@ class OutcomeTable:
                 if not (-tol <= p <= 1.0 + tol):
                     raise ValueError(
                         f"probability {p!r} of {token!r} in {ctx!r} is outside [0, 1]")
-        if not (0.0 <= self.eta <= 1.0) or not math.isfinite(self.theta):
-            raise ValueError("table header needs finite theta and eta in [0, 1]")
+        BeamsplitterSpec(self.theta)
+        DistinguishabilityParam(self.eta)
+
+    def normalization_deviation(self) -> tuple[float, str]:
+        """The largest ``abs(sum - 1)`` over the contexts, and its context."""
+        return max((abs(sum(dist.values()) - 1.0), ctx) for ctx, dist in self.contexts.items())
 
     def validate(self, tol: float = DEFAULT_TOLERANCE) -> None:
         """:meth:`validate_structure` plus per-context normalization."""
         self.validate_structure(tol)
-        for ctx, dist in self.contexts.items():
-            total = sum(dist.values())
-            if abs(total - 1.0) > tol:
-                raise ValueError(
-                    f"context {ctx!r} probabilities sum to {total!r}, not 1")
+        deviation, ctx = self.normalization_deviation()
+        if deviation > tol:
+            raise ValueError(f"context {ctx!r} probabilities miss a sum of 1 by {deviation!r}")
 
     # -- serialization ----------------------------------------------------
 
@@ -225,22 +236,24 @@ class OutcomeTable:
         return cls(_number(theta, "theta"), _number(eta, "eta"), contexts)
 
     @classmethod
+    def _from_header(cls, header: Mapping, records: list[Mapping]) -> "OutcomeTable":
+        """Both formats' header rule: ``schema`` is 1 if given, theta and eta are given."""
+        if _number(header.get("schema", SCHEMA_VERSION), "schema") != SCHEMA_VERSION:
+            raise ValueError(f"unsupported schema {header['schema']!r}")
+        if "theta" not in header or "eta" not in header:
+            raise ValueError("table header needs theta and eta")
+        return cls.from_records(header["theta"], header["eta"], records)
+
+    @classmethod
     def from_json(cls, text: str) -> "OutcomeTable":
         try:
             payload = json.loads(text)
         except (json.JSONDecodeError, RecursionError) as exc:
             raise ValueError(f"not valid JSON: {exc}") from exc
-        if not isinstance(payload, dict):
-            raise ValueError("table JSON must be an object")
-        if payload.get("schema", SCHEMA_VERSION) != SCHEMA_VERSION:
-            raise ValueError(f"unsupported schema {payload.get('schema')!r}")
-        try:
-            theta, eta, records = payload["theta"], payload["eta"], payload["records"]
-        except KeyError as exc:
-            raise ValueError("table JSON needs theta, eta and records") from exc
+        records = payload.get("records") if isinstance(payload, dict) else None
         if not isinstance(records, list):
-            raise ValueError("records must be a list")
-        return cls.from_records(theta, eta, records)
+            raise ValueError("table JSON must be an object with a records list")
+        return cls._from_header(payload, records)
 
     @classmethod
     def from_csv(cls, text: str) -> "OutcomeTable":
@@ -248,21 +261,16 @@ class OutcomeTable:
         rows = []
         for line in text.splitlines():
             if line.startswith("#"):
-                body = line.lstrip("#").strip()
-                if "=" in body:
-                    key, _, value = body.partition("=")
-                    meta[key.strip()] = value.strip()
+                key, equals, value = line.lstrip("#").partition("=")
+                if equals:
+                    meta[key.strip()] = value
             elif line.strip():
                 rows.append(line)
-        if not rows:
-            raise ValueError("CSV table has no data rows")
         reader = csv.DictReader(io.StringIO("\n".join(rows)))
         if reader.fieldnames != ["context", "outcome", "probability"]:
             raise ValueError(
                 f"CSV header must be context,outcome,probability, got {reader.fieldnames}")
-        if "theta" not in meta or "eta" not in meta:
-            raise ValueError("CSV table needs '# theta=' and '# eta=' metadata lines")
-        return cls.from_records(meta["theta"], meta["eta"], list(reader))
+        return cls._from_header(meta, list(reader))
 
 
 def _number(value, name: str) -> float:
@@ -327,10 +335,10 @@ def marginal_probability(table: OutcomeTable, ctx: str, fiber: str, value: str) 
 
     Unresolved coincidence mass is apportioned by the squared classical path
     weights (evenly at a balanced splitter); resolved outcomes contribute
-    their full probability.
+    their full probability.  A fiber outside ``ctx`` or a value other than
+    ``t`` or ``r`` raises ``ValueError`` (:func:`check_requirements`).
     """
-    if fiber not in ctx:
-        raise ValueError(f"fiber {fiber!r} not measured in context {ctx!r}")
+    check_requirements(ctx, {fiber: value})
     dist = table.context_distribution(ctx)
     total = matching_mass(dist, {fiber: value})
     if COINCIDENCE in dist:

@@ -33,10 +33,10 @@ class FockState:
 
 
 def is_whole(n) -> bool:
-    """Whether ``n`` equals an integer; an infinity or NaN does not."""
+    """Whether ``n`` equals an integer; an infinity, NaN or non-number does not."""
     try:
         return n == int(n)
-    except (OverflowError, ValueError):
+    except (OverflowError, TypeError, ValueError):
         return False
 
 

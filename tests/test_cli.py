@@ -404,9 +404,12 @@ class TestErrorPath:
         ["verify", "--input", "{garbage}"],
         ["simulate", "-o", "{dir}/missing/out.json"],
         ["verify", "--input", "{out_of_range}"],
+        ["verify", "--input", "{csv_schema_2}"],
+        ["verify", "--input", "{json_schema_true}"],
     ], ids=["eta_2", "theta_nan", "theta_deg_inf", "cycle_2", "cycle_x", "cycle_25",
             "graph_square", "steps_1", "tolerance_nan", "missing_input", "garbage_table",
-            "output_in_missing_dir", "verify_out_of_range"])
+            "output_in_missing_dir", "verify_out_of_range", "csv_schema_2",
+            "json_schema_true"])
     def test_input_error_is_one_error_line(self, capsys, tmp_path, argv):
         table = tmp_path / "table.json"
         run_cli(capsys, "simulate", "-o", str(table))
@@ -414,8 +417,14 @@ class TestErrorPath:
         garbage.write_text("this is not a table")
         out_of_range = tmp_path / "out-of-range.json"
         out_of_range.write_text(out_of_range_table())
+        simulated = full_table(BeamsplitterSpec(0.3), DistinguishabilityParam(0.37))
+        csv_schema_2 = tmp_path / "schema-2.csv"
+        csv_schema_2.write_text(simulated.to_csv().replace("# schema=1", "# schema=2"))
+        json_schema_true = tmp_path / "schema-true.json"
+        json_schema_true.write_text(simulated.to_json().replace('"schema": 1', '"schema": true'))
         argv = [arg.format(table=table, garbage=garbage, dir=tmp_path,
-                           out_of_range=out_of_range) for arg in argv]
+                           out_of_range=out_of_range, csv_schema_2=csv_schema_2,
+                           json_schema_true=json_schema_true) for arg in argv]
         with pytest.raises(SystemExit) as err:
             main(argv)
         assert err.value.code == 2

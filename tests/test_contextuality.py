@@ -121,8 +121,11 @@ class TestDeriveExclusivity:
 
     def test_duplicate_labels_rejected(self):
         event = standard_events(TRIANGLE)[0]
-        with pytest.raises(ValueError):
-            derive_exclusivity([event, event])
+        compatible = [EventSpec("e", "A", {"A": "t"}), EventSpec("e", "BC", {"B": "r"})]
+        exclusive = [EventSpec("e", "A", {"A": "t"}), EventSpec("e", "A", {"A": "r"})]
+        for events in ([event, event], compatible, exclusive):
+            with pytest.raises(ValueError, match="labels must be distinct"):
+                derive_exclusivity(events)
 
     def test_graph_rejects_self_loops_and_unknown_vertices(self):
         with pytest.raises(ValueError):
@@ -232,7 +235,7 @@ class TestIndependenceNumber:
             independence_number(big)
 
     def test_cycle_graph_needs_an_integer_of_at_least_three(self):
-        for bad in (2, 0, -5, 4.5, float("inf"), float("-inf"), float("nan"), "5"):
+        for bad in (2, 0, -5, 4.5, float("inf"), float("-inf"), float("nan"), "5", None):
             with pytest.raises(ValueError):
                 cycle_graph(bad)
         assert cycle_graph(4.0) == cycle_graph(4)
@@ -355,6 +358,13 @@ class TestSweepEta:
             sweep_eta(PENTAGON, BALANCED, etas=[0.5])
         with pytest.raises(ValueError):
             sweep_eta(PENTAGON, BALANCED, steps=1)
+        for eta in (-0.1, math.nan):
+            with pytest.raises(ValueError, match="eta must lie in"):
+                sweep_eta(PENTAGON, BALANCED, etas=[eta, 0.5])
+        for steps in (2.5, math.inf, math.nan, None, "5"):
+            with pytest.raises(ValueError, match="whole number"):
+                sweep_eta(PENTAGON, BALANCED, steps=steps)
+        assert sweep_eta(PENTAGON, BALANCED, steps=5.0) == sweep_eta(PENTAGON, BALANCED, steps=5)
 
     def test_exact_grid_hit_is_reported_exactly(self):
         result = sweep_eta(PENTAGON, BALANCED, etas=[0.0, 0.5, 1.0])

@@ -181,6 +181,27 @@ class TestFullTable:
             with pytest.raises(ValueError, match="is outside"):
                 gate()
 
+    @pytest.mark.parametrize("theta,eta,match", [
+        (math.nan, 0.5, "theta must be finite"), (math.inf, 0.5, "theta must be finite"),
+        (0.3, 1.5, "eta must lie in"), (0.3, -0.1, "eta must lie in"),
+        (0.3, math.nan, "eta must lie in")])
+    def test_header_is_checked_by_the_parameter_types(self, theta, eta, match):
+        table = full_table(BeamsplitterSpec(0.3), DistinguishabilityParam(0.37))
+        with pytest.raises(ValueError, match=match):
+            OutcomeTable(theta, eta, table.contexts).validate_structure()
+        bad_probability = {**table.contexts, "A": {"at": 1.5}}
+        with pytest.raises(ValueError, match="is outside"):
+            OutcomeTable(theta, eta, bad_probability).validate_structure()
+
+    def test_validate_names_the_context_furthest_from_normalized(self):
+        table = perturbed(perturbed(full_table(BALANCED, IDEAL), "B", "bt", 1e-6),
+                          "AC", "at,cr", -1e-3)
+        deviation, ctx = table.normalization_deviation()
+        assert ctx == "AC" and deviation == pytest.approx(1e-3, rel=1e-6)
+        with pytest.raises(ValueError, match="context 'AC'"):
+            table.validate()
+        assert full_table(BALANCED, IDEAL).normalization_deviation()[0] <= 1e-15
+
     def test_range_gate_uses_the_tolerance(self):
         table = full_table(BALANCED, IDEAL)
         nudged = OutcomeTable(table.theta, table.eta, {**table.contexts, "A": {"at": 1 + 1e-6}})
@@ -242,6 +263,22 @@ class TestSerialization:
             with pytest.raises(ValueError, match="has no outcome"):
                 OutcomeTable.from_records(table.theta, table.eta, records)
 
+    def test_both_formats_share_the_header_rule(self):
+        table = full_table(BeamsplitterSpec(0.3), DistinguishabilityParam(0.37))
+        as_json, as_csv = table.to_json(), table.to_csv()
+        for text in (as_json.replace('"schema": 1', '"schema": "1"'),
+                     as_json.replace('  "schema": 1,\n', ""),
+                     as_csv.replace("# schema=1\n", "")):
+            assert parse_table(text) == table
+        for text, match in ((as_csv.replace("# schema=1", "# schema=2"), "unsupported schema"),
+                            (as_json.replace('"schema": 1', '"schema": 2'), "unsupported schema"),
+                            (as_csv.replace("# schema=1", "# schema=x"), "schema must be"),
+                            (as_json.replace('"schema": 1', '"schema": true'), "schema must be"),
+                            (as_csv.replace("# eta=", "# beta="), "needs theta and eta"),
+                            (as_json.replace('"eta"', '"beta"'), "needs theta and eta")):
+            with pytest.raises(ValueError, match=match):
+                parse_table(text)
+
     def test_duplicate_records_rejected(self):
         table = full_table(BALANCED, IDEAL)
         records = table.to_records() + [
@@ -276,6 +313,13 @@ class TestMarginals:
         table = full_table(BALANCED, IDEAL)
         with pytest.raises(ValueError):
             marginal_probability(table, "AB", "C", "t")
+
+    @pytest.mark.parametrize("eta", [0.37, 1.0])
+    @pytest.mark.parametrize("ctx", ["A", "AB"])
+    def test_value_must_be_t_or_r(self, ctx, eta):
+        table = full_table(BeamsplitterSpec(0.3), DistinguishabilityParam(eta))
+        with pytest.raises(ValueError, match="has no outcome meeting"):
+            marginal_probability(table, ctx, "A", "x")
 
 
 class TestNoDisturbance:

@@ -26,7 +26,7 @@ class TestMakeFock:
             make_fock([])
 
     def test_fractional_entry_rejected(self):
-        for bad in (0.5, float("inf"), float("-inf"), float("nan")):
+        for bad in (0.5, float("inf"), float("-inf"), float("nan"), None):
             with pytest.raises(ValueError):
                 make_fock([1, bad])
 

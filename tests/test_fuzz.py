@@ -1,9 +1,10 @@
 """Property tests of the two outside inputs: table files and argv.
 
-``parse_table`` may refuse a text only with ``ValueError``, ``main`` must
-end with exit code 0, 1 or 2 whatever its arguments, and a table that
-``verify`` passes also passes ``OutcomeTable.validate``.  The argv grammar keeps
-``--steps`` at most 200 and ``cycle:N`` at most 30, so no case does much work.
+``parse_table`` may refuse a text only with ``ValueError`` and reads the
+header of a JSON and a CSV table alike, ``main`` must end with exit code 0, 1
+or 2 whatever its arguments, and a table that ``verify`` passes also passes
+``OutcomeTable.validate``.  The argv grammar keeps ``--steps`` at most 200 and
+``cycle:N`` at most 30, so no case does much work.
 """
 
 from __future__ import annotations
@@ -83,6 +84,48 @@ def test_parse_table_raises_only_value_error(text):
         parse_table(text)
     except ValueError:
         pass
+
+
+# Any text a CSV comment line can hold: no line boundary of str.splitlines
+HEADER_TEXTS = (st.sampled_from(["1", "2", " 1 ", "1.0", "0.3", "1e0", "nan", "inf", "true", ""])
+                | st.floats().map(repr)
+                | st.text(st.characters(blacklist_categories=("Cs", "Zl", "Zp"),
+                                        blacklist_characters="\n\r\x0b\x0c\x1c\x1d\x1e\x85"),
+                          max_size=8))
+
+
+def _with_header(key: str, text: str | None) -> tuple[str, str]:
+    """``TABLE`` as JSON and as CSV with the header field ``key`` set to ``text``,
+    a JSON string in one and ``# key=text`` in the other, or removed from both."""
+    payload = json.loads(TABLE_TEXTS[0])
+    lines = [line for line in TABLE_TEXTS[1].splitlines(keepends=True)
+             if not line.startswith(f"# {key}=")]
+    if text is None:
+        del payload[key]
+    else:
+        payload[key] = text
+        lines.insert(0, f"# {key}={text}\n")
+    return json.dumps(payload), "".join(lines)
+
+
+def _parsed(text: str):
+    """The table's header and records, with NaN comparable, or ``ValueError``."""
+    try:
+        table = parse_table(text)
+    except ValueError:
+        return ValueError
+    return repr(table.theta), repr(table.eta), table.contexts
+
+
+@SETTINGS
+@given(st.sampled_from(["schema", "theta", "eta"]), st.none() | HEADER_TEXTS)
+@example("schema", "2")
+@example("schema", "1")
+@example("theta", "0.3\x1f")
+@example("eta", None)
+def test_both_formats_read_the_header_alike(key, text):
+    as_json, as_csv = _with_header(key, text)
+    assert _parsed(as_json) == _parsed(as_csv)
 
 
 @pytest.fixture(scope="module")
