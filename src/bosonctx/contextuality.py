@@ -11,13 +11,15 @@ assignment satisfies both.  The standard events are labelled with
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import islice
 from typing import Iterable, Mapping, Sequence
 
 from .experiment import (
     REFLECTED,
     TRANSMITTED,
     OutcomeTable,
+    _number,
     check_requirements,
     full_table,
     make_outcome,
@@ -30,6 +32,7 @@ PENTAGON = "pentagon"
 TRIANGLE = "triangle"
 
 MAX_EXACT_INDEPENDENCE = 24
+MAX_SWEEP_POINTS = 100_001
 
 
 @dataclass(frozen=True)
@@ -38,15 +41,17 @@ class EventSpec:
 
     ``requirements`` maps fiber letters to ``t`` or ``r`` and may constrain a
     subset of the context's fibers (single-fiber events constrain one).
+    ``tokens`` holds the outcome tokens that meet them, resolved once here.
     """
 
     label: str
     context: str
     requirements: Mapping[str, str]
+    tokens: frozenset[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         reqs = dict(self.requirements)
-        check_requirements(self.context, reqs)
+        object.__setattr__(self, "tokens", check_requirements(self.context, reqs))
         object.__setattr__(self, "requirements", reqs)
 
 
@@ -134,7 +139,7 @@ def event_probability(table: OutcomeTable, event: EventSpec) -> float:
 
     The unresolved coincidence labels no fiber, so it never contributes.
     """
-    return matching_mass(table.context_distribution(event.context), event.requirements)
+    return matching_mass(table.context_distribution(event.context), event.tokens)
 
 
 def inequality_sum(table: OutcomeTable, events: Sequence[EventSpec]) -> float:
@@ -282,15 +287,21 @@ def sweep_eta(test: str, bs: BeamsplitterSpec,
               etas: Iterable[float] | None = None, *, steps: int = 101) -> SweepResult:
     """Inequality sum as a function of the photon overlap eta, with the points
     where it crosses the noncontextual bound (and, for the pentagon, the
-    projective quantum bound) found by linear interpolation."""
+    projective quantum bound) found by linear interpolation.  A grid over
+    :data:`MAX_SWEEP_POINTS` points is refused before it is built; explicit
+    points are read like table numbers (``experiment._number``)."""
     events = standard_events(test)
     if etas is None:
         if not is_whole(steps) or steps < 2:
             raise ValueError(f"need a whole number of at least 2 grid points, got {steps!r}")
+        if steps > MAX_SWEEP_POINTS:
+            raise ValueError(f"sweep limited to {MAX_SWEEP_POINTS} grid points, got {steps!r}")
         steps = int(steps)
         grid = [i / (steps - 1) for i in range(steps)]
     else:
-        grid = [float(e) for e in etas]
+        grid = [_number(e, "eta") for e in islice(etas, MAX_SWEEP_POINTS + 1)]
+        if len(grid) > MAX_SWEEP_POINTS:
+            raise ValueError(f"sweep limited to {MAX_SWEEP_POINTS} grid points")
         if len(grid) < 2:
             raise ValueError("eta grid needs at least 2 points")
         if any(b <= a for a, b in zip(grid, grid[1:])):

@@ -16,6 +16,12 @@ Outcome tokens (in tables and table files) are the closed set
 * ``coinc``, in pair contexts only, is the unresolved one-photon-per-output-port
   coincidence of the interfering bosonic fraction, which labels no fiber.
 
+A requirement set (fiber letters mapped to ``t`` or ``r``) picks the tokens
+that meet it.  :data:`MATCHING_TOKENS`, built at import from :data:`OUTCOMES`
+with :func:`outcome_matches`, holds them for every set some outcome meets, so
+resolving a set is one lookup and an event mass (:func:`matching_mass`) is one
+membership test per table entry.
+
 JSON and CSV share one header rule (schema 1 if given; theta and eta given).
 :meth:`OutcomeTable.validate_structure` (contexts, tokens, each probability's
 range, then the header) gates both checkers; :meth:`OutcomeTable.validate` adds
@@ -28,6 +34,7 @@ import csv
 import io
 import json
 from dataclasses import dataclass
+from itertools import combinations
 from pathlib import Path
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -104,23 +111,44 @@ def outcome_assigns(token: str) -> Mapping[str, str]:
 def outcome_matches(token: str, requirements: Mapping[str, str]) -> bool:
     """Whether an outcome token determinately satisfies every requirement.
 
-    ``coinc`` never matches: it leaves both fibers unlabeled.
+    ``coinc`` never matches a non-empty requirement set: it leaves both fibers
+    unlabeled.
     """
     return requirements.items() <= outcome_assigns(token).items()
 
 
-def matching_mass(distribution: Mapping[str, float],
-                  requirements: Mapping[str, str]) -> float:
-    """Probability mass of the outcomes that satisfy every requirement."""
-    return sum(p for token, p in distribution.items() if outcome_matches(token, requirements))
+# Each requirement set some outcome can meet (a subset of that outcome's
+# labels), as its frozen (fiber, label) items, mapped to every token meeting it.
+MATCHING_TOKENS = MappingProxyType({
+    key: frozenset(t for t in _LABELS if outcome_matches(t, dict(key)))
+    for key in {frozenset(subset) for labels in _LABELS.values()
+                for k in range(len(labels) + 1) for subset in combinations(labels.items(), k)}})
 
 
-def check_requirements(ctx: str, requirements: Mapping[str, str]) -> None:
-    """Refuse ``requirements`` unless ``ctx`` is a context, they are non-empty
-    and some outcome of ``ctx`` meets them all."""
+def matching_tokens(requirements: Mapping[str, str]) -> frozenset[str]:
+    """The tokens of :data:`OUTCOMES` that meet every requirement (one lookup
+    in :data:`MATCHING_TOKENS`); empty when no outcome meets them."""
+    try:
+        return MATCHING_TOKENS.get(frozenset(requirements.items()), frozenset())
+    except TypeError:  # an unhashable label equals no t or r
+        return frozenset()
+
+
+def matching_mass(distribution: Mapping[str, float], tokens: frozenset[str]) -> float:
+    """Probability mass of the entries whose token is in ``tokens``, summed in
+    the distribution's own order."""
+    return sum(p for token, p in distribution.items() if token in tokens)
+
+
+def check_requirements(ctx: str, requirements: Mapping[str, str]) -> frozenset[str]:
+    """:func:`matching_tokens` of ``requirements``, or ``ValueError`` unless
+    ``ctx`` is a context, they are non-empty and some outcome of ``ctx`` meets
+    them all."""
     outcomes = OUTCOMES[validate_context(ctx)]
-    if not requirements or not any(outcome_matches(token, requirements) for token in outcomes):
+    tokens = matching_tokens(requirements)
+    if not requirements or tokens.isdisjoint(outcomes):
         raise ValueError(f"context {ctx!r} has no outcome meeting {dict(requirements)!r}")
+    return tokens
 
 
 def _validate_outcome_for_context(token: str, ctx: str) -> None:
@@ -138,12 +166,13 @@ def run_context(ctx: str, bs: BeamsplitterSpec,
     ctx = validate_context(ctx)
     if len(ctx) == 1:
         single = single_outcome_distribution(bs)
-        values = (single.p_transmitted, single.p_reflected)
-    else:
-        pair = pair_outcome_distribution(bs, d)
-        both_t, both_r = pair.resolved_coincidence or (None, None)
-        values = (pair.p_bunch_port1, pair.p_bunch_port2, both_t, both_r, pair.p_unresolved)
-    return {token: p for token, p in zip(OUTCOMES[ctx], values) if p is not None}
+        return dict(zip(OUTCOMES[ctx], (single.p_transmitted, single.p_reflected)))
+    pair = pair_outcome_distribution(bs, d)
+    if pair.resolved_coincidence is None:
+        port1, port2, _, _, coinc = OUTCOMES[ctx]
+        return {port1: pair.p_bunch_port1, port2: pair.p_bunch_port2, coinc: pair.p_unresolved}
+    return dict(zip(OUTCOMES[ctx], (pair.p_bunch_port1, pair.p_bunch_port2,
+                                    *pair.resolved_coincidence, pair.p_unresolved)))
 
 
 @dataclass(frozen=True)
@@ -338,9 +367,9 @@ def marginal_probability(table: OutcomeTable, ctx: str, fiber: str, value: str) 
     their full probability.  A fiber outside ``ctx`` or a value other than
     ``t`` or ``r`` raises ``ValueError`` (:func:`check_requirements`).
     """
-    check_requirements(ctx, {fiber: value})
+    tokens = check_requirements(ctx, {fiber: value})
     dist = table.context_distribution(ctx)
-    total = matching_mass(dist, {fiber: value})
+    total = matching_mass(dist, tokens)
     if COINCIDENCE in dist:
         bs = BeamsplitterSpec(table.theta)
         T, R = bs.transmittance, bs.reflectance
@@ -453,8 +482,8 @@ def check_indistinguishability(table: OutcomeTable,
         partner2 = c2.replace(fiber, "")
         for own in (TRANSMITTED, REFLECTED):
             for other in (TRANSMITTED, REFLECTED):
-                p1 = matching_mass(table.contexts[c1], {fiber: own, partner1: other})
-                p2 = matching_mass(table.contexts[c2], {fiber: own, partner2: other})
+                p1, p2 = (matching_mass(table.contexts[c], matching_tokens({fiber: own, p: other}))
+                          for c, p in ((c1, partner1), (c2, partner2)))
                 identities.append(IdentityResult(
                     f"pattern {fiber}={own}, partner={other}: {c1} vs {c2}", p1, p2))
         q1 = table.context_distribution(c1).get(COINCIDENCE, 0.0)

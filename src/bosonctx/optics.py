@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -34,11 +35,11 @@ class BeamsplitterSpec:
         if not math.isfinite(self.theta):
             raise ValueError(f"theta must be finite, got {self.theta!r}")
 
-    @property
+    @cached_property
     def transmittance(self) -> float:
         return math.cos(self.theta) ** 2
 
-    @property
+    @cached_property
     def reflectance(self) -> float:
         return math.sin(self.theta) ** 2
 

@@ -6,8 +6,11 @@ the same Ryser/Gray-code recurrence on numpy arrays), two-photon amplitudes come
 the transformed creation operators by hand, the packing LP is maximized
 over a refined probability grid, the independence number is found by
 enumerating every vertex subset, and the noncontextual bound by trying all
-eight deterministic transmit/reflect assignments.  The state norm and the
-edge test are small helpers the library itself does not need.
+eight deterministic transmit/reflect assignments.  Event mass is summed by
+testing every token with ``experiment.outcome_matches``, the predicate the
+library's token catalogue is built from, instead of looking the tokens up.
+The state norm and the edge test are small helpers the library itself does
+not need.
 """
 
 from __future__ import annotations
@@ -16,6 +19,8 @@ import math
 from itertools import combinations, permutations, product
 
 import numpy as np
+
+from bosonctx.experiment import outcome_matches
 
 
 def naive_permanent(matrix) -> complex:
@@ -74,6 +79,12 @@ def single_photon_closed_form(theta: float) -> dict[tuple[int, int], complex]:
     """Amplitudes for a photon entering port 1: c on |1,0>, i s on |0,1>."""
     c, s = math.cos(theta), math.sin(theta)
     return {(1, 0): c + 0j, (0, 1): 1j * s}
+
+
+def predicate_matching_mass(distribution, requirements) -> float:
+    """Mass of the entries whose token meets every requirement, each token
+    tested by the predicate, summed in the distribution's order."""
+    return sum(p for token, p in distribution.items() if outcome_matches(token, requirements))
 
 
 def grid_packing_max(graph, step_denominator: int = 4) -> float:

@@ -249,6 +249,19 @@ class TestSweep:
         _, second = run_cli(capsys, "sweep", "--test", "pentagon", "--steps", "11")
         assert first == second
 
+    def test_oversized_sweep_is_refused_before_it_is_built(self, capsys):
+        tracemalloc.start()
+        try:
+            with pytest.raises(SystemExit) as err:
+                main(["sweep", "--test", "pentagon", "--steps", "100000000"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert err.value.code == 2
+        assert peak < 1_000_000
+        assert capsys.readouterr() == (
+            "", "error: sweep limited to 100001 grid points, got 100000000\n")
+
     def test_bad_steps_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["sweep", "--test", "pentagon", "--steps", "1"])

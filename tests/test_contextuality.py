@@ -1,14 +1,16 @@
 import math
 import random
-from itertools import combinations
+from itertools import combinations, repeat
 
 import pytest
 
 from bosonctx.contextuality import (
+    MAX_SWEEP_POINTS,
     PENTAGON,
     TRIANGLE,
     EventSpec,
     ExclusivityGraph,
+    _first_crossing,
     cycle_graph,
     derive_exclusivity,
     event_probability,
@@ -21,7 +23,16 @@ from bosonctx.contextuality import (
     standard_events,
     sweep_eta,
 )
-from bosonctx.experiment import OutcomeTable, full_table
+from bosonctx.experiment import (
+    MATCHING_TOKENS,
+    OUTCOMES,
+    OutcomeTable,
+    dump_json,
+    full_table,
+    matching_tokens,
+    parse_table,
+    write_csv,
+)
 from bosonctx.optics import BALANCED, BeamsplitterSpec, DistinguishabilityParam
 
 from oracles import (
@@ -30,6 +41,7 @@ from oracles import (
     assignment_satisfies,
     graph_has_edge,
     grid_packing_max,
+    predicate_matching_mass,
     subset_independence_number,
 )
 
@@ -96,6 +108,17 @@ class TestStandardEvents:
         with pytest.raises(ValueError):
             EventSpec("bad", "AB", {"A": None})
         assert EventSpec("ok", "AB", {"B": "r"}).requirements == {"B": "r"}
+
+    def test_tokens_are_resolved_once_and_stay_out_of_repr_and_equality(self):
+        event = EventSpec("ok", "AB", {"B": "r"})
+        assert event.tokens == matching_tokens({"B": "r"}) == {"br", "at,br", "ar,br", "br,ct",
+                                                               "br,cr"}
+        assert repr(event) == "EventSpec(label='ok', context='AB', requirements={'B': 'r'})"
+        unresolved = EventSpec("ok", "AB", {"B": "r"})
+        object.__setattr__(unresolved, "tokens", frozenset())
+        assert event == unresolved
+        with pytest.raises(TypeError):
+            EventSpec("ok", "AB", {"B": "r"}, frozenset())
 
 
 class TestDeriveExclusivity:
@@ -365,8 +388,78 @@ class TestSweepEta:
             with pytest.raises(ValueError, match="whole number"):
                 sweep_eta(PENTAGON, BALANCED, steps=steps)
         assert sweep_eta(PENTAGON, BALANCED, steps=5.0) == sweep_eta(PENTAGON, BALANCED, steps=5)
+        # grid points follow the table-number rule: no booleans, text that reads as a float
+        for grid in ([False, "0.5", True], [0.0, True], [0.0, 10**400], [0.0, "x"]):
+            with pytest.raises(ValueError, match="eta must be a number"):
+                sweep_eta(TRIANGLE, BALANCED, etas=grid)
+        assert sweep_eta(TRIANGLE, BALANCED, etas=[0, "0.5", 1]).etas == (0.0, 0.5, 1.0)
+
+    def test_oversized_grid_is_refused_before_it_is_built(self):
+        for steps in (MAX_SWEEP_POINTS + 1, 10**12, float(10**12)):
+            with pytest.raises(ValueError, match="sweep limited to 100001 grid points"):
+                sweep_eta(PENTAGON, BALANCED, steps=steps)
+        # an endless grid is read no further than one point past the cap
+        with pytest.raises(ValueError, match="sweep limited to 100001 grid points"):
+            sweep_eta(PENTAGON, BALANCED, etas=repeat(0.5))
 
     def test_exact_grid_hit_is_reported_exactly(self):
         result = sweep_eta(PENTAGON, BALANCED, etas=[0.0, 0.5, 1.0])
         # 3/2 + 1/2 = 2 exactly in binary floating point
         assert result.crossings["noncontextual"] == 0.5
+
+
+def _bits(values) -> list:
+    """Each value's type and exact bits (an empty sum is the int 0)."""
+    return [None if v is None else (type(v), float(v).hex()) for v in values]
+
+
+class TestCompiledEvents:
+    """Events resolved to their tokens once give the same bits as testing every
+    token with the predicate (``oracles.predicate_matching_mass``)."""
+
+    THETAS = [-0.3 + k * math.pi / 11 for k in range(12)]
+
+    def test_sweep_is_bit_identical_to_the_predicate(self):
+        rng = random.Random(17)
+        for theta in self.THETAS:
+            bs = BeamsplitterSpec(theta)
+            uneven = sorted({0.0, 1.0, *(rng.random() for _ in range(99))})
+            for grid in (None, uneven):
+                for test in (PENTAGON, TRIANGLE):
+                    result = (sweep_eta(test, bs, steps=101) if grid is None
+                              else sweep_eta(test, bs, grid))
+                    etas = list(result.etas)
+                    sums = [sum(predicate_matching_mass(table.contexts[e.context], e.requirements)
+                                for e in standard_events(test))
+                            for table in (full_table(bs, DistinguishabilityParam(eta))
+                                          for eta in etas)]
+                    assert _bits(result.sums) == _bits(sums)
+                    crossings = {name: _first_crossing(etas, sums, bound)
+                                 for name, bound in result.bounds.items()}
+                    assert list(result.crossings) == list(crossings)
+                    assert _bits(result.crossings.values()) == _bits(crossings.values())
+
+    def test_event_probability_on_shuffled_parsed_tables(self):
+        rng = random.Random(23)
+        # the standard events plus every requirement set some outcome of a context meets
+        events = standard_events(PENTAGON) + standard_events(TRIANGLE) + [
+            EventSpec("any", ctx, dict(key)) for ctx in OUTCOMES for key in MATCHING_TOKENS
+            if key and not MATCHING_TOKENS[key].isdisjoint(OUTCOMES[ctx])]
+        reordered = 0
+        for theta in self.THETAS:
+            for eta in (0.0, 0.37, 1.0):
+                table = full_table(BeamsplitterSpec(theta), DistinguishabilityParam(eta))
+                records = table.to_records()
+                rng.shuffle(records)
+                texts = (dump_json({"theta": theta, "eta": eta, "records": records}),
+                         write_csv({"theta": theta, "eta": eta},
+                                   ("context", "outcome", "probability"),
+                                   ((r["context"], r["outcome"], r["probability"])
+                                    for r in records)))
+                for parsed in map(parse_table, texts):
+                    reordered += any(list(parsed.contexts[c]) != list(table.contexts[c])
+                                     for c in table.contexts)
+                    for e in events:
+                        want = predicate_matching_mass(parsed.contexts[e.context], e.requirements)
+                        assert _bits([event_probability(parsed, e)]) == _bits([want])
+        assert reordered > 0

@@ -8,6 +8,7 @@ from bosonctx.experiment import (
     ALL_CONTEXTS,
     COINCIDENCE,
     FIBERS,
+    MATCHING_TOKENS,
     OUTCOMES,
     PAIR_CONTEXTS,
     REFLECTED,
@@ -18,6 +19,8 @@ from bosonctx.experiment import (
     full_table,
     make_outcome,
     marginal_probability,
+    matching_mass,
+    matching_tokens,
     outcome_assigns,
     outcome_matches,
     parse_table,
@@ -85,6 +88,27 @@ class TestTokens:
         assert outcome_matches("ar,bt", {"A": "r", "B": "t"})
         assert outcome_matches("ar,bt", {"A": "r"})
         assert not outcome_matches("ar,bt", {"A": "t"})
+
+    def test_requirement_catalogue(self):
+        # the empty set, 6 one-fiber sets and 4 two-fiber sets per pair context
+        assert len(MATCHING_TOKENS) == 1 + 6 + 12
+        assert MATCHING_TOKENS[frozenset()] == {t for o in OUTCOMES.values() for t in o}
+        assert matching_tokens({"A": "t"}) == {"at", "at,br", "at,bt", "at,cr", "at,ct"}
+        assert matching_tokens({"B": "t", "A": "r"}) == {"ar,bt"}
+        for unmet in ({"A": "x"}, {"D": "t"}, {"A": "t", "B": "t", "C": "t"}, {"A": ["t"]}):
+            assert matching_tokens(unmet) == frozenset()
+        with pytest.raises(TypeError):
+            MATCHING_TOKENS[frozenset()] = frozenset()
+
+    def test_matching_mass_sums_in_the_distribution_order(self):
+        # three terms, so the order shows in the last bit: 0.1 + 0.2 + 0.3 != 0.3 + 0.2 + 0.1
+        every = matching_tokens({})
+        dist = {"at,bt": 0.1, "ar,bt": 0.2, "at,br": 0.3}
+        reordered = {"at,br": 0.3, "ar,bt": 0.2, "at,bt": 0.1}
+        assert matching_mass(dist, every) == 0.1 + 0.2 + 0.3 != matching_mass(reordered, every)
+        assert matching_mass(reordered, every) == 0.3 + 0.2 + 0.1
+        assert matching_mass(dist, matching_tokens({"B": "t"})) == 0.1 + 0.2
+        assert matching_mass(dist, frozenset()) == 0
 
     def test_context_validation(self):
         for ctx in ALL_CONTEXTS:

@@ -1,10 +1,13 @@
-"""Property tests of the two outside inputs: table files and argv.
+"""Property tests of the two outside inputs, table files and argv, and of the
+requirement catalogue against the predicate it is built from.
 
 ``parse_table`` may refuse a text only with ``ValueError`` and reads the
 header of a JSON and a CSV table alike, ``main`` must end with exit code 0, 1
 or 2 whatever its arguments, and a table that ``verify`` passes also passes
 ``OutcomeTable.validate``.  The argv grammar keeps ``--steps`` at most 200 and
-``cycle:N`` at most 30, so no case does much work.
+``cycle:N`` at most 30, so no case does much work.  ``matching_tokens`` picks
+exactly the tokens ``outcome_matches`` accepts, and ``check_requirements``
+refuses exactly the requirement sets no outcome of the context meets.
 """
 
 from __future__ import annotations
@@ -21,7 +24,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bosonctx.cli import main
-from bosonctx.experiment import full_table, load_table, parse_table
+from bosonctx.experiment import (
+    ALL_CONTEXTS,
+    OUTCOMES,
+    check_requirements,
+    full_table,
+    load_table,
+    matching_tokens,
+    outcome_matches,
+    parse_table,
+)
 from bosonctx.optics import BeamsplitterSpec, DistinguishabilityParam
 
 SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -218,3 +230,29 @@ def test_a_table_verify_passes_is_valid(inputs, text):
             code = exc.code
     if code == 0:  # the report says "passed": true
         table.validate()
+
+
+# Fibers A-C plus junk keys; labels t and r plus junk, None and an unhashable list
+REQUIREMENTS = st.dictionaries(
+    st.sampled_from(["A", "B", "C", "a", "D", "AB", "", 0]),
+    st.sampled_from(["t", "r", None, "T", "x", "", 1]) | st.lists(st.sampled_from("tr"),
+                                                                   max_size=2),
+    max_size=4)
+TOKENS = [token for outcomes in OUTCOMES.values() for token in outcomes]
+
+
+@SETTINGS
+@given(st.sampled_from(ALL_CONTEXTS), REQUIREMENTS)
+@example("AB", {"A": ["t"]})
+@example("AB", {})
+@example("AB", {"A": "t", "B": "t"})
+@example("A", {"A": "t", "B": "t"})
+def test_catalogue_agrees_with_the_predicate(ctx, requirements):
+    meeting = frozenset(t for t in TOKENS if outcome_matches(t, requirements))
+    assert matching_tokens(requirements) == meeting
+    try:
+        tokens = check_requirements(ctx, requirements)
+    except ValueError:
+        tokens = None
+    assert (tokens is None) == (not requirements or meeting.isdisjoint(OUTCOMES[ctx]))
+    assert tokens in (None, meeting)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -68,6 +69,25 @@ class TestBeamsplitterSpec:
         for theta in THETA_GRID:
             bs = BeamsplitterSpec(float(theta))
             assert bs.transmittance + bs.reflectance == pytest.approx(1.0, abs=1e-15)
+
+    def test_transmittance_and_reflectance_are_cached_bit_for_bit(self):
+        for theta in (*map(float, THETA_GRID), -0.3, 2.9, 1e6):
+            bs = BeamsplitterSpec(theta)
+            for _ in range(2):  # computed, then read back from the cache
+                assert bs.transmittance.hex() == (math.cos(theta) ** 2).hex()
+                assert bs.reflectance.hex() == (math.sin(theta) ** 2).hex()
+            fresh = BeamsplitterSpec(theta)
+            assert bs == fresh and hash(bs) == hash(fresh)
+            assert repr(bs) == f"BeamsplitterSpec(theta={theta!r})"
+            moved = dataclasses.replace(bs, theta=theta + 0.5)
+            assert moved != bs
+            assert moved.transmittance.hex() == (math.cos(theta + 0.5) ** 2).hex()
+            assert moved.reflectance.hex() == (math.sin(theta + 0.5) ** 2).hex()
+            assert dataclasses.replace(bs) == bs
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            bs.transmittance = 0.5
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            bs.theta = 0.5
 
     def test_nonfinite_angle_rejected(self):
         with pytest.raises(ValueError):
