@@ -152,10 +152,9 @@ def cmd_sweep(args) -> int:
 
 def cmd_verify(args) -> int:
     tol = args.tolerance
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"--tolerance must be finite and positive, got {tol!r}")
     table = load_table(args.input)
-    # each checker validates the table's structure before it compares anything
+    # each checker validates the tolerance and the table's structure before it
+    # compares anything
     reports = [check_no_disturbance(table, tol), check_indistinguishability(table, tol)]
     normalization, _ = table.normalization_deviation()
     norm_ok = normalization <= tol

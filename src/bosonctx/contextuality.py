@@ -41,12 +41,13 @@ class EventSpec:
 
     ``requirements`` maps fiber letters to ``t`` or ``r`` and may constrain a
     subset of the context's fibers (single-fiber events constrain one).
-    ``tokens`` holds the outcome tokens that meet them, resolved once here.
+    ``tokens`` holds the context's outcome tokens that meet them, resolved once
+    here.  Equal events hash alike by label and context.
     """
 
     label: str
     context: str
-    requirements: Mapping[str, str]
+    requirements: Mapping[str, str] = field(hash=False)
     tokens: frozenset[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -299,7 +300,11 @@ def sweep_eta(test: str, bs: BeamsplitterSpec,
         steps = int(steps)
         grid = [i / (steps - 1) for i in range(steps)]
     else:
-        grid = [_number(e, "eta") for e in islice(etas, MAX_SWEEP_POINTS + 1)]
+        try:
+            points = islice(etas, MAX_SWEEP_POINTS + 1)
+        except TypeError:
+            raise ValueError(f"eta grid must be iterable, got {etas!r:.40}") from None
+        grid = [_number(e, "eta") for e in points]
         if len(grid) > MAX_SWEEP_POINTS:
             raise ValueError(f"sweep limited to {MAX_SWEEP_POINTS} grid points")
         if len(grid) < 2:

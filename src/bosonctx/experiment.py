@@ -17,15 +17,14 @@ Outcome tokens (in tables and table files) are the closed set
   coincidence of the interfering bosonic fraction, which labels no fiber.
 
 A requirement set (fiber letters mapped to ``t`` or ``r``) picks the tokens
-that meet it.  :data:`MATCHING_TOKENS`, built at import from :data:`OUTCOMES`
-with :func:`outcome_matches`, holds them for every set some outcome meets, so
-resolving a set is one lookup and an event mass (:func:`matching_mass`) is one
-membership test per table entry.
+of one context whose labels include it (:func:`check_requirements`, the one
+matcher); an event mass (:func:`matching_mass`) is then one membership test
+per table entry.
 
 JSON and CSV share one header rule (schema 1 if given; theta and eta given).
-:meth:`OutcomeTable.validate_structure` (contexts, tokens, each probability's
-range, then the header) gates both checkers; :meth:`OutcomeTable.validate` adds
-normalization.  An outcome a table leaves out counts as probability 0.
+:meth:`OutcomeTable.validate_structure` (a finite positive tolerance, contexts,
+tokens, each probability's range, then the header) gates both checkers;
+:meth:`OutcomeTable.validate` adds normalization.  An outcome a table leaves out counts as probability 0.
 """
 
 from __future__ import annotations
@@ -34,7 +33,6 @@ import csv
 import io
 import json
 from dataclasses import dataclass
-from itertools import combinations
 from pathlib import Path
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -93,45 +91,6 @@ def _context_outcomes(ctx: str) -> Mapping[str, Mapping[str, str]]:
 
 # Every context's outcome tokens, each with its read-only per-fiber labels.
 OUTCOMES = MappingProxyType({ctx: _context_outcomes(ctx) for ctx in ALL_CONTEXTS})
-_LABELS = {token: a for outcomes in OUTCOMES.values() for token, a in outcomes.items()}
-
-
-def outcome_assigns(token: str) -> Mapping[str, str]:
-    """Read-only per-fiber labels carried by an outcome token.
-
-    The unresolved coincidence assigns nothing and returns an empty mapping.
-    A token outside :data:`OUTCOMES` raises ``ValueError``.
-    """
-    try:
-        return _LABELS[token]
-    except KeyError:
-        raise ValueError(f"unknown outcome token {token!r}") from None
-
-
-def outcome_matches(token: str, requirements: Mapping[str, str]) -> bool:
-    """Whether an outcome token determinately satisfies every requirement.
-
-    ``coinc`` never matches a non-empty requirement set: it leaves both fibers
-    unlabeled.
-    """
-    return requirements.items() <= outcome_assigns(token).items()
-
-
-# Each requirement set some outcome can meet (a subset of that outcome's
-# labels), as its frozen (fiber, label) items, mapped to every token meeting it.
-MATCHING_TOKENS = MappingProxyType({
-    key: frozenset(t for t in _LABELS if outcome_matches(t, dict(key)))
-    for key in {frozenset(subset) for labels in _LABELS.values()
-                for k in range(len(labels) + 1) for subset in combinations(labels.items(), k)}})
-
-
-def matching_tokens(requirements: Mapping[str, str]) -> frozenset[str]:
-    """The tokens of :data:`OUTCOMES` that meet every requirement (one lookup
-    in :data:`MATCHING_TOKENS`); empty when no outcome meets them."""
-    try:
-        return MATCHING_TOKENS.get(frozenset(requirements.items()), frozenset())
-    except TypeError:  # an unhashable label equals no t or r
-        return frozenset()
 
 
 def matching_mass(distribution: Mapping[str, float], tokens: frozenset[str]) -> float:
@@ -141,12 +100,14 @@ def matching_mass(distribution: Mapping[str, float], tokens: frozenset[str]) -> 
 
 
 def check_requirements(ctx: str, requirements: Mapping[str, str]) -> frozenset[str]:
-    """:func:`matching_tokens` of ``requirements``, or ``ValueError`` unless
-    ``ctx`` is a context, they are non-empty and some outcome of ``ctx`` meets
-    them all."""
-    outcomes = OUTCOMES[validate_context(ctx)]
-    tokens = matching_tokens(requirements)
-    if not requirements or tokens.isdisjoint(outcomes):
+    """The tokens of ``OUTCOMES[ctx]`` whose labels include every requirement,
+    or ``ValueError`` unless ``ctx`` is a context, ``requirements`` is non-empty
+    and some outcome of ``ctx`` meets it.  ``coinc`` labels no fiber, so it
+    meets no requirement."""
+    items = requirements.items()
+    tokens = frozenset(token for token, labels in OUTCOMES[validate_context(ctx)].items()
+                       if items <= labels.items())
+    if not requirements or not tokens:
         raise ValueError(f"context {ctx!r} has no outcome meeting {dict(requirements)!r}")
     return tokens
 
@@ -194,9 +155,11 @@ class OutcomeTable:
         return self.contexts[ctx]
 
     def validate_structure(self, tol: float = DEFAULT_TOLERANCE) -> None:
-        """Every check but normalization: the six contexts, their outcome tokens,
-        each probability within [0, 1] up to ``tol`` (not NaN), then theta and eta
-        through their parameter types."""
+        """Every check but normalization: ``tol`` finite and positive, the six
+        contexts, their outcome tokens, each probability within [0, 1] up to
+        ``tol`` (not NaN), then theta and eta through their parameter types."""
+        if not 0 < tol < float("inf"):
+            raise ValueError(f"tolerance must be finite and positive, got {tol!r}")
         if self.contexts.keys() != set(ALL_CONTEXTS):
             raise ValueError(f"table needs the contexts {', '.join(ALL_CONTEXTS)}, "
                              f"got {list(self.contexts)}")
@@ -386,7 +349,6 @@ class IdentityResult:
     lhs: float
     rhs: float
     checked: bool = True
-    note: str = ""
 
     @property
     def deviation(self) -> float:
@@ -456,14 +418,9 @@ def check_no_disturbance(table: OutcomeTable,
             p_single = marginal_probability(table, fiber, fiber, value)
             for c in (c1, c2):
                 unresolved = table.context_distribution(c).get(COINCIDENCE, 0.0)
-                resolvable = unresolved <= tol
                 identities.append(IdentityResult(
-                    name=f"marginal {fiber}={value}: {c} vs single-{fiber}",
-                    lhs=marginals[c], rhs=p_single,
-                    checked=resolvable,
-                    note="" if resolvable else (
-                        f"skipped: unresolved coincidence mass {unresolved!r} in {c}"),
-                ))
+                    f"marginal {fiber}={value}: {c} vs single-{fiber}",
+                    marginals[c], p_single, checked=unresolved <= tol))
     return CheckReport("no_disturbance", tol, tuple(identities))
 
 
@@ -482,7 +439,8 @@ def check_indistinguishability(table: OutcomeTable,
         partner2 = c2.replace(fiber, "")
         for own in (TRANSMITTED, REFLECTED):
             for other in (TRANSMITTED, REFLECTED):
-                p1, p2 = (matching_mass(table.contexts[c], matching_tokens({fiber: own, p: other}))
+                p1, p2 = (matching_mass(table.contexts[c],
+                                        check_requirements(c, {fiber: own, p: other}))
                           for c, p in ((c1, partner1), (c2, partner2)))
                 identities.append(IdentityResult(
                     f"pattern {fiber}={own}, partner={other}: {c1} vs {c2}", p1, p2))

@@ -7,10 +7,10 @@ the transformed creation operators by hand, the packing LP is maximized
 over a refined probability grid, the independence number is found by
 enumerating every vertex subset, and the noncontextual bound by trying all
 eight deterministic transmit/reflect assignments.  Event mass is summed by
-testing every token with ``experiment.outcome_matches``, the predicate the
-library's token catalogue is built from, instead of looking the tokens up.
-The state norm and the edge test are small helpers the library itself does
-not need.
+testing every token against labels read off its own text, instead of the
+library's ``OUTCOMES`` catalogue and ``check_requirements``; nothing here
+imports ``bosonctx``.  The state norm and the edge test are small helpers the
+library itself does not need.
 """
 
 from __future__ import annotations
@@ -19,8 +19,6 @@ import math
 from itertools import combinations, permutations, product
 
 import numpy as np
-
-from bosonctx.experiment import outcome_matches
 
 
 def naive_permanent(matrix) -> complex:
@@ -81,10 +79,25 @@ def single_photon_closed_form(theta: float) -> dict[tuple[int, int], complex]:
     return {(1, 0): c + 0j, (0, 1): 1j * s}
 
 
+def token_labels(token: str) -> dict[str, str]:
+    """Per-fiber labels spelled by a token: ``ar,bt`` is A=r and B=t, and
+    ``coinc`` labels no fiber."""
+    if token == "coinc":
+        return {}
+    return {part[0].upper(): part[1:] for part in token.split(",")}
+
+
+def token_meets(token: str, requirements) -> bool:
+    """Whether the labels a token spells include every requirement."""
+    labels = token_labels(token)
+    return all(fiber in labels and labels[fiber] == value
+               for fiber, value in requirements.items())
+
+
 def predicate_matching_mass(distribution, requirements) -> float:
-    """Mass of the entries whose token meets every requirement, each token
-    tested by the predicate, summed in the distribution's order."""
-    return sum(p for token, p in distribution.items() if outcome_matches(token, requirements))
+    """Mass of the entries whose token meets every requirement
+    (:func:`token_meets`), summed in the distribution's order."""
+    return sum(p for token, p in distribution.items() if token_meets(token, requirements))
 
 
 def grid_packing_max(graph, step_denominator: int = 4) -> float:

@@ -220,3 +220,48 @@ def test_criterion_10_fractional_packing():
             problems.append(f"quarter-grid oracle {oracle!r} disagrees with {got!r}")
     report(10, "fractional packing optimum 5/2 and 3/2, matching the grid oracle",
            problems)
+
+
+def _splitter_with_transmittance(t: float) -> BeamsplitterSpec:
+    return BeamsplitterSpec(math.acos(math.sqrt(t)))
+
+
+def test_criterion_11_best_pentagon_splitter():
+    # with T = cos^2(theta) the pentagon sum is T + 4(1+eta)T(1-T), which peaks
+    # at T = (5+4eta)/(8+8eta) with the value (5+4eta)^2/(16(1+eta))
+    problems = []
+    pentagon = standard_events(PENTAGON)
+    for eta in (0.0, 0.37, 0.6, 1.0):
+        t_best = (5 + 4 * eta) / (8 + 8 * eta)
+        d = DistinguishabilityParam(eta)
+        best = inequality_sum(full_table(_splitter_with_transmittance(t_best), d), pentagon)
+        expected = (5 + 4 * eta) ** 2 / (16 * (1 + eta))
+        if abs(best - expected) > 1e-12:
+            problems.append(f"eta={eta}: sum {best!r} at T={t_best!r} != {expected!r}")
+        for t in (t_best - 1e-3, t_best + 1e-3):
+            near = inequality_sum(full_table(_splitter_with_transmittance(t), d), pentagon)
+            if near >= best:
+                problems.append(f"eta={eta}: T={t!r} gives {near!r} >= {best!r}")
+    ideal = inequality_sum(full_table(_splitter_with_transmittance(9 / 16), IDEAL), pentagon)
+    if abs(ideal - 81 / 32) > 1e-12:
+        problems.append(f"pentagon sum at T=9/16, eta=1 is {ideal!r}, not 81/32")
+    report(11, "best pentagon splitter T=(5+4eta)/(8+8eta), sum 81/32 at eta=1", problems)
+
+
+def test_criterion_12_balanced_sums_and_quantum_crossing():
+    problems = []
+    triangle = standard_events(TRIANGLE)
+    for eta in (0.0, 0.37, 0.6, 1.0):
+        total = inequality_sum(full_table(BALANCED, DistinguishabilityParam(eta)), triangle)
+        if abs(total - 3 * (1 + eta) / 4) > 1e-12:
+            problems.append(f"triangle sum {total!r} at eta={eta} != 3(1+eta)/4")
+    total = inequality_sum(full_table(BALANCED, IDEAL), triangle)
+    if abs(total - 1.5) > 1e-12:
+        problems.append(f"triangle sum at eta=1 is {total!r}, not 3/2")
+    for steps in (37, 101):
+        crossing = sweep_eta(PENTAGON, BALANCED, steps=steps).crossings["quantum"]
+        if crossing is None or abs(crossing - (SQRT5 - 1.5)) > 1e-12:
+            problems.append(f"{steps}-point sweep crosses sqrt(5) at {crossing!r}, "
+                            f"not sqrt(5) - 3/2")
+    report(12, "balanced triangle 3(1+eta)/4, pentagon crosses sqrt(5) at sqrt(5)-3/2",
+           problems)

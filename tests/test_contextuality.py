@@ -24,12 +24,10 @@ from bosonctx.contextuality import (
     sweep_eta,
 )
 from bosonctx.experiment import (
-    MATCHING_TOKENS,
     OUTCOMES,
     OutcomeTable,
     dump_json,
     full_table,
-    matching_tokens,
     parse_table,
     write_csv,
 )
@@ -111,14 +109,25 @@ class TestStandardEvents:
 
     def test_tokens_are_resolved_once_and_stay_out_of_repr_and_equality(self):
         event = EventSpec("ok", "AB", {"B": "r"})
-        assert event.tokens == matching_tokens({"B": "r"}) == {"br", "at,br", "ar,br", "br,ct",
-                                                               "br,cr"}
+        assert event.tokens == {"at,br", "ar,br"}
         assert repr(event) == "EventSpec(label='ok', context='AB', requirements={'B': 'r'})"
         unresolved = EventSpec("ok", "AB", {"B": "r"})
         object.__setattr__(unresolved, "tokens", frozenset())
         assert event == unresolved
         with pytest.raises(TypeError):
             EventSpec("ok", "AB", {"B": "r"}, frozenset())
+
+    def test_events_hash_by_label_and_context(self):
+        assert len(set(standard_events(PENTAGON) + standard_events(PENTAGON))) == 5
+        event = EventSpec("ok", "AB", {"B": "r"})
+        assert hash(event) == hash(EventSpec("ok", "AB", {"B": "r"}))
+        assert {event: 1}[EventSpec("ok", "AB", {"B": "r"})] == 1
+
+    def test_only_the_events_own_context_tokens_count(self):
+        # an unvalidated table listing another context's token under AB
+        event = EventSpec("ok", "AB", {"B": "r"})
+        table = OutcomeTable(0.3, 1.0, {"AB": {"at,br": 0.25, "br": 0.5, "br,ct": 0.125}})
+        assert event_probability(table, event) == 0.25
 
 
 class TestDeriveExclusivity:
@@ -379,6 +388,9 @@ class TestSweepEta:
             sweep_eta(PENTAGON, BALANCED, etas=[0.5, 0.2])
         with pytest.raises(ValueError):
             sweep_eta(PENTAGON, BALANCED, etas=[0.5])
+        for not_iterable in (5, object()):
+            with pytest.raises(ValueError, match="eta grid must be iterable"):
+                sweep_eta(PENTAGON, BALANCED, not_iterable)
         with pytest.raises(ValueError):
             sweep_eta(PENTAGON, BALANCED, steps=1)
         for eta in (-0.1, math.nan):
@@ -442,9 +454,11 @@ class TestCompiledEvents:
     def test_event_probability_on_shuffled_parsed_tables(self):
         rng = random.Random(23)
         # the standard events plus every requirement set some outcome of a context meets
+        keys = {(ctx, frozenset(subset)) for ctx, outcomes in OUTCOMES.items()
+                for labels in outcomes.values()
+                for k in range(1, len(labels) + 1) for subset in combinations(labels.items(), k)}
         events = standard_events(PENTAGON) + standard_events(TRIANGLE) + [
-            EventSpec("any", ctx, dict(key)) for ctx in OUTCOMES for key in MATCHING_TOKENS
-            if key and not MATCHING_TOKENS[key].isdisjoint(OUTCOMES[ctx])]
+            EventSpec("any", ctx, dict(key)) for ctx, key in keys]
         reordered = 0
         for theta in self.THETAS:
             for eta in (0.0, 0.37, 1.0):

@@ -8,7 +8,6 @@ from bosonctx.experiment import (
     ALL_CONTEXTS,
     COINCIDENCE,
     FIBERS,
-    MATCHING_TOKENS,
     OUTCOMES,
     PAIR_CONTEXTS,
     REFLECTED,
@@ -16,18 +15,18 @@ from bosonctx.experiment import (
     OutcomeTable,
     check_indistinguishability,
     check_no_disturbance,
+    check_requirements,
     full_table,
     make_outcome,
     marginal_probability,
     matching_mass,
-    matching_tokens,
-    outcome_assigns,
-    outcome_matches,
     parse_table,
     run_context,
     validate_context,
 )
 from bosonctx.optics import BALANCED, BeamsplitterSpec, DistinguishabilityParam
+
+from oracles import token_labels
 
 THETA_GRID = np.linspace(0.0, math.pi / 2, 20)
 ETA_GRID = np.linspace(0.0, 1.0, 20)
@@ -48,12 +47,12 @@ class TestTokens:
         assert make_outcome({"C": "r"}) == "cr"
 
     def test_parse_round_trip(self):
-        assert outcome_assigns("ar,bt") == {"A": "r", "B": "t"}
-        assert outcome_assigns("coinc") == {}
+        assert OUTCOMES["AB"]["ar,bt"] == {"A": "r", "B": "t"}
+        assert OUTCOMES["AB"][COINCIDENCE] == {}
         for outcomes in OUTCOMES.values():
-            for token in outcomes:
+            for token, labels in outcomes.items():
                 if token != COINCIDENCE:
-                    assert make_outcome(outcome_assigns(token)) == token
+                    assert make_outcome(labels) == token
 
     def test_catalogue_has_the_nineteen_outcomes(self):
         assert list(OUTCOMES) == list(ALL_CONTEXTS)
@@ -64,50 +63,60 @@ class TestTokens:
         assert len(tokens) == 19
         for ctx, outcomes in OUTCOMES.items():
             for token, labels in outcomes.items():
-                assert labels == outcome_assigns(token)
+                assert labels == token_labels(token)
                 assert set(labels) == (set() if token == COINCIDENCE else set(ctx))
 
     def test_labels_are_read_only(self):
         with pytest.raises(TypeError):
-            outcome_assigns("at")["A"] = "r"
+            OUTCOMES["A"]["at"]["A"] = "r"
         with pytest.raises(TypeError):
             OUTCOMES["AB"]["at,br"] = {}
 
     def test_malformed_tokens_rejected(self):
         for bad in ("~ab", "a", "ta", "ax", "at,at", "dt",
                     "At", "bt,ar", "at ", "ar,bt,ct"):
-            with pytest.raises(ValueError):
-                outcome_assigns(bad)
+            for ctx in ALL_CONTEXTS:
+                with pytest.raises(ValueError):
+                    OutcomeTable.from_records(0.3, 0.37, [
+                        {"context": ctx, "outcome": bad, "probability": 0.0}])
 
     def test_coincidence_matches_no_requirement(self):
-        assert not outcome_matches(COINCIDENCE, {"A": "t"})
-        assert not outcome_matches(COINCIDENCE, {"A": "t", "B": "t"})
-        assert not outcome_matches(COINCIDENCE, {"A": None})
+        for ctx in PAIR_CONTEXTS:
+            for requirements in ({ctx[0]: "t"}, {ctx[0]: "t", ctx[1]: "t"}):
+                assert COINCIDENCE not in check_requirements(ctx, requirements)
+        with pytest.raises(ValueError):
+            check_requirements("AB", {"A": None})
 
     def test_matching_is_exact_on_required_fibers(self):
-        assert outcome_matches("ar,bt", {"A": "r", "B": "t"})
-        assert outcome_matches("ar,bt", {"A": "r"})
-        assert not outcome_matches("ar,bt", {"A": "t"})
+        assert check_requirements("AB", {"A": "r", "B": "t"}) == {"ar,bt"}
+        assert check_requirements("AB", {"A": "r"}) == {"ar,bt", "ar,br"}
+        assert "ar,bt" not in check_requirements("AB", {"A": "t"})
 
-    def test_requirement_catalogue(self):
-        # the empty set, 6 one-fiber sets and 4 two-fiber sets per pair context
-        assert len(MATCHING_TOKENS) == 1 + 6 + 12
-        assert MATCHING_TOKENS[frozenset()] == {t for o in OUTCOMES.values() for t in o}
-        assert matching_tokens({"A": "t"}) == {"at", "at,br", "at,bt", "at,cr", "at,ct"}
-        assert matching_tokens({"B": "t", "A": "r"}) == {"ar,bt"}
-        for unmet in ({"A": "x"}, {"D": "t"}, {"A": "t", "B": "t", "C": "t"}, {"A": ["t"]}):
-            assert matching_tokens(unmet) == frozenset()
-        with pytest.raises(TypeError):
-            MATCHING_TOKENS[frozenset()] = frozenset()
+    def test_requirements_resolve_within_their_context(self):
+        assert check_requirements("A", {"A": "t"}) == {"at"}
+        assert check_requirements("AB", {"A": "t"}) == {"at,br", "at,bt"}
+        assert check_requirements("AC", {"A": "t"}) == {"at,cr", "at,ct"}
+        assert check_requirements("AB", {"B": "t", "A": "r"}) == {"ar,bt"}
+        for ctx in ALL_CONTEXTS:
+            # each outcome's full label set meets that outcome alone
+            for token, labels in OUTCOMES[ctx].items():
+                if labels:
+                    assert check_requirements(ctx, labels) == {token}
+            for unmet in ({}, {"A": "x"}, {"D": "t"}, {"A": "t", "B": "t", "C": "t"},
+                          {"A": ["t"]}):
+                with pytest.raises(ValueError, match="has no outcome meeting"):
+                    check_requirements(ctx, unmet)
+        with pytest.raises(ValueError, match="unknown context"):
+            check_requirements("BA", {"A": "t"})
 
     def test_matching_mass_sums_in_the_distribution_order(self):
         # three terms, so the order shows in the last bit: 0.1 + 0.2 + 0.3 != 0.3 + 0.2 + 0.1
-        every = matching_tokens({})
+        every = frozenset(OUTCOMES["AB"])
         dist = {"at,bt": 0.1, "ar,bt": 0.2, "at,br": 0.3}
         reordered = {"at,br": 0.3, "ar,bt": 0.2, "at,bt": 0.1}
         assert matching_mass(dist, every) == 0.1 + 0.2 + 0.3 != matching_mass(reordered, every)
         assert matching_mass(reordered, every) == 0.3 + 0.2 + 0.1
-        assert matching_mass(dist, matching_tokens({"B": "t"})) == 0.1 + 0.2
+        assert matching_mass(dist, check_requirements("AB", {"B": "t"})) == 0.1 + 0.2
         assert matching_mass(dist, frozenset()) == 0
 
     def test_context_validation(self):
@@ -233,6 +242,16 @@ class TestFullTable:
         assert check_no_disturbance(nudged, tol=1e-3).identities
         with pytest.raises(ValueError, match="is outside"):
             check_no_disturbance(nudged, tol=1e-9)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_tolerance_must_be_finite_and_positive(self, tol):
+        # a valid table, so no probability may take the blame for the tolerance
+        table = full_table(BeamsplitterSpec(0.3), DistinguishabilityParam(0.37))
+        for check in (table.validate_structure, table.validate,
+                      lambda tol: check_no_disturbance(table, tol),
+                      lambda tol: check_indistinguishability(table, tol)):
+            with pytest.raises(ValueError, match="^tolerance must be finite and positive"):
+                check(tol)
 
 
 class TestSerialization:

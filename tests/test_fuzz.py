@@ -1,13 +1,14 @@
 """Property tests of the two outside inputs, table files and argv, and of the
-requirement catalogue against the predicate it is built from.
+requirement matcher against labels read off the token text.
 
 ``parse_table`` may refuse a text only with ``ValueError`` and reads the
 header of a JSON and a CSV table alike, ``main`` must end with exit code 0, 1
 or 2 whatever its arguments, and a table that ``verify`` passes also passes
 ``OutcomeTable.validate``.  The argv grammar keeps ``--steps`` at most 200 and
-``cycle:N`` at most 30, so no case does much work.  ``matching_tokens`` picks
-exactly the tokens ``outcome_matches`` accepts, and ``check_requirements``
-refuses exactly the requirement sets no outcome of the context meets.
+``cycle:N`` at most 30, so no case does much work.  ``check_requirements``
+picks exactly the context's tokens whose spelled labels meet the requirements
+(``oracles.token_meets``), and refuses exactly the empty set and the sets no
+outcome of the context meets.
 """
 
 from __future__ import annotations
@@ -30,11 +31,11 @@ from bosonctx.experiment import (
     check_requirements,
     full_table,
     load_table,
-    matching_tokens,
-    outcome_matches,
     parse_table,
 )
 from bosonctx.optics import BeamsplitterSpec, DistinguishabilityParam
+
+from oracles import token_meets
 
 SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
@@ -238,7 +239,6 @@ REQUIREMENTS = st.dictionaries(
     st.sampled_from(["t", "r", None, "T", "x", "", 1]) | st.lists(st.sampled_from("tr"),
                                                                    max_size=2),
     max_size=4)
-TOKENS = [token for outcomes in OUTCOMES.values() for token in outcomes]
 
 
 @SETTINGS
@@ -247,12 +247,11 @@ TOKENS = [token for outcomes in OUTCOMES.values() for token in outcomes]
 @example("AB", {})
 @example("AB", {"A": "t", "B": "t"})
 @example("A", {"A": "t", "B": "t"})
-def test_catalogue_agrees_with_the_predicate(ctx, requirements):
-    meeting = frozenset(t for t in TOKENS if outcome_matches(t, requirements))
-    assert matching_tokens(requirements) == meeting
+def test_check_requirements_agrees_with_the_token_text(ctx, requirements):
+    meeting = frozenset(t for t in OUTCOMES[ctx] if token_meets(t, requirements))
     try:
         tokens = check_requirements(ctx, requirements)
     except ValueError:
         tokens = None
-    assert (tokens is None) == (not requirements or meeting.isdisjoint(OUTCOMES[ctx]))
+    assert (tokens is None) == (not requirements or not meeting)
     assert tokens in (None, meeting)
