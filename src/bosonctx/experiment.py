@@ -22,8 +22,9 @@ matcher); an event mass (:func:`matching_mass`) is then one membership test
 per table entry.
 
 JSON and CSV share one header rule (schema 1 if given; theta and eta given).
-:meth:`OutcomeTable.validate_structure` (a finite positive tolerance, contexts,
-tokens, each probability's range, then the header) gates both checkers;
+:meth:`OutcomeTable.validate_structure` (a finite positive tolerance read as a
+table number, contexts, tokens, each probability's range, then the header)
+gates both checkers;
 :meth:`OutcomeTable.validate` adds normalization.  An outcome a table leaves out counts as probability 0.
 """
 
@@ -35,7 +36,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .optics import (
     BeamsplitterSpec,
@@ -154,10 +155,13 @@ class OutcomeTable:
             raise ValueError(f"table has no context {ctx!r}")
         return self.contexts[ctx]
 
-    def validate_structure(self, tol: float = DEFAULT_TOLERANCE) -> None:
-        """Every check but normalization: ``tol`` finite and positive, the six
-        contexts, their outcome tokens, each probability within [0, 1] up to
-        ``tol`` (not NaN), then theta and eta through their parameter types."""
+    def validate_structure(self, tol: float = DEFAULT_TOLERANCE) -> float:
+        """Every check but normalization: ``tol`` a table number (see
+        :func:`_number`) that is finite and positive, the six contexts, their
+        outcome tokens, each probability within [0, 1] up to ``tol`` (not
+        NaN), then theta and eta through their parameter types.  Returns
+        ``tol`` as a float."""
+        tol = _number(tol, "tolerance")
         if not 0 < tol < float("inf"):
             raise ValueError(f"tolerance must be finite and positive, got {tol!r}")
         if self.contexts.keys() != set(ALL_CONTEXTS):
@@ -171,6 +175,7 @@ class OutcomeTable:
                         f"probability {p!r} of {token!r} in {ctx!r} is outside [0, 1]")
         BeamsplitterSpec(self.theta)
         DistinguishabilityParam(self.eta)
+        return tol
 
     def normalization_deviation(self) -> tuple[float, str]:
         """The largest ``abs(sum - 1)`` over the contexts, and its context."""
@@ -178,7 +183,7 @@ class OutcomeTable:
 
     def validate(self, tol: float = DEFAULT_TOLERANCE) -> None:
         """:meth:`validate_structure` plus per-context normalization."""
-        self.validate_structure(tol)
+        tol = self.validate_structure(tol)
         deviation, ctx = self.normalization_deviation()
         if deviation > tol:
             raise ValueError(f"context {ctx!r} probabilities miss a sum of 1 by {deviation!r}")
@@ -300,7 +305,9 @@ def write_csv(meta: Mapping[str, object], header: Sequence[str],
 
 
 def parse_table(text: str) -> OutcomeTable:
-    """Parse a serialized table, sniffing JSON vs CSV."""
+    """Parse a serialized table, sniffing JSON vs CSV; ``text`` must be a ``str``."""
+    if not isinstance(text, str):
+        raise ValueError(f"table text must be a str, got {type(text).__name__}")
     stripped = text.lstrip()
     if not stripped:
         raise ValueError("empty table file")
@@ -387,12 +394,8 @@ class CheckReport:
         }
 
 
-def _fibers_and_pairs(table: OutcomeTable, tol: float) -> Iterator[tuple[str, str, str]]:
-    """Validate ``table``'s structure, then yield each fiber and its two pair contexts."""
-    table.validate_structure(tol)
-    for fiber in FIBERS:
-        c1, c2 = (c for c in PAIR_CONTEXTS if fiber in c)
-        yield fiber, c1, c2
+# each fiber and its two pair contexts
+_FIBER_PAIRS = tuple((fiber, *(c for c in PAIR_CONTEXTS if fiber in c)) for fiber in FIBERS)
 
 
 def check_no_disturbance(table: OutcomeTable,
@@ -409,8 +412,9 @@ def check_no_disturbance(table: OutcomeTable,
     that fails :meth:`OutcomeTable.validate_structure` raises ``ValueError``.
     An outcome missing from the table counts as probability 0.
     """
+    tol = table.validate_structure(tol)
     identities: list[IdentityResult] = []
-    for fiber, c1, c2 in _fibers_and_pairs(table, tol):
+    for fiber, c1, c2 in _FIBER_PAIRS:
         for value in (TRANSMITTED, REFLECTED):
             marginals = {c: marginal_probability(table, c, fiber, value) for c in (c1, c2)}
             identities.append(IdentityResult(f"marginal {fiber}={value}: {c1} vs {c2}",
@@ -433,8 +437,9 @@ def check_indistinguishability(table: OutcomeTable,
     the fiber takes part in.  A table that fails
     :meth:`OutcomeTable.validate_structure` raises ``ValueError``.
     """
+    tol = table.validate_structure(tol)
     identities: list[IdentityResult] = []
-    for fiber, c1, c2 in _fibers_and_pairs(table, tol):
+    for fiber, c1, c2 in _FIBER_PAIRS:
         partner1 = c1.replace(fiber, "")
         partner2 = c2.replace(fiber, "")
         for own in (TRANSMITTED, REFLECTED):

@@ -253,6 +253,25 @@ class TestFullTable:
             with pytest.raises(ValueError, match="^tolerance must be finite and positive"):
                 check(tol)
 
+    @pytest.mark.parametrize("tol", ["x", None, True, 1j, [0.5], b"x",
+                                     pytest.param(10**400, id="10**400")])
+    def test_tolerance_is_read_as_a_table_number(self, tol):
+        table = full_table(BeamsplitterSpec(0.3), DistinguishabilityParam(0.37))
+        for check in (table.validate_structure, table.validate,
+                      lambda tol: check_no_disturbance(table, tol),
+                      lambda tol: check_indistinguishability(table, tol)):
+            with pytest.raises(ValueError, match="^tolerance must be a number that fits"):
+                check(tol)
+
+    def test_numeric_tolerance_text_is_read_like_a_table_number(self):
+        table = full_table(BeamsplitterSpec(0.3), DistinguishabilityParam(0.37))
+        assert table.validate_structure("1e-3") == 1e-3
+        table.validate("1e-3")
+        for check in (check_no_disturbance, check_indistinguishability):
+            report = check(table, "1e-3")
+            assert report.tolerance == 1e-3 and type(report.tolerance) is float
+            assert report == check(table, 1e-3)
+
 
 class TestSerialization:
     def test_json_round_trip_is_exact(self):
@@ -321,6 +340,11 @@ class TestSerialization:
                             (as_json.replace('"eta"', '"beta"'), "needs theta and eta")):
             with pytest.raises(ValueError, match=match):
                 parse_table(text)
+
+    @pytest.mark.parametrize("text", [None, b"{}", bytearray(b"{}"), 1j, [0.5], 3])
+    def test_only_text_is_parsed(self, text):
+        with pytest.raises(ValueError, match="^table text must be a str, got "):
+            parse_table(text)
 
     def test_duplicate_records_rejected(self):
         table = full_table(BALANCED, IDEAL)

@@ -1,5 +1,6 @@
-"""Property tests of the two outside inputs, table files and argv, and of the
-requirement matcher against labels read off the token text.
+"""Property tests of the two outside inputs, table files and argv, of the
+requirement matcher against labels read off the token text, and of the
+library's parameter types fed junk.
 
 ``parse_table`` may refuse a text only with ``ValueError`` and reads the
 header of a JSON and a CSV table alike, ``main`` must end with exit code 0, 1
@@ -8,7 +9,10 @@ or 2 whatever its arguments, and a table that ``verify`` passes also passes
 ``cycle:N`` at most 30, so no case does much work.  ``check_requirements``
 picks exactly the context's tokens whose spelled labels meet the requirements
 (``oracles.token_meets``), and refuses exactly the empty set and the sets no
-outcome of the context meets.
+outcome of the context meets.  ``BeamsplitterSpec``, ``DistinguishabilityParam``,
+``OutcomeTable.validate(tol)`` and ``parse_table`` given any value either
+refuse it with ``ValueError`` or accept it; an accepted parameter is stored
+as given.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+from decimal import Decimal
 
 import pytest
 
@@ -255,3 +260,47 @@ def test_check_requirements_agrees_with_the_token_text(ctx, requirements):
         tokens = None
     assert (tokens is None) == (not requirements or not meeting)
     assert tokens in (None, meeting)
+
+
+# Anything a caller might pass where a number or a table text belongs
+JUNK = (st.none() | st.booleans() | st.integers() | st.floats() | st.complex_numbers()
+        | st.fractions() | st.decimals() | st.text(max_size=8) | st.binary(max_size=8)
+        | st.lists(st.floats(), max_size=2))
+
+
+def _junk_examples(test):
+    for value in (None, "x", 1j, [0.5], b"{}", Decimal("NaN"), Decimal("sNaN"), 10**400):
+        test = example(value)(test)
+    return test
+
+
+@SETTINGS
+@given(JUNK)
+@_junk_examples
+def test_parameter_types_refuse_with_value_error_or_store_as_given(value):
+    for make, field in ((BeamsplitterSpec, "theta"), (DistinguishabilityParam, "eta")):
+        try:
+            made = make(value)
+        except ValueError:
+            continue
+        assert getattr(made, field) is value
+
+
+@SETTINGS
+@given(JUNK)
+@_junk_examples
+def test_validate_tolerance_raises_only_value_error(tol):
+    try:
+        TABLE.validate(tol)
+    except ValueError:
+        pass
+
+
+@SETTINGS
+@given(JUNK)
+@_junk_examples
+def test_parse_table_of_any_value_raises_only_value_error(value):
+    try:
+        parse_table(value)
+    except ValueError:
+        pass

@@ -1,8 +1,16 @@
 import dataclasses
 import math
+import operator
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bosonctx import optics
 from bosonctx.fock import basis_state, fock_basis, make_fock, pure_state
@@ -362,3 +370,98 @@ class TestPairOutcomeDistribution:
         dist = pair_outcome_distribution(BeamsplitterSpec(0.9), DistinguishabilityParam(1.0))
         assert dist.p_bunch_port1 == dist.p_bunch_port2
         assert dist.p_bunch_port1 == pytest.approx(abs(amp1) ** 2, abs=1e-12)
+
+
+def _inline_gray_steps(n: int) -> list[tuple[int, object, bool]]:
+    """The walk as the permanent computed it inline: ``k ^ (k >> 1)``, the
+    changed bit, the add/sub test and the parity of the new subset."""
+    steps, gray = [], 0
+    for k in range(1, 1 << n):
+        new_gray = k ^ (k >> 1)
+        changed = new_gray ^ gray
+        steps.append((changed.bit_length() - 1,
+                      operator.add if new_gray & changed else operator.sub,
+                      bool(new_gray.bit_count() & 1)))
+        gray = new_gray
+    return steps
+
+
+def _hex(z: complex) -> tuple[str, str]:
+    return z.real.hex(), z.imag.hex()
+
+
+@st.composite
+def scattering_submatrices(draw) -> list[list]:
+    """A matrix of at most 6 x 6 built like ``scattering_amplitude`` builds
+    its submatrix: the columns of an input occupation and the rows of an
+    output occupation of one drawn mode matrix, each repeated by its count.
+    Entries are all complex or all int."""
+    modes = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        part = st.floats(-2.0, 2.0, allow_subnormal=False)
+        entry = st.builds(complex, part, part)
+    else:
+        entry = st.integers(-3, 3)
+    u = draw(st.lists(st.lists(entry, min_size=modes, max_size=modes),
+                      min_size=modes, max_size=modes))
+    total = draw(st.integers(1, 6))
+    # each photon's mode, sorted: mode i repeated as often as it is occupied
+    photons = st.lists(st.integers(0, modes - 1), min_size=total, max_size=total).map(sorted)
+    cols = draw(photons)
+    return [[u[i][c] for c in cols] for i in draw(photons)]
+
+
+class TestGraySchedule:
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_schedule_is_the_inline_recurrence_from_shared_steps(self, n):
+        schedule = optics._gray_schedule(n)
+        assert type(schedule) is tuple
+        assert list(schedule) == _inline_gray_steps(n)
+        assert len({id(step) for step in schedule}) <= 4 * n
+        assert optics._gray_schedule(n) is schedule
+
+    def test_sizes_in_mixed_order_stay_bit_identical(self):
+        rng = np.random.default_rng(29)
+        for n in (6, 3, 6, 1, 10, 6):
+            m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            got = permanent(m)
+            assert type(got) is complex
+            assert _hex(got) == _hex(numpy_ryser_permanent(m))
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(scattering_submatrices())
+    def test_drawn_submatrices_match_both_oracles(self, m):
+        got = permanent(m)
+        assert _hex(got) == _hex(numpy_ryser_permanent(m))
+        # relative to the largest term the walk can form, which bounds its rounding
+        scale = math.prod(sum(abs(x) for x in row) for row in m)
+        assert abs(got - naive_permanent(m)) <= 1e-9 * scale
+
+    def test_import_builds_no_schedule(self):
+        root = Path(__file__).resolve().parent.parent
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"),
+                                                          env.get("PYTHONPATH")]))
+        code = ("import bosonctx\n"
+                "from bosonctx import optics\n"
+                "print(optics._gray_schedule.cache_info().currsize)")
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                env=env, timeout=60, check=True)
+        assert result.stdout == "0\n"
+
+
+class TestParameterInputs:
+    @pytest.mark.parametrize("bad", ["x", None, 1j, [0.5], b"0.5", "0.5",
+                                     pytest.param(10**400, id="10**400")])
+    def test_non_numbers_are_value_errors(self, bad):
+        with pytest.raises(ValueError, match="^theta must be finite"):
+            BeamsplitterSpec(bad)
+        with pytest.raises(ValueError, match=r"^eta must lie in \[0, 1\]"):
+            DistinguishabilityParam(bad)
+
+    @pytest.mark.parametrize("good", [0, 1, 0.5, True, Fraction(1, 3), np.float64(0.25)])
+    def test_accepted_values_are_stored_as_given(self, good):
+        for spec, field in ((BeamsplitterSpec(good), "theta"),
+                            (DistinguishabilityParam(good), "eta")):
+            stored = getattr(spec, field)
+            assert stored is good
