@@ -19,13 +19,12 @@ from .experiment import (
     REFLECTED,
     TRANSMITTED,
     OutcomeTable,
-    _number,
     check_requirements,
     full_table,
     make_outcome,
     matching_mass,
 )
-from .fock import is_whole
+from .fock import real_number, whole_number
 from .optics import BeamsplitterSpec, DistinguishabilityParam
 
 PENTAGON = "pentagon"
@@ -51,7 +50,10 @@ class EventSpec:
     tokens: frozenset[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        reqs = dict(self.requirements)
+        try:
+            reqs = dict(self.requirements)
+        except TypeError:
+            raise ValueError(f"requirements {self.requirements!r:.40} are not a mapping") from None
         object.__setattr__(self, "tokens", check_requirements(self.context, reqs))
         object.__setattr__(self, "requirements", reqs)
 
@@ -92,14 +94,17 @@ class ExclusivityGraph:
     edges: frozenset[tuple[str, str]]
 
     def __post_init__(self) -> None:
-        known = set(self.vertices)
-        if len(known) != len(self.vertices):
-            raise ValueError(f"vertex labels must be distinct, got {list(self.vertices)}")
-        for u, v in self.edges:
-            if u == v:
-                raise ValueError(f"self-loop on {u!r}")
-            if u not in known or v not in known:
-                raise ValueError(f"edge ({u!r}, {v!r}) uses unknown vertices")
+        try:
+            known = set(self.vertices)
+            if len(known) != len(self.vertices):
+                raise ValueError(f"vertex labels must be distinct, got {list(self.vertices)}")
+            for u, v in self.edges:
+                if u == v:
+                    raise ValueError(f"self-loop on {u!r}")
+                if u not in known or v not in known:
+                    raise ValueError(f"edge ({u!r}, {v!r}) uses unknown vertices")
+        except TypeError:
+            raise ValueError("graph needs hashable vertices and pairs of them as edges") from None
 
 
 def _edge(u: str, v: str) -> tuple[str, str]:
@@ -108,9 +113,7 @@ def _edge(u: str, v: str) -> tuple[str, str]:
 
 def cycle_graph(n: int) -> ExclusivityGraph:
     """The n-cycle on vertices v0..v{n-1}."""
-    if not is_whole(n) or n < 3:
-        raise ValueError(f"cycle needs an integer n >= 3, got {n!r}")
-    n = int(n)
+    n = whole_number(n, "cycle length", 3)
     names = tuple(f"v{i}" for i in range(n))
     edges = frozenset(_edge(names[i], names[(i + 1) % n]) for i in range(n))
     return ExclusivityGraph(names, edges)
@@ -215,8 +218,9 @@ def lovasz_theta_odd_cycle(n: int) -> float:
     This is the projective quantum ceiling for a cyclic exclusivity
     structure; for n = 5 it equals sqrt(5).
     """
-    if not is_whole(n) or n < 3 or n % 2 == 0:
-        raise ValueError(f"closed form requires an odd integer n >= 3, got {n!r}")
+    n = whole_number(n, "cycle length", 3)
+    if n % 2 == 0:
+        raise ValueError(f"closed form requires an odd cycle length, got {n}")
     c = math.cos(math.pi / n)
     return n * c / (1.0 + c)
 
@@ -290,21 +294,19 @@ def sweep_eta(test: str, bs: BeamsplitterSpec,
     where it crosses the noncontextual bound (and, for the pentagon, the
     projective quantum bound) found by linear interpolation.  A grid over
     :data:`MAX_SWEEP_POINTS` points is refused before it is built; explicit
-    points are read like table numbers (``experiment._number``)."""
+    points are read by :func:`~bosonctx.fock.real_number`."""
     events = standard_events(test)
     if etas is None:
-        if not is_whole(steps) or steps < 2:
-            raise ValueError(f"need a whole number of at least 2 grid points, got {steps!r}")
+        steps = whole_number(steps, "steps", 2)
         if steps > MAX_SWEEP_POINTS:
             raise ValueError(f"sweep limited to {MAX_SWEEP_POINTS} grid points, got {steps!r}")
-        steps = int(steps)
         grid = [i / (steps - 1) for i in range(steps)]
     else:
         try:
             points = islice(etas, MAX_SWEEP_POINTS + 1)
         except TypeError:
             raise ValueError(f"eta grid must be iterable, got {etas!r:.40}") from None
-        grid = [_number(e, "eta") for e in points]
+        grid = [real_number(e, "eta") for e in points]
         if len(grid) > MAX_SWEEP_POINTS:
             raise ValueError(f"sweep limited to {MAX_SWEEP_POINTS} grid points")
         if len(grid) < 2:

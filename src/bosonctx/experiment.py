@@ -22,9 +22,9 @@ matcher); an event mass (:func:`matching_mass`) is then one membership test
 per table entry.
 
 JSON and CSV share one header rule (schema 1 if given; theta and eta given).
-:meth:`OutcomeTable.validate_structure` (a finite positive tolerance read as a
-table number, contexts, tokens, each probability's range, then the header)
-gates both checkers;
+Table numbers and the tolerance are read by :func:`~bosonctx.fock.real_number`.
+:meth:`OutcomeTable.validate_structure` (a finite positive tolerance,
+contexts, tokens, each probability's range, then the header) gates both checkers;
 :meth:`OutcomeTable.validate` adds normalization.  An outcome a table leaves out counts as probability 0.
 """
 
@@ -38,6 +38,7 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
+from .fock import real_number
 from .optics import (
     BeamsplitterSpec,
     DistinguishabilityParam,
@@ -156,12 +157,11 @@ class OutcomeTable:
         return self.contexts[ctx]
 
     def validate_structure(self, tol: float = DEFAULT_TOLERANCE) -> float:
-        """Every check but normalization: ``tol`` a table number (see
-        :func:`_number`) that is finite and positive, the six contexts, their
-        outcome tokens, each probability within [0, 1] up to ``tol`` (not
-        NaN), then theta and eta through their parameter types.  Returns
-        ``tol`` as a float."""
-        tol = _number(tol, "tolerance")
+        """Every check but normalization: ``tol`` a table number that is finite
+        and positive, the six contexts, their outcome tokens, each probability
+        within [0, 1] up to ``tol`` (not NaN), then theta and eta through their
+        parameter types.  Returns ``tol`` as a float."""
+        tol = real_number(tol, "tolerance")
         if not 0 < tol < float("inf"):
             raise ValueError(f"tolerance must be finite and positive, got {tol!r}")
         if self.contexts.keys() != set(ALL_CONTEXTS):
@@ -191,13 +191,8 @@ class OutcomeTable:
     # -- serialization ----------------------------------------------------
 
     def to_records(self) -> list[dict]:
-        records = []
-        for ctx in ALL_CONTEXTS:
-            if ctx not in self.contexts:
-                continue
-            for token, p in self.contexts[ctx].items():
-                records.append({"context": ctx, "outcome": token, "probability": p})
-        return records
+        return [{"context": ctx, "outcome": token, "probability": p}
+                for ctx in ALL_CONTEXTS for token, p in self.contexts.get(ctx, {}).items()]
 
     def to_json(self) -> str:
         return dump_json({
@@ -215,14 +210,13 @@ class OutcomeTable:
 
     @classmethod
     def from_records(cls, theta, eta, records: list[Mapping]) -> "OutcomeTable":
-        """Build a table from parsed values.  Theta, eta and every probability
-        must be numbers that fit a float; a boolean is not a number here."""
+        """Build a table from parsed values, each number read by ``real_number``."""
         contexts: dict[str, dict[str, float]] = {}
         for rec in records:
             try:
                 ctx = validate_context(str(rec["context"]))
                 token = str(rec["outcome"])
-                p = _number(rec["probability"], "probability")
+                p = real_number(rec["probability"], "probability")
             except (KeyError, TypeError) as exc:
                 raise ValueError(f"bad table record {rec!r}") from exc
             _validate_outcome_for_context(token, ctx)
@@ -230,12 +224,12 @@ class OutcomeTable:
             if token in dist:
                 raise ValueError(f"duplicate record for {ctx!r}/{token!r}")
             dist[token] = p
-        return cls(_number(theta, "theta"), _number(eta, "eta"), contexts)
+        return cls(real_number(theta, "theta"), real_number(eta, "eta"), contexts)
 
     @classmethod
     def _from_header(cls, header: Mapping, records: list[Mapping]) -> "OutcomeTable":
         """Both formats' header rule: ``schema`` is 1 if given, theta and eta are given."""
-        if _number(header.get("schema", SCHEMA_VERSION), "schema") != SCHEMA_VERSION:
+        if real_number(header.get("schema", SCHEMA_VERSION), "schema") != SCHEMA_VERSION:
             raise ValueError(f"unsupported schema {header['schema']!r}")
         if "theta" not in header or "eta" not in header:
             raise ValueError("table header needs theta and eta")
@@ -268,20 +262,6 @@ class OutcomeTable:
             raise ValueError(
                 f"CSV header must be context,outcome,probability, got {reader.fieldnames}")
         return cls._from_header(meta, list(reader))
-
-
-def _number(value, name: str) -> float:
-    """A table number as a float.
-
-    JSON booleans are refused although ``float(True)`` works, and so is an
-    integer too large for a float; both raise ``ValueError`` like bad text.
-    """
-    if not isinstance(value, bool):
-        try:
-            return float(value)
-        except (OverflowError, TypeError, ValueError):
-            pass
-    raise ValueError(f"{name} must be a number that fits a float, got {value!r:.40}")
 
 
 def dump_json(payload: Mapping) -> str:

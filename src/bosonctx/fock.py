@@ -1,12 +1,16 @@
-"""Multimode bosonic Fock states and sparse superpositions over them.
+"""Multimode bosonic Fock states, sparse superpositions, and the number rules.
 
 States are kept sparse (occupation vector -> complex amplitude) because every
 scenario in this package involves at most a few photons in a few modes.
 Terms with ``|amplitude| <= PRUNE`` are dropped when a state is built.
+Every number the package reads goes through :func:`real_number`,
+:func:`whole_number` or :func:`complex_number`, each of which returns a plain
+float, int or complex and refuses what it cannot read with ``ValueError``.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
@@ -32,28 +36,49 @@ class FockState:
         return "|" + ",".join(str(n) for n in self.occupations) + ">"
 
 
-def is_whole(n) -> bool:
-    """Whether ``n`` equals an integer; an infinity, NaN or non-number does not."""
+def real_number(value, name: str) -> float:
+    """``value`` as a float: a number, or text that spells one, that fits a float.
+    A boolean is refused although ``float(True)`` works."""
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (OverflowError, TypeError, ValueError):
+            pass
+    raise ValueError(f"{name} must be a number that fits a float, got {value!r:.40}")
+
+
+def whole_number(value, name: str, least: int) -> int:
+    """``value`` as an int, if it equals a whole number from ``least`` up that
+    fits a float; text, an infinity or NaN raises ``ValueError``."""
     try:
-        return n == int(n)
+        n = int(value)
+        if n == value and least <= n <= sys.float_info.max:
+            return n
     except (OverflowError, TypeError, ValueError):
-        return False
+        pass
+    raise ValueError(f"{name} must be a whole number from {least} up that fits a float, "
+                     f"got {value!r:.40}")
+
+
+def complex_number(value, name: str) -> complex:
+    """``value`` as a complex; text is refused even when it spells a number."""
+    if not isinstance(value, str):
+        try:
+            return complex(value)
+        except (OverflowError, TypeError, ValueError):
+            pass
+    raise ValueError(f"{name} must be a number, got {value!r:.40}")
 
 
 def make_fock(occupations: Iterable[int]) -> FockState:
-    """Validate an occupation vector and wrap it as a FockState.
-
-    Entries must be non-negative integers and the vector must be non-empty.
-    """
-    occ = tuple(occupations)
+    """A non-empty iterable of whole numbers of at least 0 as a FockState."""
+    try:
+        occ = tuple(whole_number(n, "occupation number", 0) for n in occupations)
+    except TypeError:
+        raise ValueError(f"occupations must be iterable, got {occupations!r:.40}") from None
     if not occ:
         raise ValueError("occupation vector must be non-empty")
-    cleaned = []
-    for n in occ:
-        if not is_whole(n) or n < 0:
-            raise ValueError(f"occupation numbers must be non-negative integers, got {n!r}")
-        cleaned.append(int(n))
-    return FockState(tuple(cleaned))
+    return FockState(occ)
 
 
 def _as_fock(key) -> FockState:
@@ -85,6 +110,8 @@ def pure_state(terms: Mapping, *, modes: int | None = None) -> PureState:
     Keys may be FockStates or plain integer sequences.  Terms with
     |amplitude| <= ``PRUNE`` are dropped.  The result is not normalized.
     """
+    if not isinstance(terms, Mapping):
+        raise ValueError(f"terms must be a mapping, got {terms!r:.40}")
     clean: dict[FockState, complex] = {}
     for key, amp in terms.items():
         fock = _as_fock(key)
@@ -93,12 +120,12 @@ def pure_state(terms: Mapping, *, modes: int | None = None) -> PureState:
         elif fock.modes != modes:
             raise ValueError(
                 f"mode count mismatch: expected {modes}, got {fock.modes} for {fock}")
-        a = complex(amp)
+        a = complex_number(amp, "amplitude")
         if abs(a) > PRUNE:
             clean[fock] = a
     if modes is None:
         raise ValueError("cannot infer mode count from an empty state; pass modes=")
-    return PureState(clean, modes)
+    return PureState(clean, whole_number(modes, "modes", 1))
 
 
 def basis_state(occupations: Iterable[int]) -> PureState:
@@ -109,8 +136,8 @@ def basis_state(occupations: Iterable[int]) -> PureState:
 
 def fock_basis(total: int, modes: int) -> list[FockState]:
     """All occupation vectors with the given photon total, in lexicographic order."""
-    if total < 0 or modes < 1:
-        raise ValueError("need total >= 0 and modes >= 1")
+    total = whole_number(total, "total", 0)
+    modes = whole_number(modes, "modes", 1)
 
     def _fill(remaining: int, slots: int) -> Iterator[tuple[int, ...]]:
         if slots == 1:

@@ -24,7 +24,7 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .fock import FockState, PureState, fock_basis, pure_state
+from .fock import FockState, PureState, complex_number, fock_basis, pure_state, real_number
 
 
 @dataclass(frozen=True)
@@ -34,12 +34,10 @@ class BeamsplitterSpec:
     theta: float
 
     def __post_init__(self) -> None:
-        try:
-            finite = math.isfinite(self.theta)
-        except (TypeError, ArithmeticError):
-            finite = False
-        if not finite:
-            raise ValueError(f"theta must be finite, got {self.theta!r:.40}")
+        theta = real_number(self.theta, "theta")
+        if not math.isfinite(theta):
+            raise ValueError(f"theta must be finite, got {theta!r}")
+        object.__setattr__(self, "theta", theta)
 
     @cached_property
     def transmittance(self) -> float:
@@ -60,12 +58,10 @@ class DistinguishabilityParam:
     eta: float
 
     def __post_init__(self) -> None:
-        try:
-            in_range = 0.0 <= self.eta <= 1.0
-        except (TypeError, ArithmeticError):
-            in_range = False
-        if not in_range:
-            raise ValueError(f"eta must lie in [0, 1], got {self.eta!r:.40}")
+        eta = real_number(self.eta, "eta")
+        if not 0.0 <= eta <= 1.0:
+            raise ValueError(f"eta must lie in [0, 1], got {eta!r}")
+        object.__setattr__(self, "eta", eta)
 
 
 @dataclass(frozen=True)
@@ -111,20 +107,13 @@ class _Rows(tuple):
     """
 
 
-def _number(x) -> complex:
-    """``x`` as a Python complex; a string is refused even when it spells a number."""
-    if isinstance(x, str):
-        raise TypeError
-    return complex(x)
-
-
 def _square_rows(matrix, name: str) -> _Rows:
     """The rows of a non-empty square matrix of numbers; anything else is a ``ValueError``."""
     if type(matrix) is _Rows:
         return matrix
     try:
-        rows = _Rows(tuple(map(_number, row)) for row in matrix)
-    except (TypeError, ValueError, OverflowError):
+        rows = _Rows(tuple(complex_number(x, f"{name} entry") for x in row) for row in matrix)
+    except TypeError:
         raise ValueError(f"{name} must be a square matrix of numbers") from None
     if not rows or any(len(row) != len(rows) for row in rows):
         raise ValueError(f"{name} must be a non-empty square matrix, got {len(rows)} "

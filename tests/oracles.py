@@ -6,7 +6,9 @@ the same Ryser/Gray-code recurrence on numpy arrays), two-photon amplitudes come
 the transformed creation operators by hand, the packing LP is maximized
 over a refined probability grid, the independence number is found by
 enumerating every vertex subset, and the noncontextual bound by trying all
-eight deterministic transmit/reflect assignments.  Event mass is summed by
+eight deterministic transmit/reflect assignments.  The standard sums and
+their events' probabilities come from the closed forms in T = cos^2 theta
+and eta, and a sweep's crossing from the sum being linear in eta.  Event mass is summed by
 testing every token against labels read off its own text, instead of the
 library's ``OUTCOMES`` catalogue and ``check_requirements``; nothing here
 imports ``bosonctx``.  The state norm and the edge test are small helpers the
@@ -77,6 +79,32 @@ def single_photon_closed_form(theta: float) -> dict[tuple[int, int], complex]:
     """Amplitudes for a photon entering port 1: c on |1,0>, i s on |0,1>."""
     c, s = math.cos(theta), math.sin(theta)
     return {(1, 0): c + 0j, (0, 1): 1j * s}
+
+
+def standard_event_closed_forms(test: str, theta: float, eta: float) -> list[float]:
+    """Each standard event's probability, in ``standard_events`` order: the
+    pentagon's single-fiber event has T and every other event, one fiber
+    transmitted and its partner reflected, has (1+eta)T(1-T)."""
+    T = math.cos(theta) ** 2
+    bunch = (1 + eta) * T * (1 - T)
+    return [T] + [bunch] * 4 if test == "pentagon" else [bunch] * 3
+
+
+def standard_sum_closed_form(test: str, theta: float, eta: float) -> float:
+    """The pentagon sum T + 4(1+eta)T(1-T), or the triangle sum 3(1+eta)T(1-T)."""
+    T = math.cos(theta) ** 2
+    if test == "pentagon":
+        return T + 4 * (1 + eta) * T * (1 - T)
+    return 3 * (1 + eta) * T * (1 - T)
+
+
+def linear_crossing(s0: float, s1: float, bound: float) -> float | None:
+    """Where a sum linear in eta, s0 at eta = 0 and s1 at eta = 1, meets
+    ``bound``: (bound - s0)/(s1 - s0), or None outside [0, 1] or if flat."""
+    if s1 == s0:
+        return None
+    eta = (bound - s0) / (s1 - s0)
+    return eta if 0 <= eta <= 1 else None
 
 
 def token_labels(token: str) -> dict[str, str]:

@@ -9,10 +9,13 @@ or 2 whatever its arguments, and a table that ``verify`` passes also passes
 ``cycle:N`` at most 30, so no case does much work.  ``check_requirements``
 picks exactly the context's tokens whose spelled labels meet the requirements
 (``oracles.token_meets``), and refuses exactly the empty set and the sets no
-outcome of the context meets.  ``BeamsplitterSpec``, ``DistinguishabilityParam``,
-``OutcomeTable.validate(tol)`` and ``parse_table`` given any value either
-refuse it with ``ValueError`` or accept it; an accepted parameter is stored
-as given.
+outcome of the context meets.  The library's constructors and readers
+(``BeamsplitterSpec``, ``DistinguishabilityParam``, ``OutcomeTable.validate(tol)``,
+``parse_table``, ``EventSpec``, ``ExclusivityGraph``, ``make_fock``,
+``pure_state``, ``fock_basis``, ``cycle_graph`` and ``lovasz_theta_odd_cycle``)
+given any value either refuse it with ``ValueError`` or return a value; an
+accepted parameter is stored as a plain float, and a table simulated from any
+accepted theta and eta reads back equal from its JSON and its CSV.
 """
 
 from __future__ import annotations
@@ -20,8 +23,11 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import math
 from decimal import Decimal
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
@@ -30,6 +36,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bosonctx.cli import main
+from bosonctx.contextuality import (
+    EventSpec,
+    ExclusivityGraph,
+    cycle_graph,
+    lovasz_theta_odd_cycle,
+)
 from bosonctx.experiment import (
     ALL_CONTEXTS,
     OUTCOMES,
@@ -38,6 +50,7 @@ from bosonctx.experiment import (
     load_table,
     parse_table,
 )
+from bosonctx.fock import fock_basis, make_fock, pure_state
 from bosonctx.optics import BeamsplitterSpec, DistinguishabilityParam
 
 from oracles import token_meets
@@ -278,12 +291,48 @@ def _junk_examples(test):
 @given(JUNK)
 @_junk_examples
 def test_parameter_types_refuse_with_value_error_or_store_as_given(value):
+    """"As given" means as the number rule reads it: a plain float."""
     for make, field in ((BeamsplitterSpec, "theta"), (DistinguishabilityParam, "eta")):
         try:
             made = make(value)
         except ValueError:
             continue
-        assert getattr(made, field) is value
+        stored = getattr(made, field)
+        assert type(stored) is float and stored == float(value)
+
+
+def numbers(lo: float, hi: float):
+    """Numbers of every kind the parameter types read, from ``lo`` to ``hi``:
+    ints, floats, fractions, decimals, numeric text, numpy floats and 0-d arrays."""
+    floats = st.floats(lo, hi)
+    return (floats | st.integers(math.ceil(lo), math.floor(hi)) | st.fractions(lo, hi)
+            | st.decimals(lo, hi, allow_nan=False) | floats.map(repr)
+            | floats.map(np.float64) | floats.map(np.array))
+
+
+def _every_kind_examples(test):
+    for theta, eta in ((1, 0), (0.3, 1), (Fraction(1, 3), Fraction(1, 3)),
+                       (Decimal("0.7"), Decimal("0.5")), ("0.3", " 0.37 "),
+                       (np.float64(0.3), np.float64(0.37)), (np.array(0.3), np.array(0.37)),
+                       (b"0.3", b"1"), (1e300, 0.5)):
+        test = example(theta, eta)(test)
+    return test
+
+
+@SETTINGS
+@given(numbers(-10, 10), numbers(0, 1))
+@_every_kind_examples
+def test_a_simulated_table_reads_back_equal(theta, eta):
+    table = full_table(BeamsplitterSpec(theta), DistinguishabilityParam(eta))
+    assert parse_table(table.to_json()) == table
+    assert parse_table(table.to_csv()) == table
+
+
+@pytest.mark.parametrize("value", [True, np.array([0.5])], ids=["True", "array"])
+def test_a_boolean_or_an_array_is_no_parameter(value):
+    for make in (BeamsplitterSpec, DistinguishabilityParam):
+        with pytest.raises(ValueError, match="must be a number that fits a float"):
+            make(value)
 
 
 @SETTINGS
@@ -304,3 +353,91 @@ def test_parse_table_of_any_value_raises_only_value_error(value):
         parse_table(value)
     except ValueError:
         pass
+
+
+# Junk whose numbers stay small, for the builders whose work grows with a number
+SMALL_JUNK = (st.none() | st.booleans() | st.integers(-3, 6) | st.floats(-3, 6)
+              | st.sampled_from([math.inf, -math.inf, math.nan, Decimal("NaN"), Decimal("sNaN")])
+              | st.fractions(-3, 6) | st.decimals(-3, 6, allow_nan=False)
+              | st.complex_numbers(max_magnitude=6) | st.text(max_size=4)
+              | st.binary(max_size=4) | st.lists(st.integers(0, 3), max_size=3))
+OCCUPATIONS = SMALL_JUNK | st.lists(SMALL_JUNK, max_size=3)
+HASHABLE_OCCUPATIONS = st.lists(SMALL_JUNK.filter(lambda v: not isinstance(v, list)),
+                                max_size=3).map(tuple) | st.text(max_size=3)
+
+
+def _value_or_value_error(build, *args, **kwargs) -> None:
+    try:
+        build(*args, **kwargs)
+    except ValueError:
+        pass
+
+
+@SETTINGS
+@given(JUNK | st.sampled_from(ALL_CONTEXTS), JUNK | st.sampled_from(ALL_CONTEXTS),
+       JUNK | REQUIREMENTS)
+@example("x", "AB", None)
+@example("x", "AB", 5)
+@example("x", ["AB"], {"A": "t"})
+def test_event_spec_of_any_value(label, context, requirements):
+    _value_or_value_error(EventSpec, label, context, requirements)
+
+
+VERTICES = JUNK | st.lists(st.sampled_from("abc") | JUNK, max_size=3)
+
+
+@SETTINGS
+@given(VERTICES, JUNK | st.lists(st.tuples(VERTICES, VERTICES) | JUNK, max_size=3))
+@example(None, frozenset())
+@example(["a", "b"], [("a", ["b"])])
+@example([["a"]], [])
+@example(["a", "b"], "ab")
+def test_exclusivity_graph_of_any_value(vertices, edges):
+    _value_or_value_error(ExclusivityGraph, vertices, edges)
+
+
+@SETTINGS
+@given(OCCUPATIONS)
+@example(None)
+@example(10**400)
+@example([1, 2.5])
+@example("12")
+def test_make_fock_of_any_value(occupations):
+    _value_or_value_error(make_fock, occupations)
+
+
+@SETTINGS
+@given(SMALL_JUNK | st.dictionaries(HASHABLE_OCCUPATIONS, JUNK, max_size=3),
+       st.none() | SMALL_JUNK)
+@example(None, None)
+@example({(1, 0): "1"}, None)
+@example({(1, 0): None}, None)
+@example({}, "x")
+def test_pure_state_of_any_value(terms, modes):
+    _value_or_value_error(pure_state, terms, modes=modes)
+
+
+@SETTINGS
+@given(SMALL_JUNK, SMALL_JUNK)
+@example(2.5, 2)
+@example(None, 2)
+@example(2, "2")
+def test_fock_basis_of_any_value(total, modes):
+    _value_or_value_error(fock_basis, total, modes)
+
+
+@SETTINGS
+@given(SMALL_JUNK)
+@_junk_examples
+def test_cycle_graph_of_any_value(n):
+    _value_or_value_error(cycle_graph, n)
+
+
+@SETTINGS
+@given(JUNK)
+@_junk_examples
+@example(3.0)
+@example(Decimal(5))
+@example(2**1023)
+def test_lovasz_theta_odd_cycle_of_any_value(n):
+    _value_or_value_error(lovasz_theta_odd_cycle, n)
