@@ -32,6 +32,7 @@ TRIANGLE = "triangle"
 
 MAX_EXACT_INDEPENDENCE = 24
 MAX_SWEEP_POINTS = 100_001
+MAX_CYCLE_LENGTH = 100_000
 
 
 @dataclass(frozen=True)
@@ -112,8 +113,10 @@ def _edge(u: str, v: str) -> tuple[str, str]:
 
 
 def cycle_graph(n: int) -> ExclusivityGraph:
-    """The n-cycle on vertices v0..v{n-1}."""
+    """The n-cycle on vertices v0..v{n-1}, for n from 3 to :data:`MAX_CYCLE_LENGTH`."""
     n = whole_number(n, "cycle length", 3)
+    if n > MAX_CYCLE_LENGTH:
+        raise ValueError(f"cycle length limited to {MAX_CYCLE_LENGTH}, got {n!r:.40}")
     names = tuple(f"v{i}" for i in range(n))
     edges = frozenset(_edge(names[i], names[(i + 1) % n]) for i in range(n))
     return ExclusivityGraph(names, edges)
@@ -147,7 +150,8 @@ def event_probability(table: OutcomeTable, event: EventSpec) -> float:
 
 
 def inequality_sum(table: OutcomeTable, events: Sequence[EventSpec]) -> float:
-    return sum(event_probability(table, e) for e in events)
+    """The events' probabilities summed left to right in event order from the int 0."""
+    return sum([event_probability(table, e) for e in events])
 
 
 # -- bounds -----------------------------------------------------------------

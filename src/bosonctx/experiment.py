@@ -93,12 +93,13 @@ def _context_outcomes(ctx: str) -> Mapping[str, Mapping[str, str]]:
 
 # Every context's outcome tokens, each with its read-only per-fiber labels.
 OUTCOMES = MappingProxyType({ctx: _context_outcomes(ctx) for ctx in ALL_CONTEXTS})
+_TOKENS = {ctx: tuple(outcomes) for ctx, outcomes in OUTCOMES.items()}  # to unpack
 
 
 def matching_mass(distribution: Mapping[str, float], tokens: frozenset[str]) -> float:
-    """Probability mass of the entries whose token is in ``tokens``, summed in
-    the distribution's own order."""
-    return sum(p for token, p in distribution.items() if token in tokens)
+    """Probability mass of the entries whose token is in ``tokens``, summed left
+    to right from the int 0 in the distribution's own order, so no match is 0."""
+    return sum([p for token, p in distribution.items() if token in tokens])
 
 
 def check_requirements(ctx: str, requirements: Mapping[str, str]) -> frozenset[str]:
@@ -124,18 +125,20 @@ def run_context(ctx: str, bs: BeamsplitterSpec,
                 d: DistinguishabilityParam) -> dict[str, float]:
     """Outcome distribution for one context, keyed by the tokens of
     ``OUTCOMES[ctx]`` in their order.  A pair context's resolved both-t and
-    both-r entries appear only for eta < 1; ``coinc`` is always present.
+    both-r entries appear only for eta < 1; ``coinc`` is always present.  The
+    values are the ``*_outcome_distribution`` fields as computed, in a dict literal.
     """
-    ctx = validate_context(ctx)
-    if len(ctx) == 1:
+    tokens = _TOKENS[validate_context(ctx)]
+    if len(tokens) == 2:
         single = single_outcome_distribution(bs)
-        return dict(zip(OUTCOMES[ctx], (single.p_transmitted, single.p_reflected)))
+        return {tokens[0]: single.p_transmitted, tokens[1]: single.p_reflected}
     pair = pair_outcome_distribution(bs, d)
-    if pair.resolved_coincidence is None:
-        port1, port2, _, _, coinc = OUTCOMES[ctx]
+    port1, port2, both_t, both_r, coinc = tokens
+    resolved = pair.resolved_coincidence
+    if resolved is None:
         return {port1: pair.p_bunch_port1, port2: pair.p_bunch_port2, coinc: pair.p_unresolved}
-    return dict(zip(OUTCOMES[ctx], (pair.p_bunch_port1, pair.p_bunch_port2,
-                                    *pair.resolved_coincidence, pair.p_unresolved)))
+    return {port1: pair.p_bunch_port1, port2: pair.p_bunch_port2,
+            both_t: resolved[0], both_r: resolved[1], coinc: pair.p_unresolved}
 
 
 @dataclass(frozen=True)
@@ -152,9 +155,10 @@ class OutcomeTable:
     contexts: dict[str, dict[str, float]]
 
     def context_distribution(self, ctx: str) -> dict[str, float]:
-        if ctx not in self.contexts:
-            raise ValueError(f"table has no context {ctx!r}")
-        return self.contexts[ctx]
+        try:
+            return self.contexts[ctx]
+        except KeyError:
+            raise ValueError(f"table has no context {ctx!r}") from None
 
     def validate_structure(self, tol: float = DEFAULT_TOLERANCE) -> float:
         """Every check but normalization: ``tol`` a table number that is finite

@@ -5,7 +5,7 @@ scenario in this package involves at most a few photons in a few modes.
 Terms with ``|amplitude| <= PRUNE`` are dropped when a state is built.
 Every number the package reads goes through :func:`real_number`,
 :func:`whole_number` or :func:`complex_number`, each of which returns a plain
-float, int or complex and refuses what it cannot read with ``ValueError``.
+float, int or complex and refuses booleans and what it cannot read with ``ValueError``.
 """
 
 from __future__ import annotations
@@ -36,10 +36,16 @@ class FockState:
         return "|" + ",".join(str(n) for n in self.occupations) + ">"
 
 
+def _boolean(value) -> bool:
+    """A Python boolean or anything of ``dtype.kind`` "b", which no number rule reads."""
+    return not isinstance(value, float) and (
+        isinstance(value, bool) or getattr(getattr(value, "dtype", None), "kind", "") == "b")
+
+
 def real_number(value, name: str) -> float:
     """``value`` as a float: a number, or text that spells one, that fits a float.
     A boolean is refused although ``float(True)`` works."""
-    if not isinstance(value, bool):
+    if not _boolean(value):
         try:
             return float(value)
         except (OverflowError, TypeError, ValueError):
@@ -49,10 +55,10 @@ def real_number(value, name: str) -> float:
 
 def whole_number(value, name: str, least: int) -> int:
     """``value`` as an int, if it equals a whole number from ``least`` up that
-    fits a float; text, an infinity or NaN raises ``ValueError``."""
+    fits a float; text, a boolean, an infinity or NaN raises ``ValueError``."""
     try:
         n = int(value)
-        if n == value and least <= n <= sys.float_info.max:
+        if n == value and least <= n <= sys.float_info.max and not _boolean(value):
             return n
     except (OverflowError, TypeError, ValueError):
         pass
@@ -61,8 +67,8 @@ def whole_number(value, name: str, least: int) -> int:
 
 
 def complex_number(value, name: str) -> complex:
-    """``value`` as a complex; text is refused even when it spells a number."""
-    if not isinstance(value, str):
+    """``value`` as a complex; text and booleans are refused, though ``complex`` reads them."""
+    if not isinstance(value, str) and not _boolean(value):
         try:
             return complex(value)
         except (OverflowError, TypeError, ValueError):

@@ -5,6 +5,7 @@ from itertools import combinations, repeat
 import pytest
 
 from bosonctx.contextuality import (
+    MAX_CYCLE_LENGTH,
     MAX_SWEEP_POINTS,
     PENTAGON,
     TRIANGLE,
@@ -271,6 +272,15 @@ class TestIndependenceNumber:
             with pytest.raises(ValueError):
                 cycle_graph(bad)
         assert cycle_graph(4.0) == cycle_graph(4)
+
+    @pytest.mark.parametrize("n", [MAX_CYCLE_LENGTH + 1, 10**12, 10**300, 1e300])
+    def test_cycle_graph_refuses_lengths_over_the_cap_before_building(self, n):
+        with pytest.raises(ValueError, match=f"^cycle length limited to {MAX_CYCLE_LENGTH}, got"):
+            cycle_graph(n)
+
+    def test_cycle_graph_builds_up_to_the_cap(self):
+        graph = cycle_graph(MAX_CYCLE_LENGTH)
+        assert len(graph.vertices) == len(graph.edges) == MAX_CYCLE_LENGTH
 
 
 class TestLovaszThetaOddCycle:

@@ -15,7 +15,9 @@ outcome of the context meets.  The library's constructors and readers
 ``pure_state``, ``fock_basis``, ``cycle_graph`` and ``lovasz_theta_odd_cycle``)
 given any value either refuse it with ``ValueError`` or return a value; an
 accepted parameter is stored as a plain float, and a table simulated from any
-accepted theta and eta reads back equal from its JSON and its CSV.
+accepted theta and eta reads back equal from its JSON and its CSV.  The three
+number rules, and the builders that use them, refuse every boolean, numpy's
+included, while numpy numbers are still read.
 """
 
 from __future__ import annotations
@@ -50,8 +52,15 @@ from bosonctx.experiment import (
     load_table,
     parse_table,
 )
-from bosonctx.fock import fock_basis, make_fock, pure_state
-from bosonctx.optics import BeamsplitterSpec, DistinguishabilityParam
+from bosonctx.fock import (
+    complex_number,
+    fock_basis,
+    make_fock,
+    pure_state,
+    real_number,
+    whole_number,
+)
+from bosonctx.optics import BeamsplitterSpec, DistinguishabilityParam, permanent
 
 from oracles import token_meets
 
@@ -328,11 +337,45 @@ def test_a_simulated_table_reads_back_equal(theta, eta):
     assert parse_table(table.to_csv()) == table
 
 
-@pytest.mark.parametrize("value", [True, np.array([0.5])], ids=["True", "array"])
+@pytest.mark.parametrize("value", [True, np.array([0.5]), np.True_, np.array(True)],
+                         ids=["True", "array", "np.True_", "array(True)"])
 def test_a_boolean_or_an_array_is_no_parameter(value):
     for make in (BeamsplitterSpec, DistinguishabilityParam):
         with pytest.raises(ValueError, match="must be a number that fits a float"):
             make(value)
+
+
+BOOLEANS = [True, False, np.True_, np.False_, np.array(True), np.array([True])]
+
+
+@pytest.mark.parametrize("value", BOOLEANS, ids=map(repr, BOOLEANS))
+def test_no_number_rule_reads_a_boolean(value):
+    for read in (real_number, complex_number, lambda v, name: whole_number(v, name, 0)):
+        with pytest.raises(ValueError, match="^x must be a"):
+            read(value, "x")
+
+
+@pytest.mark.parametrize("build", [
+    lambda: make_fock([True, 0]),
+    lambda: make_fock([np.int64(1), np.True_]),
+    lambda: pure_state({(1, 0): True}),
+    lambda: permanent([[np.True_]]),
+    lambda: fock_basis(2, np.array(True)),
+    lambda: cycle_graph(np.array(True)),
+], ids=["make_fock", "make_fock-numpy", "pure_state", "permanent", "fock_basis", "cycle_graph"])
+def test_the_builders_refuse_booleans(build):
+    with pytest.raises(ValueError):
+        build()
+
+
+def test_numpy_numbers_are_still_read():
+    for value in (np.float64(0.5), np.array(0.5)):
+        assert type(real_number(value, "x")) is float and real_number(value, "x") == 0.5
+        assert complex_number(value, "x") == 0.5 + 0j
+    assert type(whole_number(np.int64(2), "n", 0)) is int and whole_number(np.int64(2), "n", 0) == 2
+    assert make_fock([np.int64(2), np.float64(0.0)]) == make_fock([2, 0])
+    assert DistinguishabilityParam(np.float64(0.5)).eta == 0.5
+    assert pure_state({(1, 0): np.float64(0.5)}).amplitude((1, 0)) == 0.5
 
 
 @SETTINGS

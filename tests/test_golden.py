@@ -3,6 +3,10 @@
 The expected stdout of case ``name`` is ``tests/golden/<name>.out``.  Tables
 for ``verify`` and ``analyze --input`` are written by ``simulate -o`` into a
 scratch directory, so their path is replaced by ``<dir>`` before comparing.
+``golden/dense.sha256`` is the sha256 of :func:`dense_digest_text`: every
+``full_table`` entry and both standard inequality sums on a 97 x 7 grid of
+theta in [-pi, pi] and eta in [0, 1], and 1001-point sweeps of both tests on a
+uniform and a seeded uneven grid, each float written with ``float.hex``.
 After an intended output change, record the files again, together with the
 demos' stdout that ``tests/test_demos.py`` compares, with::
 
@@ -12,8 +16,11 @@ demos' stdout that ``tests/test_demos.py`` compares, with::
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
+import math
+import random
 import sys
 import tempfile
 from pathlib import Path
@@ -22,8 +29,12 @@ import pytest
 import test_demos
 
 from bosonctx.cli import main
+from bosonctx.contextuality import PENTAGON, TRIANGLE, inequality_sum, standard_events, sweep_eta
+from bosonctx.experiment import full_table
+from bosonctx.optics import BeamsplitterSpec, DistinguishabilityParam
 
 GOLDEN = Path(__file__).parent / "golden"
+DENSE = GOLDEN / "dense.sha256"
 
 THETAS = {"pi4": "0.7853981633974483", "0.3": "0.3", "0": "0", "1.2": "1.2"}
 ETAS = ("1", "0.37", "0")
@@ -116,6 +127,44 @@ def test_golden(name, argv, expected_code, input_dir):
     assert out == (GOLDEN / f"{name}.out").read_bytes()
 
 
+def _hex(value) -> str:
+    """A float's exact bits; anything else (``None``, an int) by its repr."""
+    return value.hex() if type(value) is float else repr(value)
+
+
+def dense_digest_text() -> str:
+    """One line per table entry, inequality sum and sweep value, in the order
+    the library produces them, with every number as ``float.hex``."""
+    lines = []
+    events = {test: standard_events(test) for test in (PENTAGON, TRIANGLE)}
+    for k in range(97):
+        bs = BeamsplitterSpec(-math.pi + k * (2 * math.pi / 96))
+        for eta in (0.0, 0.125, 0.37, 0.5, 0.75, 0.9, 1.0):
+            table = full_table(bs, DistinguishabilityParam(eta))
+            lines += (f"{_hex(bs.theta)} {_hex(eta)} {ctx} {token} {_hex(p)}"
+                      for ctx, dist in table.contexts.items() for token, p in dist.items())
+            lines += (f"{test} {_hex(inequality_sum(table, evs))}" for test, evs in events.items())
+    rng = random.Random(1001)
+    uneven = [0.0, *sorted(rng.random() for _ in range(999)), 1.0]
+    for theta in (math.pi / 4, 0.3, 0.62, 2.0):
+        bs = BeamsplitterSpec(theta)
+        for test in (PENTAGON, TRIANGLE):
+            for result in (sweep_eta(test, bs, steps=1001), sweep_eta(test, bs, uneven)):
+                lines.append(f"sweep {test} {_hex(result.theta)}")
+                lines += (f"{_hex(e)} {_hex(s)}" for e, s in zip(result.etas, result.sums))
+                lines += (f"bound {name} {_hex(b)}" for name, b in result.bounds.items())
+                lines += (f"crossing {name} {_hex(c)}" for name, c in result.crossings.items())
+    return "\n".join(lines) + "\n"
+
+
+def dense_digest() -> str:
+    return hashlib.sha256(dense_digest_text().encode()).hexdigest()
+
+
+def test_dense_digest_matches_the_record():
+    assert dense_digest() == DENSE.read_text().split()[0]
+
+
 def record() -> None:
     GOLDEN.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
@@ -126,7 +175,8 @@ def record() -> None:
             if code != expected_code:
                 sys.exit(f"{name}: exit {code}, expected {expected_code}")
             (GOLDEN / f"{name}.out").write_bytes(out)
-    print(f"recorded {len(CASES)} cases in {GOLDEN}")
+    DENSE.write_text(f"{dense_digest()}  dense_digest_text()\n")
+    print(f"recorded {len(CASES)} cases and the dense digest in {GOLDEN}")
     test_demos.record()
 
 
