@@ -19,8 +19,7 @@ from bosonctx import (
     full_table,
     independence_number,
     inequality_sum,
-    lovasz_theta_odd_cycle,
-    noncontextual_max,
+    standard_bounds,
     standard_events,
 )
 
@@ -39,13 +38,14 @@ for test in ("pentagon", "triangle"):
     print(f"  exclusivity edges: {sorted(graph.edges)}")
 
     total = inequality_sum(table, events)
-    nc = noncontextual_max(events)
+    bounds = standard_bounds(test)
+    nc = bounds["noncontextual"]
     alpha = independence_number(graph)
     frac = fractional_packing_max(graph)
     print(f"  sum of probabilities      = {total:.6f}")
     print(f"  noncontextual bound       = {nc}  (= independence number {alpha})")
-    if test == "pentagon":
-        print(f"  projective quantum bound  = {lovasz_theta_odd_cycle(5):.6f}  (sqrt(5))")
+    if "quantum" in bounds:
+        print(f"  projective quantum bound  = {bounds['quantum']:.6f}  (sqrt(5))")
     print(f"  algebraic packing ceiling = {frac:.6f}")
     print(f"  violates noncontextual bound: {total > nc}")
     print()

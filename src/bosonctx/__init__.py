@@ -19,6 +19,7 @@ from .contextuality import (
     inequality_sum,
     lovasz_theta_odd_cycle,
     noncontextual_max,
+    standard_bounds,
     standard_events,
     sweep_eta,
 )

@@ -19,8 +19,7 @@ from typing import Sequence
 
 from . import __version__
 from .contextuality import (
-    PENTAGON,
-    TRIANGLE,
+    STANDARD_TESTS,
     cycle_graph,
     derive_exclusivity,
     event_probability,
@@ -29,7 +28,7 @@ from .contextuality import (
     independence_number,
     inequality_sum,
     lovasz_theta_odd_cycle,
-    noncontextual_max,
+    standard_bounds,
     standard_events,
     sweep_eta,
 )
@@ -96,7 +95,6 @@ def cmd_analyze(args) -> int:
     table = _table_for_analysis(args)
     events = standard_events(args.test)
     total = inequality_sum(table, events)
-    nc_bound = noncontextual_max(events)
     payload = _header(
         test=args.test,
         theta=table.theta,
@@ -104,34 +102,28 @@ def cmd_analyze(args) -> int:
         events=[{"label": e.label, "probability": event_probability(table, e)}
                 for e in events],
         sum=total,
-        nc_bound=nc_bound,
-        violates_nc=total > nc_bound + DEFAULT_TOLERANCE,
     )
-    if args.test == PENTAGON:
-        q_bound = lovasz_theta_odd_cycle(5)
-        payload["q_bound"] = q_bound
-        payload["violates_q"] = total > q_bound + DEFAULT_TOLERANCE
+    for key, bound in zip(("nc", "q"), standard_bounds(args.test).values()):
+        payload[f"{key}_bound"] = bound
+        payload[f"violates_{key}"] = total > bound + DEFAULT_TOLERANCE
     _emit(dump_json(payload), args.output)
     return 0
 
 
 def cmd_bounds(args) -> int:
     spec: str = args.graph
-    theta_n: int | None = None
-    if spec in (PENTAGON, TRIANGLE):
+    if spec in STANDARD_TESTS:
         graph = derive_exclusivity(standard_events(spec))
-        if spec == PENTAGON:
-            theta_n = 5
+        theta = standard_bounds(spec).get("quantum")
     elif spec.startswith("cycle:"):
         n = exact_search_size(int(spec.split(":", 1)[1]))
         graph = cycle_graph(n)
-        if n % 2 == 1:
-            theta_n = n
+        theta = lovasz_theta_odd_cycle(n) if n % 2 == 1 else None
     else:
         raise ValueError(f"--graph must be pentagon, triangle or cycle:N, got {spec!r}")
     payload = _header(graph=spec, alpha=independence_number(graph))
-    if theta_n is not None:
-        payload["theta_lovasz"] = lovasz_theta_odd_cycle(theta_n)
+    if theta is not None:
+        payload["theta_lovasz"] = theta
     payload["fractional_max"] = fractional_packing_max(graph)
     _emit(dump_json(payload), args.output)
     return 0
@@ -184,37 +176,34 @@ def build_parser() -> argparse.ArgumentParser:
     _add_angle_args(p)
     _add_eta_arg(p)
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--output", "-o", default=None, help="write to a file instead of stdout")
     p.set_defaults(handler=cmd_simulate)
 
     p = sub.add_parser("analyze", help="evaluate an inequality sum against its bounds")
-    p.add_argument("--test", choices=(PENTAGON, TRIANGLE), required=True)
+    p.add_argument("--test", choices=tuple(STANDARD_TESTS), required=True)
     _add_angle_args(p)
     _add_eta_arg(p)
     p.add_argument("--input", default=None,
                    help="analyze a stored table file instead of simulating")
-    p.add_argument("--output", "-o", default=None)
     p.set_defaults(handler=cmd_analyze)
 
     p = sub.add_parser("bounds", help="bound hierarchy of an exclusivity graph")
     p.add_argument("--graph", required=True,
                    help="pentagon, triangle, or cycle:N")
-    p.add_argument("--output", "-o", default=None)
     p.set_defaults(handler=cmd_bounds)
 
     p = sub.add_parser("sweep", help="inequality sum vs photon overlap, with bound crossings")
-    p.add_argument("--test", choices=(PENTAGON, TRIANGLE), required=True)
+    p.add_argument("--test", choices=tuple(STANDARD_TESTS), required=True)
     _add_angle_args(p)
     p.add_argument("--steps", type=int, default=101, help="grid points in [0, 1] (default: 101)")
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--output", "-o", default=None)
     p.set_defaults(handler=cmd_sweep)
 
     p = sub.add_parser("verify", help="run consistency checks on a stored table")
     p.add_argument("--input", required=True, help="table file (JSON or CSV)")
     p.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
-    p.add_argument("--output", "-o", default=None)
     p.set_defaults(handler=cmd_verify)
+    for p in sub.choices.values():
+        p.add_argument("--output", "-o", default=None, help="write to a file instead of stdout")
     return parser
 
 

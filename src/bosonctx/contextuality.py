@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import islice
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from .experiment import (
@@ -59,32 +60,29 @@ class EventSpec:
         object.__setattr__(self, "requirements", reqs)
 
 
-def _event(context: str, requirements: dict[str, str]) -> EventSpec:
-    return EventSpec(make_outcome(requirements), context, requirements)
+# The standard tests, read-only: each event's requirements as (fiber, label) pairs, in
+# event order, and the odd cycle length whose Lovasz number is the quantum bound.  The
+# triangle has none: theta(C3) = 1 is already its noncontextual bound alpha.
+STANDARD_TESTS = MappingProxyType({
+    PENTAGON: (((("A", TRANSMITTED),), (("A", REFLECTED), ("B", TRANSMITTED)),
+                (("B", REFLECTED), ("C", TRANSMITTED)), (("B", TRANSMITTED), ("C", REFLECTED)),
+                (("A", REFLECTED), ("C", TRANSMITTED))), 5),
+    TRIANGLE: (((("A", TRANSMITTED), ("B", REFLECTED)), (("B", TRANSMITTED), ("C", REFLECTED)),
+                (("C", TRANSMITTED), ("A", REFLECTED))), None),
+})
 
 
 def standard_events(test: str) -> list[EventSpec]:
-    """The two built-in event families.
-
-    ``pentagon``: five cyclically exclusive events, one single-fiber event
-    plus four pair events, each with probability 1/2 for identical photons at
-    a balanced splitter.  ``triangle``: three pairwise exclusive pair events.
-    """
-    if test == PENTAGON:
-        return [
-            _event("A", {"A": TRANSMITTED}),
-            _event("AB", {"A": REFLECTED, "B": TRANSMITTED}),
-            _event("BC", {"B": REFLECTED, "C": TRANSMITTED}),
-            _event("BC", {"B": TRANSMITTED, "C": REFLECTED}),
-            _event("AC", {"A": REFLECTED, "C": TRANSMITTED}),
-        ]
-    if test == TRIANGLE:
-        return [
-            _event("AB", {"A": TRANSMITTED, "B": REFLECTED}),
-            _event("BC", {"B": TRANSMITTED, "C": REFLECTED}),
-            _event("AC", {"C": TRANSMITTED, "A": REFLECTED}),
-        ]
-    raise ValueError(f"unknown test {test!r}; expected {PENTAGON!r} or {TRIANGLE!r}")
+    """A :data:`STANDARD_TESTS` entry's events, built afresh, each labelled by
+    :func:`~bosonctx.experiment.make_outcome` in the context of its fibers.
+    ``pentagon``: five cyclically exclusive events, one on a single fiber and four
+    on pairs, each of probability 1/2 for identical photons at a balanced
+    splitter.  ``triangle``: three pairwise exclusive pair events."""
+    try:
+        requirement_sets = STANDARD_TESTS[test][0]
+    except (KeyError, TypeError):
+        raise ValueError(f"unknown test {test!r}; expected {PENTAGON!r} or {TRIANGLE!r}") from None
+    return [EventSpec(make_outcome(r), "".join(sorted(r)), r) for r in map(dict, requirement_sets)]
 
 
 @dataclass(frozen=True)
@@ -229,6 +227,15 @@ def lovasz_theta_odd_cycle(n: int) -> float:
     return n * c / (1.0 + c)
 
 
+def standard_bounds(test: str) -> dict[str, float]:
+    """``noncontextual``, the int alpha of :func:`noncontextual_max`, then for the
+    pentagon ``quantum``, theta(C5) = sqrt(5)."""
+    bounds: dict[str, float] = {"noncontextual": noncontextual_max(standard_events(test))}
+    if (cycle := STANDARD_TESTS[test][1]) is not None:
+        bounds["quantum"] = lovasz_theta_odd_cycle(cycle)
+    return bounds
+
+
 def fractional_packing_max(graph: ExclusivityGraph) -> float:
     """Exact optimum of max sum(p_i) with p_i + p_j <= 1 on edges, p_i in [0, 1]:
     n - nu/2, with nu a maximum matching of the bipartite double cover (left copy
@@ -237,20 +244,24 @@ def fractional_packing_max(graph: ExclusivityGraph) -> float:
     n = len(graph.vertices)
     neighbours = _neighbours(graph)
     owner = [-1] * n  # left copy matched to each right copy
-    seen = [False] * n  # right copies a failed search proved dead ends
-    for root in range(n):  # iterative DFS; path holds (left, right it came by, untried)
-        path = [(root, -1, iter(neighbours[root]))]
+    seen, stamp = [-1] * n, 0  # seen[r] == stamp: right copy r entered since the last augmentation
+    for root in range(n):
+        free = next((r for r in neighbours[root] if owner[r] < 0), -1)
+        if free >= 0:  # a one-edge augmenting path needs no search
+            owner[free] = root
+            continue
+        path = [(root, -1, iter(neighbours[root]))]  # DFS: (left, right it came by, untried)
         while path:
-            right = next((r for r in path[-1][2] if not seen[r]), -1)
+            right = next((r for r in path[-1][2] if seen[r] != stamp), -1)
             if right < 0:
                 path.pop()
             elif owner[right] >= 0:
-                seen[right] = True
+                seen[right] = stamp
                 path.append((owner[right], right, iter(neighbours[owner[right]])))
             else:
                 for left, via, _ in reversed(path):
                     owner[right], right = left, via
-                seen = [False] * n
+                stamp += 1
                 break
     return n - sum(left >= 0 for left in owner) / 2
 
@@ -321,9 +332,6 @@ def sweep_eta(test: str, bs: BeamsplitterSpec,
     sums = [inequality_sum(full_table(bs, DistinguishabilityParam(e)), events)
             for e in grid]
 
-    bounds: dict[str, float] = {"noncontextual": float(noncontextual_max(events))}
-    if test == PENTAGON:
-        bounds["quantum"] = lovasz_theta_odd_cycle(5)
-    crossings = {name: _first_crossing(grid, sums, bound)
-                 for name, bound in bounds.items()}
+    bounds = {name: float(bound) for name, bound in standard_bounds(test).items()}
+    crossings = {name: _first_crossing(grid, sums, b) for name, b in bounds.items()}
     return SweepResult(test, bs.theta, tuple(grid), tuple(sums), bounds, crossings)

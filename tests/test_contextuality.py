@@ -8,6 +8,7 @@ from bosonctx.contextuality import (
     MAX_CYCLE_LENGTH,
     MAX_SWEEP_POINTS,
     PENTAGON,
+    STANDARD_TESTS,
     TRIANGLE,
     EventSpec,
     ExclusivityGraph,
@@ -21,6 +22,7 @@ from bosonctx.contextuality import (
     inequality_sum,
     lovasz_theta_odd_cycle,
     noncontextual_max,
+    standard_bounds,
     standard_events,
     sweep_eta,
 )
@@ -129,6 +131,78 @@ class TestStandardEvents:
         event = EventSpec("ok", "AB", {"B": "r"})
         table = OutcomeTable(0.3, 1.0, {"AB": {"at,br": 0.25, "br": 0.5, "br,ct": 0.125}})
         assert event_probability(table, event) == 0.25
+
+
+PENTAGON_REPR = (
+    "[EventSpec(label='at', context='A', requirements={'A': 't'}), "
+    "EventSpec(label='ar,bt', context='AB', requirements={'A': 'r', 'B': 't'}), "
+    "EventSpec(label='br,ct', context='BC', requirements={'B': 'r', 'C': 't'}), "
+    "EventSpec(label='bt,cr', context='BC', requirements={'B': 't', 'C': 'r'}), "
+    "EventSpec(label='ar,ct', context='AC', requirements={'A': 'r', 'C': 't'})]")
+TRIANGLE_REPR = (
+    "[EventSpec(label='at,br', context='AB', requirements={'A': 't', 'B': 'r'}), "
+    "EventSpec(label='bt,cr', context='BC', requirements={'B': 't', 'C': 'r'}), "
+    "EventSpec(label='ar,ct', context='AC', requirements={'C': 't', 'A': 'r'})]")
+
+
+def reachable(value):
+    """``value`` and everything inside it, for tuples and read-only mappings."""
+    yield value
+    if isinstance(value, (tuple, type(STANDARD_TESTS))):
+        items = value.items() if hasattr(value, "items") else value
+        for item in items:
+            yield from reachable(item)
+
+
+class TestStandardTestTable:
+    def test_events_are_pinned_with_contexts_and_requirement_order(self):
+        assert repr(standard_events(PENTAGON)) == PENTAGON_REPR
+        assert repr(standard_events(TRIANGLE)) == TRIANGLE_REPR
+
+    def test_the_table_names_both_tests_in_order(self):
+        assert list(STANDARD_TESTS) == [PENTAGON, TRIANGLE]
+
+    def test_bounds(self):
+        theta = lovasz_theta_odd_cycle(5)
+        assert standard_bounds(PENTAGON) == {"noncontextual": 2, "quantum": theta}
+        assert list(standard_bounds(PENTAGON)) == ["noncontextual", "quantum"]
+        assert standard_bounds(TRIANGLE) == {"noncontextual": 1}
+
+    def test_noncontextual_bounds_are_ints_from_the_assignment_oracle(self):
+        for test in STANDARD_TESTS:
+            alpha = standard_bounds(test)["noncontextual"]
+            assert type(alpha) is int
+            assert alpha == assignment_noncontextual_max(standard_events(test))
+
+    @pytest.mark.parametrize("test", [["pentagon"], None, "square", "Pentagon", 5, {}])
+    def test_unknown_tests_are_value_errors(self, test):
+        message = "^unknown test .*; expected 'pentagon' or 'triangle'$"
+        with pytest.raises(ValueError, match=message):
+            standard_events(test)
+        with pytest.raises(ValueError, match=message):
+            standard_bounds(test)
+
+    def test_everything_the_table_holds_is_immutable(self):
+        for value in reachable(STANDARD_TESTS):
+            assert isinstance(value, (tuple, str, int, type(None), type(STANDARD_TESTS)))
+        with pytest.raises(TypeError):
+            STANDARD_TESTS[PENTAGON] = STANDARD_TESTS[TRIANGLE]
+        with pytest.raises(TypeError):
+            del STANDARD_TESTS[TRIANGLE]
+        with pytest.raises(TypeError):
+            STANDARD_TESTS[PENTAGON][0][0] = (("A", "r"),)
+
+    def test_changing_a_result_does_not_change_the_next_one(self):
+        events = standard_events(TRIANGLE)
+        events[0].requirements["A"] = "r"
+        events.append(events[0])
+        bounds = standard_bounds(PENTAGON)
+        bounds["quantum"] = 3.0
+        assert repr(standard_events(TRIANGLE)) == TRIANGLE_REPR
+        assert standard_bounds(PENTAGON)["quantum"] == lovasz_theta_odd_cycle(5)
+        copy = STANDARD_TESTS.copy()
+        copy[PENTAGON] = copy[TRIANGLE]
+        assert repr(standard_events(PENTAGON)) == PENTAGON_REPR
 
 
 class TestDeriveExclusivity:
@@ -331,6 +405,13 @@ class TestFractionalPackingMax:
             names = tuple(f"v{i}" for i in range(n))
             graph = ExclusivityGraph(names, frozenset(combinations(names, 2)))
             assert fractional_packing_max(graph) == n / 2
+
+    def test_a_100_000_cycle_and_path(self):
+        # fast only while an augmentation costs no pass over all n vertices
+        assert fractional_packing_max(cycle_graph(100_000)) == 50000.0
+        names = tuple(f"v{i}" for i in range(100_000))
+        path = ExclusivityGraph(names, frozenset(zip(names, names[1:])))
+        assert fractional_packing_max(path) == 50000.0
 
     def test_long_shuffled_path_needs_no_recursion(self):
         names = [f"v{i}" for i in range(4000)]

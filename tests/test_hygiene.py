@@ -1,9 +1,12 @@
 """Source and suite hygiene: no module of the package imports a name it never
-uses, and a failing property test fails the run without stopping it.
+uses or defines a top-level function or class that pytest would collect, and a
+failing property test fails the run without stopping it.
 
-``__init__`` is exempt, since its imports are the package's exports, and so
-are ``from __future__`` imports.  A name counts as used when it appears as an
-identifier anywhere in the module, annotations included.
+``__init__`` is exempt from the import rule, since its imports are the
+package's exports, and so are ``from __future__`` imports.  A name counts as
+used when it appears as an identifier anywhere in the module, annotations
+included.  A function or class named ``test…`` or ``Test…`` would run as a test
+in every test module that imports it.
 """
 
 from __future__ import annotations
@@ -33,6 +36,13 @@ def unused_imports(source: str) -> list[str]:
     return [name for name in imported if name not in used]
 
 
+def collectable_names(source: str) -> list[str]:
+    """Top-level functions and classes whose names start with ``test``, in any case."""
+    return [node.name for node in ast.parse(source).body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and node.name.lower().startswith("test")]
+
+
 def test_the_package_has_modules_to_check():
     assert {p.name for p in MODULES} >= {"cli.py", "contextuality.py", "experiment.py"}
 
@@ -40,6 +50,21 @@ def test_the_package_has_modules_to_check():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_name_it_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_module_defines_nothing_pytest_would_collect(path):
+    assert collectable_names(path.read_text()) == []
+
+
+def test_a_collectable_name_is_found():
+    source = ("def test_bounds():\n    pass\n"
+              "class TestTable:\n    pass\n"
+              "async def testing():\n    pass\n"
+              "def standard_bounds():\n    def test_inner():\n        pass\n"
+              "class Table:\n    def test_method(self):\n        pass\n"
+              "tested = 1\n")
+    assert collectable_names(source) == ["test_bounds", "TestTable", "testing"]
 
 
 def test_an_unused_import_is_found():
