@@ -42,8 +42,7 @@ from .fock import real_number
 from .optics import (
     BeamsplitterSpec,
     DistinguishabilityParam,
-    pair_outcome_distribution,
-    single_outcome_distribution,
+    _pair_probabilities,
 )
 
 FIBERS = ("A", "B", "C")
@@ -126,19 +125,22 @@ def run_context(ctx: str, bs: BeamsplitterSpec,
     """Outcome distribution for one context, keyed by the tokens of
     ``OUTCOMES[ctx]`` in their order.  A pair context's resolved both-t and
     both-r entries appear only for eta < 1; ``coinc`` is always present.  The
-    values are the ``*_outcome_distribution`` fields as computed, in a dict literal.
+    values are the cached T and R and the results of
+    :func:`~bosonctx.optics._pair_probabilities`, equal bit for bit to the
+    ``*_outcome_distribution`` fields, in a dict literal.
     """
-    tokens = _TOKENS[validate_context(ctx)]
+    try:
+        tokens = _TOKENS[ctx]
+    except (KeyError, TypeError):
+        tokens = _TOKENS[validate_context(ctx)]
     if len(tokens) == 2:
-        single = single_outcome_distribution(bs)
-        return {tokens[0]: single.p_transmitted, tokens[1]: single.p_reflected}
-    pair = pair_outcome_distribution(bs, d)
+        return {tokens[0]: bs.transmittance, tokens[1]: bs.reflectance}
+    p_bunch, p_unresolved, resolved = _pair_probabilities(bs.transmittance, bs.reflectance, d.eta)
     port1, port2, both_t, both_r, coinc = tokens
-    resolved = pair.resolved_coincidence
     if resolved is None:
-        return {port1: pair.p_bunch_port1, port2: pair.p_bunch_port2, coinc: pair.p_unresolved}
-    return {port1: pair.p_bunch_port1, port2: pair.p_bunch_port2,
-            both_t: resolved[0], both_r: resolved[1], coinc: pair.p_unresolved}
+        return {port1: p_bunch, port2: p_bunch, coinc: p_unresolved}
+    return {port1: p_bunch, port2: p_bunch,
+            both_t: resolved[0], both_r: resolved[1], coinc: p_unresolved}
 
 
 @dataclass(frozen=True)

@@ -232,10 +232,12 @@ def pair_outcome_distribution(bs: BeamsplitterSpec,
     particles behave as independent coins: TR per bunch port, T^2 + R^2 for
     the coincidence.  The returned distribution is the eta-weighted mixture.
     """
-    T, R = bs.transmittance, bs.reflectance
-    eta = d.eta
-    p_bunch = (1.0 + eta) * T * R
-    resolved = None
-    if eta < 1.0:
-        resolved = ((1.0 - eta) * T * T, (1.0 - eta) * R * R)
-    return PairDistribution(p_bunch, p_bunch, eta * (T - R) ** 2, resolved)
+    p_bunch, p_unresolved, resolved = _pair_probabilities(bs.transmittance, bs.reflectance, d.eta)
+    return PairDistribution(p_bunch, p_bunch, p_unresolved, resolved)
+
+
+def _pair_probabilities(T: float, R: float,
+                        eta: float) -> tuple[float, float, tuple[float, float] | None]:
+    """The one pair rule: (p_bunch per port, p_unresolved, (both t, both r) or None at eta = 1)."""
+    resolved = ((1.0 - eta) * T * T, (1.0 - eta) * R * R) if eta < 1.0 else None
+    return (1.0 + eta) * T * R, eta * (T - R) ** 2, resolved

@@ -510,6 +510,13 @@ class TestSweepEta:
         # 3/2 + 1/2 = 2 exactly in binary floating point
         assert result.crossings["noncontextual"] == 0.5
 
+    def test_exact_hit_on_the_last_grid_point_is_a_crossing(self):
+        result = sweep_eta(PENTAGON, BALANCED, etas=[0.0, 0.25, 0.5])
+        assert result.sums == (1.5, 1.75, 2.0)
+        assert result.crossings["noncontextual"] == 0.5
+        short = sweep_eta(PENTAGON, BALANCED, etas=[0.0, 0.25, 0.49])
+        assert short.crossings["noncontextual"] is None
+
 
 def _bits(values) -> list:
     """Each value's type and exact bits (an empty sum is the int 0)."""

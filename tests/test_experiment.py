@@ -33,6 +33,8 @@ ETA_GRID = np.linspace(0.0, 1.0, 20)
 
 IDEAL = DistinguishabilityParam(1.0)
 CLASSICAL = DistinguishabilityParam(0.0)
+# 1 + TOL and 1 + 2 * TOL are exact floats, so an edge case lands on the edge
+TOL = 2.0 ** -20
 
 
 def perturbed(table: OutcomeTable, ctx: str, outcome: str, delta: float) -> OutcomeTable:
@@ -243,6 +245,17 @@ class TestFullTable:
         with pytest.raises(ValueError, match="is outside"):
             check_no_disturbance(nudged, tol=1e-9)
 
+    @pytest.mark.parametrize("outcome,steps,match", [
+        ("at", 1, None), ("at", 2, "is outside"), ("ar", 1, None), ("ar", 2, "miss a sum of 1")])
+    def test_gates_decide_exactly_at_the_tolerance(self, outcome, steps, match):
+        # at theta = 0, A is exactly {at: 1, ar: 0}: at lands on 1 + steps*TOL, ar on steps*TOL
+        table = perturbed(full_table(BeamsplitterSpec(0.0), IDEAL), "A", outcome, steps * TOL)
+        if match is None:
+            table.validate(TOL)
+        else:
+            with pytest.raises(ValueError, match=match):
+                table.validate(TOL)
+
     @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, 0.0, -1.0])
     def test_tolerance_must_be_finite_and_positive(self, tol):
         # a valid table, so no probability may take the blame for the tolerance
@@ -415,6 +428,14 @@ class TestNoDisturbance:
         assert not report.passed
         assert report.max_deviation == pytest.approx(1e-3, rel=0.1)
         assert any("A=r" in i.name for i in report.failures())
+
+    @pytest.mark.parametrize("steps,checked", [(1, True), (2, False)])
+    def test_single_context_identities_are_checked_up_to_the_tolerance(self, steps, checked):
+        table = full_table(BeamsplitterSpec(0.6), CLASSICAL)
+        assert table.contexts["AB"][COINCIDENCE] == 0.0
+        report = check_no_disturbance(perturbed(table, "AB", COINCIDENCE, steps * TOL), TOL)
+        from_ab = [i.checked for i in report.identities if "AB vs single" in i.name]
+        assert from_ab == [checked] * 4
 
     def test_incomplete_table_rejected(self):
         table = full_table(BALANCED, IDEAL)
