@@ -307,7 +307,8 @@ def sweep_eta(test: str, bs: BeamsplitterSpec,
               etas: Iterable[float] | None = None, *, steps: int = 101) -> SweepResult:
     """Inequality sum as a function of the photon overlap eta, with the points
     where it crosses the noncontextual bound (and, for the pentagon, the
-    projective quantum bound) found by linear interpolation.  A grid over
+    projective quantum bound) found by linear interpolation.  Each point's sum
+    is read from the one table entry each standard event names.  A grid over
     :data:`MAX_SWEEP_POINTS` points is refused before it is built; explicit
     points are read by :func:`~bosonctx.fock.real_number`."""
     events = standard_events(test)
@@ -329,8 +330,11 @@ def sweep_eta(test: str, bs: BeamsplitterSpec,
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("eta grid must be strictly increasing")
 
-    sums = [inequality_sum(full_table(bs, DistinguishabilityParam(e)), events)
-            for e in grid]
+    # each standard event names one bunching or single-fiber entry, present at every eta
+    # and never -0.0, so its mass sum([p]) is p and these sums are inequality_sum's bits
+    entries = [(e.context, token) for e in events for (token,) in (e.tokens,)]
+    sums = [sum([contexts[c][t] for c, t in entries])
+            for contexts in (full_table(bs, DistinguishabilityParam(e)).contexts for e in grid)]
 
     bounds = {name: float(bound) for name, bound in standard_bounds(test).items()}
     crossings = {name: _first_crossing(grid, sums, b) for name, b in bounds.items()}

@@ -61,7 +61,7 @@ class DistinguishabilityParam:
         eta = real_number(self.eta, "eta")
         if not 0.0 <= eta <= 1.0:
             raise ValueError(f"eta must lie in [0, 1], got {eta!r}")
-        object.__setattr__(self, "eta", eta)
+        object.__setattr__(self, "eta", eta + 0.0)  # a zero overlap is 0.0, never -0.0
 
 
 @dataclass(frozen=True)

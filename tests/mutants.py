@@ -71,6 +71,10 @@ MUTANTS = (
            "((1.0 - eta) * T * T, (1.0 - eta) * R * R)",
            "((1.0 - eta) * R * R, (1.0 - eta) * T * T)",
            "tests/test_experiment.py::TestNoDisturbance::test_passes_over_parameter_grid"),
+    # a sweep point adds its events' entries in reverse event order
+    Mutant("src/bosonctx/contextuality.py",
+           "for c, t in entries]", "for c, t in entries[::-1]]",
+           "tests/test_golden.py::test_dense_digest_matches_the_record"),
 )
 
 

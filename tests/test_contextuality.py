@@ -27,11 +27,13 @@ from bosonctx.contextuality import (
     sweep_eta,
 )
 from bosonctx.experiment import (
+    COINCIDENCE,
     OUTCOMES,
     OutcomeTable,
     dump_json,
     full_table,
     parse_table,
+    run_context,
     write_csv,
 )
 from bosonctx.optics import BALANCED, BeamsplitterSpec, DistinguishabilityParam
@@ -44,6 +46,7 @@ from oracles import (
     grid_packing_max,
     predicate_matching_mass,
     subset_independence_number,
+    token_labels,
 )
 
 IDEAL = DistinguishabilityParam(1.0)
@@ -173,6 +176,23 @@ class TestStandardTestTable:
             alpha = standard_bounds(test)["noncontextual"]
             assert type(alpha) is int
             assert alpha == assignment_noncontextual_max(standard_events(test))
+
+    def test_each_event_names_one_entry_present_at_every_eta(self):
+        """``sweep_eta`` reads each point's sum from the one entry each standard
+        event names: a single-fiber or bunching outcome, never ``coinc`` and never
+        the both-t or both-r entry that eta = 1 leaves out."""
+        for test in STANDARD_TESTS:
+            for event in standard_events(test):
+                assert len(event.tokens) == 1
+                (token,) = event.tokens
+                labels = token_labels(token)
+                assert token != COINCIDENCE
+                assert len(labels) == 1 or sorted(labels.values()) == ["r", "t"]
+                for theta in (0.0, 0.3, math.pi / 4):
+                    for eta in (0.0, 0.37, 1.0):
+                        dist = run_context(event.context, BeamsplitterSpec(theta),
+                                           DistinguishabilityParam(eta))
+                        assert token in dist
 
     @pytest.mark.parametrize("test", [["pentagon"], None, "square", "Pentagon", 5, {}])
     def test_unknown_tests_are_value_errors(self, test):
@@ -531,10 +551,11 @@ class TestCompiledEvents:
 
     def test_sweep_is_bit_identical_to_the_predicate(self):
         rng = random.Random(17)
-        for theta in self.THETAS:
+        edges = [-0.0, 5e-324, 0.5, 0.999999, 1.0]
+        for theta in self.THETAS + [0.0, -0.0, math.pi / 2, -7.3]:
             bs = BeamsplitterSpec(theta)
             uneven = sorted({0.0, 1.0, *(rng.random() for _ in range(99))})
-            for grid in (None, uneven):
+            for grid in (None, uneven, edges):
                 for test in (PENTAGON, TRIANGLE):
                     result = (sweep_eta(test, bs, steps=101) if grid is None
                               else sweep_eta(test, bs, grid))

@@ -463,10 +463,13 @@ class TestParameterInputs:
 
     @pytest.mark.parametrize("good", [0, 1, 0.5, pytest.param("0.5", id="text"),
                                       Fraction(1, 3), np.float64(0.25),
-                                      pytest.param(b"0.5", id="bytes")])
+                                      pytest.param(b"0.5", id="bytes"),
+                                      pytest.param(-0.0, id="-0.0")])
     def test_accepted_values_are_stored_as_given(self, good):
-        """"As given" means as the number rule reads it: a plain float."""
+        """"As given" means as the number rule reads it: a plain float.  A zero
+        overlap is stored as 0.0, so no table or report shows an eta of -0.0."""
         for spec, field in ((BeamsplitterSpec(good), "theta"),
                             (DistinguishabilityParam(good), "eta")):
             stored = getattr(spec, field)
             assert type(stored) is float and stored == float(good)
+        assert math.copysign(1.0, DistinguishabilityParam(good).eta) == 1.0

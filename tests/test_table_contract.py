@@ -1,4 +1,5 @@
-"""Contracts of the per-table path that ``sweep_eta`` runs at every grid point.
+"""Contracts of the per-table path: the table ``sweep_eta`` builds at every grid
+point, and the event sums that ``analyze`` and the library take from a table.
 
 ``run_context`` returns the tokens of ``OUTCOMES[ctx]`` in their order (both-t
 and both-r left out at eta = 1), each with the value of the matching field of
