@@ -25,7 +25,7 @@ from .experiment import (
     make_outcome,
     matching_mass,
 )
-from .fock import real_number, whole_number
+from .fock import whole_number
 from .optics import BeamsplitterSpec, DistinguishabilityParam
 
 PENTAGON = "pentagon"
@@ -308,33 +308,34 @@ def sweep_eta(test: str, bs: BeamsplitterSpec,
     """Inequality sum as a function of the photon overlap eta, with the points
     where it crosses the noncontextual bound (and, for the pentagon, the
     projective quantum bound) found by linear interpolation.  Each point's sum
-    is read from the one table entry each standard event names.  A grid over
-    :data:`MAX_SWEEP_POINTS` points is refused before it is built; explicit
-    points are read by :func:`~bosonctx.fock.real_number`."""
+    is read from the one table entry each standard event names.  ``steps``
+    makes a uniform grid, refused over :data:`MAX_SWEEP_POINTS` points before
+    it is built; each point of either grid is read once by
+    :class:`~bosonctx.optics.DistinguishabilityParam` before the grid checks."""
     events = standard_events(test)
     if etas is None:
         steps = whole_number(steps, "steps", 2)
         if steps > MAX_SWEEP_POINTS:
             raise ValueError(f"sweep limited to {MAX_SWEEP_POINTS} grid points, got {steps!r}")
-        grid = [i / (steps - 1) for i in range(steps)]
-    else:
-        try:
-            points = islice(etas, MAX_SWEEP_POINTS + 1)
-        except TypeError:
-            raise ValueError(f"eta grid must be iterable, got {etas!r:.40}") from None
-        grid = [real_number(e, "eta") for e in points]
-        if len(grid) > MAX_SWEEP_POINTS:
-            raise ValueError(f"sweep limited to {MAX_SWEEP_POINTS} grid points")
-        if len(grid) < 2:
-            raise ValueError("eta grid needs at least 2 points")
-        if any(b <= a for a, b in zip(grid, grid[1:])):
-            raise ValueError("eta grid must be strictly increasing")
+        etas = [i / (steps - 1) for i in range(steps)]
+    try:
+        points = islice(etas, MAX_SWEEP_POINTS + 1)
+    except TypeError:
+        raise ValueError(f"eta grid must be iterable, got {etas!r:.40}") from None
+    params = [DistinguishabilityParam(e) for e in points]
+    grid = [d.eta for d in params]
+    if len(grid) > MAX_SWEEP_POINTS:
+        raise ValueError(f"sweep limited to {MAX_SWEEP_POINTS} grid points")
+    if len(grid) < 2:
+        raise ValueError("eta grid needs at least 2 points")
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ValueError("eta grid must be strictly increasing")
 
     # each standard event names one bunching or single-fiber entry, present at every eta
     # and never -0.0, so its mass sum([p]) is p and these sums are inequality_sum's bits
     entries = [(e.context, token) for e in events for (token,) in (e.tokens,)]
     sums = [sum([contexts[c][t] for c, t in entries])
-            for contexts in (full_table(bs, DistinguishabilityParam(e)).contexts for e in grid)]
+            for contexts in (full_table(bs, d).contexts for d in params)]
 
     bounds = {name: float(bound) for name, bound in standard_bounds(test).items()}
     crossings = {name: _first_crossing(grid, sums, b) for name, b in bounds.items()}

@@ -21,7 +21,9 @@ of one context whose labels include it (:func:`check_requirements`, the one
 matcher); an event mass (:func:`matching_mass`) is then one membership test
 per table entry.
 
-JSON and CSV share one header rule (schema 1 if given; theta and eta given).
+Only :func:`parse_table` reads table text: JSON or CSV, one header rule
+(schema 1 if given; theta and eta given), then :meth:`OutcomeTable.from_records`,
+whose records are mappings with exactly the keys context, outcome and probability.
 Table numbers and the tolerance are read by :func:`~bosonctx.fock.real_number`.
 :meth:`OutcomeTable.validate_structure` (a finite positive tolerance,
 contexts, tokens, each probability's range, then the header) gates both checkers;
@@ -56,6 +58,7 @@ COINCIDENCE = "coinc"
 
 SCHEMA_VERSION = 1
 DEFAULT_TOLERANCE = 1e-12
+_RECORD_FIELDS = ("context", "outcome", "probability")  # a table record's keys, in CSV order
 
 
 def validate_context(ctx: str) -> str:
@@ -148,8 +151,9 @@ class OutcomeTable:
     """Conditional outcome probabilities for all six contexts.
 
     ``contexts`` maps a context token to an outcome-token distribution.
-    Construction does not validate; call :meth:`validate` (loaders do), so
-    that deliberately perturbed tables can be built for fault injection.
+    Neither construction nor :func:`parse_table` validates, so that perturbed
+    tables can be built for fault injection; ``analyze`` calls :meth:`validate`
+    on a table it reads, and each checker calls :meth:`validate_structure`.
     """
 
     theta: float
@@ -209,65 +213,26 @@ class OutcomeTable:
         })
 
     def to_csv(self) -> str:
-        return write_csv({"theta": self.theta, "eta": self.eta},
-                         ("context", "outcome", "probability"),
-                         ((r["context"], r["outcome"], r["probability"])
-                          for r in self.to_records()))
+        return write_csv({"theta": self.theta, "eta": self.eta}, _RECORD_FIELDS,
+                         (r.values() for r in self.to_records()))
 
     @classmethod
     def from_records(cls, theta, eta, records: list[Mapping]) -> "OutcomeTable":
-        """Build a table from parsed values, each number read by ``real_number``."""
+        """Build a table from parsed values, each number read by ``real_number``.
+        A record is a mapping with exactly the keys context, outcome and probability."""
         contexts: dict[str, dict[str, float]] = {}
         for rec in records:
-            try:
-                ctx = validate_context(str(rec["context"]))
-                token = str(rec["outcome"])
-                p = real_number(rec["probability"], "probability")
-            except (KeyError, TypeError) as exc:
-                raise ValueError(f"bad table record {rec!r}") from exc
+            if not isinstance(rec, Mapping) or rec.keys() != set(_RECORD_FIELDS):
+                raise ValueError(f"bad table record {rec!r}")
+            ctx = validate_context(str(rec["context"]))
+            token = str(rec["outcome"])
+            p = real_number(rec["probability"], "probability")
             _validate_outcome_for_context(token, ctx)
             dist = contexts.setdefault(ctx, {})
             if token in dist:
                 raise ValueError(f"duplicate record for {ctx!r}/{token!r}")
             dist[token] = p
         return cls(real_number(theta, "theta"), real_number(eta, "eta"), contexts)
-
-    @classmethod
-    def _from_header(cls, header: Mapping, records: list[Mapping]) -> "OutcomeTable":
-        """Both formats' header rule: ``schema`` is 1 if given, theta and eta are given."""
-        if real_number(header.get("schema", SCHEMA_VERSION), "schema") != SCHEMA_VERSION:
-            raise ValueError(f"unsupported schema {header['schema']!r}")
-        if "theta" not in header or "eta" not in header:
-            raise ValueError("table header needs theta and eta")
-        return cls.from_records(header["theta"], header["eta"], records)
-
-    @classmethod
-    def from_json(cls, text: str) -> "OutcomeTable":
-        try:
-            payload = json.loads(text)
-        except (json.JSONDecodeError, RecursionError) as exc:
-            raise ValueError(f"not valid JSON: {exc}") from exc
-        records = payload.get("records") if isinstance(payload, dict) else None
-        if not isinstance(records, list):
-            raise ValueError("table JSON must be an object with a records list")
-        return cls._from_header(payload, records)
-
-    @classmethod
-    def from_csv(cls, text: str) -> "OutcomeTable":
-        meta: dict[str, str] = {}
-        rows = []
-        for line in text.splitlines():
-            if line.startswith("#"):
-                key, equals, value = line.lstrip("#").partition("=")
-                if equals:
-                    meta[key.strip()] = value
-            elif line.strip():
-                rows.append(line)
-        reader = csv.DictReader(io.StringIO("\n".join(rows)))
-        if reader.fieldnames != ["context", "outcome", "probability"]:
-            raise ValueError(
-                f"CSV header must be context,outcome,probability, got {reader.fieldnames}")
-        return cls._from_header(meta, list(reader))
 
 
 def dump_json(payload: Mapping) -> str:
@@ -276,7 +241,7 @@ def dump_json(payload: Mapping) -> str:
 
 
 def write_csv(meta: Mapping[str, object], header: Sequence[str],
-              rows: Iterable[Sequence]) -> str:
+              rows: Iterable[Iterable]) -> str:
     """CSV text: ``# schema=``, one ``# key=value`` line per metadata entry,
     then the header and the rows.  Floats are written as ``str``, which is the
     shortest text that reads back to the same float."""
@@ -298,8 +263,32 @@ def parse_table(text: str) -> OutcomeTable:
     if not stripped:
         raise ValueError("empty table file")
     if stripped[0] in "{[":
-        return OutcomeTable.from_json(text)
-    return OutcomeTable.from_csv(text)
+        try:
+            header = json.loads(text)
+        except (json.JSONDecodeError, RecursionError) as exc:
+            raise ValueError(f"not valid JSON: {exc}") from exc
+        records = header.get("records") if isinstance(header, dict) else None
+        if not isinstance(records, list):
+            raise ValueError("table JSON must be an object with a records list")
+    else:
+        header, rows = {}, []
+        for line in text.splitlines():
+            if line.startswith("#"):
+                key, equals, value = line.lstrip("#").partition("=")
+                if equals:
+                    header[key.strip()] = value
+            elif line.strip():
+                rows.append(line)
+        reader = csv.DictReader(io.StringIO("\n".join(rows)))
+        if reader.fieldnames != list(_RECORD_FIELDS):
+            raise ValueError(
+                f"CSV header must be context,outcome,probability, got {reader.fieldnames}")
+        records = list(reader)
+    if real_number(header.get("schema", SCHEMA_VERSION), "schema") != SCHEMA_VERSION:
+        raise ValueError(f"unsupported schema {header['schema']!r}")
+    if "theta" not in header or "eta" not in header:
+        raise ValueError("table header needs theta and eta")
+    return OutcomeTable.from_records(header["theta"], header["eta"], records)
 
 
 def load_table(path) -> OutcomeTable:

@@ -560,6 +560,7 @@ class TestCompiledEvents:
                     result = (sweep_eta(test, bs, steps=101) if grid is None
                               else sweep_eta(test, bs, grid))
                     etas = list(result.etas)
+                    assert math.copysign(1, etas[0]) == 1  # a grid point of -0.0 reads 0.0
                     sums = [sum(predicate_matching_mass(table.contexts[e.context], e.requirements)
                                 for e in standard_events(test))
                             for table in (full_table(bs, DistinguishabilityParam(eta))

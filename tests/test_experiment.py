@@ -354,6 +354,26 @@ class TestSerialization:
             with pytest.raises(ValueError, match=match):
                 parse_table(text)
 
+    def test_both_formats_refuse_a_record_with_extra_fields(self):
+        table = full_table(BeamsplitterSpec(0.3), DistinguishabilityParam(0.37))
+        lines = table.to_csv().splitlines()
+        row = lines.index("context,outcome,probability") + 1
+        payload = json.loads(table.to_json())
+        first, rest = payload["records"][0], payload["records"][1:]
+        bad_rows = [lines[row] + ",junk", lines[row] + ",,"]
+        # an extra key, a missing key and three non-mappings
+        bad_records = [{**first, "counts": 7}, {"context": "A", "outcome": "at"},
+                       list(first.values()), "A", None]
+        texts = (["\n".join(lines[:row] + [r] + lines[row + 1:]) for r in bad_rows]
+                 + [json.dumps({**payload, "records": [r] + rest}) for r in bad_records])
+        for text in texts:
+            with pytest.raises(ValueError, match="^bad table record "):
+                parse_table(text)
+        # a short CSV row keeps its refusal: the reader fills the missing value with None
+        short = lines[row].rpartition(",")[0]
+        with pytest.raises(ValueError, match="^probability must be a number"):
+            parse_table("\n".join(lines[:row] + [short] + lines[row + 1:]))
+
     @pytest.mark.parametrize("text", [None, b"{}", bytearray(b"{}"), 1j, [0.5], 3])
     def test_only_text_is_parsed(self, text):
         with pytest.raises(ValueError, match="^table text must be a str, got "):

@@ -1,12 +1,16 @@
 """Source and suite hygiene: no module of the package imports a name it never
-uses or defines a top-level function or class that pytest would collect, and a
-failing property test fails the run without stopping it.
+uses or defines a top-level function or class that pytest would collect, no
+private name the package defines goes unreferenced, and a failing property
+test fails the run without stopping it.
 
 ``__init__`` is exempt from the import rule, since its imports are the
 package's exports, and so are ``from __future__`` imports.  A name counts as
 used when it appears as an identifier anywhere in the module, annotations
 included.  A function or class named ``test…`` or ``Test…`` would run as a test
-in every test module that imports it.
+in every test module that imports it.  A private name is a single-underscore
+name (not a dunder) defined at a module's top level or in a class body, by
+``def``, ``class`` or assignment; it counts as referenced when some module of
+the package reads it as an identifier or an attribute, or imports it by name.
 """
 
 from __future__ import annotations
@@ -43,6 +47,39 @@ def collectable_names(source: str) -> list[str]:
             and node.name.lower().startswith("test")]
 
 
+def private_definitions(tree: ast.Module) -> list[str]:
+    """Single-underscore names bound at the top level or in any class body."""
+    names = []
+    for body in [tree.body] + [n.body for n in ast.walk(tree) if isinstance(n, ast.ClassDef)]:
+        for node in body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names.append(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return [name for name in names if name.startswith("_") and not name.startswith("__")]
+
+
+def references(tree: ast.Module) -> set[str]:
+    """Names read as identifiers or attributes, or imported by name."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
+            found.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            found.update(a.name for a in node.names)
+    return found
+
+
+def orphaned_private_names(sources: list[str]) -> list[str]:
+    """The private names defined in ``sources`` that none of them references."""
+    trees = [ast.parse(source) for source in sources]
+    used = set().union(*map(references, trees))
+    return [name for tree in trees for name in private_definitions(tree) if name not in used]
+
+
 def test_the_package_has_modules_to_check():
     assert {p.name for p in MODULES} >= {"cli.py", "contextuality.py", "experiment.py"}
 
@@ -55,6 +92,26 @@ def test_module_uses_every_name_it_imports(path):
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_module_defines_nothing_pytest_would_collect(path):
     assert collectable_names(path.read_text()) == []
+
+
+def test_every_private_name_is_referenced():
+    sources = [p.read_text() for p in sorted(PACKAGE.glob("*.py"))]
+    assert sum(len(private_definitions(ast.parse(s))) for s in sources) > 0
+    assert orphaned_private_names(sources) == []
+
+
+def test_an_orphaned_private_name_is_found():
+    helpers = ("_LIMIT: int = 3\n_CACHE = {}\n__version__ = '1'\n"
+               "def _shared():\n    pass\n"
+               "def _orphan():\n    _CACHE = 1\n"
+               "class _Reader:\n    _header = None\n"
+               "    def _read_header(self):\n        return self._header\n"
+               "    def __repr__(self):\n        return ''\n")
+    user = ("from helpers import _shared\n"
+            "_ready = _LIMIT\n"
+            "def read():\n    def _inner():\n        pass\n    return _Reader()\n")
+    assert orphaned_private_names([helpers, user]) == ["_CACHE", "_orphan", "_read_header",
+                                                      "_ready"]
 
 
 def test_a_collectable_name_is_found():
