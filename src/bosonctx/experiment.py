@@ -65,7 +65,7 @@ def validate_context(ctx: str) -> str:
     """Check a context token against the six canonical contexts."""
     if ctx not in ALL_CONTEXTS:
         raise ValueError(
-            f"unknown context {ctx!r}; expected one of {', '.join(ALL_CONTEXTS)}")
+            f"unknown context {ctx!r:.40}; expected one of {', '.join(ALL_CONTEXTS)}")
     return ctx
 
 
@@ -113,13 +113,13 @@ def check_requirements(ctx: str, requirements: Mapping[str, str]) -> frozenset[s
     tokens = frozenset(token for token, labels in OUTCOMES[validate_context(ctx)].items()
                        if items <= labels.items())
     if not requirements or not tokens:
-        raise ValueError(f"context {ctx!r} has no outcome meeting {dict(requirements)!r}")
+        raise ValueError(f"context {ctx!r:.40} has no outcome meeting {dict(requirements)!r:.40}")
     return tokens
 
 
 def _validate_outcome_for_context(token: str, ctx: str) -> None:
     if token not in OUTCOMES[ctx]:
-        raise ValueError(f"context {ctx!r} has no outcome {token!r}; "
+        raise ValueError(f"context {ctx!r:.40} has no outcome {token!r:.40}; "
                          f"expected one of {', '.join(OUTCOMES[ctx])}")
 
 
@@ -223,14 +223,14 @@ class OutcomeTable:
         contexts: dict[str, dict[str, float]] = {}
         for rec in records:
             if not isinstance(rec, Mapping) or rec.keys() != set(_RECORD_FIELDS):
-                raise ValueError(f"bad table record {rec!r}")
+                raise ValueError(f"bad table record {rec!r:.40}")
             ctx = validate_context(str(rec["context"]))
             token = str(rec["outcome"])
             p = real_number(rec["probability"], "probability")
             _validate_outcome_for_context(token, ctx)
             dist = contexts.setdefault(ctx, {})
             if token in dist:
-                raise ValueError(f"duplicate record for {ctx!r}/{token!r}")
+                raise ValueError(f"duplicate record for {ctx!r:.40}/{token!r:.40}")
             dist[token] = p
         return cls(real_number(theta, "theta"), real_number(eta, "eta"), contexts)
 
@@ -280,12 +280,15 @@ def parse_table(text: str) -> OutcomeTable:
             elif line.strip():
                 rows.append(line)
         reader = csv.DictReader(io.StringIO("\n".join(rows)))
-        if reader.fieldnames != list(_RECORD_FIELDS):
-            raise ValueError(
-                f"CSV header must be context,outcome,probability, got {reader.fieldnames}")
-        records = list(reader)
+        try:
+            if reader.fieldnames != list(_RECORD_FIELDS):
+                raise ValueError("CSV header must be context,outcome,probability, "
+                                 f"got {reader.fieldnames!r:.40}")
+            records = list(reader)
+        except csv.Error as exc:  # such as a field past csv's size limit
+            raise ValueError(f"not valid CSV: {exc}") from exc
     if real_number(header.get("schema", SCHEMA_VERSION), "schema") != SCHEMA_VERSION:
-        raise ValueError(f"unsupported schema {header['schema']!r}")
+        raise ValueError(f"unsupported schema {header['schema']!r:.40}")
     if "theta" not in header or "eta" not in header:
         raise ValueError("table header needs theta and eta")
     return OutcomeTable.from_records(header["theta"], header["eta"], records)

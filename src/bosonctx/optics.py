@@ -20,7 +20,8 @@ import math
 import operator
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, reduce
+from itertools import accumulate, repeat
 
 import numpy as np
 
@@ -146,26 +147,69 @@ def _gray_schedule(n: int) -> tuple[tuple[int, Callable, bool], ...]:
     return tuple(steps)
 
 
+# Steps per block of the walk in ``permanent``: a call holds O(n * _WALK_BLOCK)
+# running sums, not O(n * 2^n).  Even, so each block starts into an odd subset.
+_WALK_BLOCK = 1 << 9
+
+
+@cache
+def _walk_getters(n: int) -> tuple[Callable, ...]:
+    """For each block of at most ``_WALK_BLOCK`` steps of ``_gray_schedule(n)``,
+    in walk order, a getter that picks from a row's ``row + tuple(map(neg, row))``
+    the entry each step adds to that row's sum: index j for a step that adds
+    column j, n + j for one that subtracts it.  Equal blocks share one getter.
+    Built on first use of a size.
+    """
+    indices = [j if step is operator.add else n + j for j, step, _ in _gray_schedule(n)]
+    shared: dict[tuple, Callable] = {}
+    getters = []
+    for start in range(0, len(indices), _WALK_BLOCK):
+        block = tuple(indices[start:start + _WALK_BLOCK])
+        if block not in shared:
+            # itemgetter of one index returns the item, not a tuple: the walk of n = 1
+            shared[block] = (operator.itemgetter(*block) if len(block) > 1
+                             else operator.itemgetter(slice(block[0], block[0] + 1)))
+        getters.append(shared[block])
+    return tuple(getters)
+
+
 def permanent(matrix) -> complex:
     """Matrix permanent via Ryser's formula with Gray-code subset updates.
 
     ``matrix`` is a non-empty square list of lists, tuple of tuples or 2-D
     ``ndarray`` of numbers; anything else raises ``ValueError``.  Runs in
     O(2^n * n) for an n x n matrix in plain Python; exact up to floating point.
-    The walk's steps come from :func:`_gray_schedule`, cached per size.
+
+    The walk goes row by row.  Each distinct row *object* forms its running
+    sums over the steps of :func:`_gray_schedule` once, through the getters of
+    :func:`_walk_getters` (both cached per size); a row repeated as the same
+    object, as :func:`scattering_amplitude` repeats a bunched output mode's
+    row, shares them.  Rows are matched by identity, never by equality, since
+    0.0 == -0.0.  Each term is the product of the rows' sums in row order from
+    the int 1, as ``math.prod`` forms it, and the signed terms are added in
+    walk order; a subtraction is the addition of the negation in IEEE
+    arithmetic, so every bit matches the step-by-step walk.  The walk runs in
+    blocks of at most ``_WALK_BLOCK`` steps that carry each row's last sum and
+    the total, so a call holds O(n * _WALK_BLOCK) sums.
     """
     rows = _square_rows(matrix, "permanent")
     n = len(rows)
-    cols = list(zip(*rows))
-    row_sums = [0j] * n
+    signed = {id(row): row + tuple(map(operator.neg, row)) for row in rows}
+    carry = dict.fromkeys(signed, 0j)
     total = 0j
-    for j, step, odd in _gray_schedule(n):
-        row_sums = list(map(step, row_sums, cols[j]))
-        term = math.prod(row_sums)
-        if odd:
-            total -= term
-        else:
-            total += term
+    for getter in _walk_getters(n):
+        sums = {}
+        for key, entries in signed.items():
+            block = sums[key] = list(accumulate(getter(entries), initial=carry[key]))
+            carry[key] = block[-1]
+            del block[0]
+        terms = repeat(1)
+        for row in rows:
+            terms = map(operator.mul, terms, sums[id(row)])
+        terms = list(terms)
+        terms[::2] = map(operator.neg, terms[::2])  # each block starts into an odd subset
+        # reduce, not sum: newer Pythons sum floats and complexes with compensation
+        total = reduce(operator.add, terms, total)
     return total if n % 2 == 0 else -total
 
 
@@ -174,7 +218,9 @@ def scattering_amplitude(unitary, state_in: FockState, state_out: FockState) -> 
 
     Equals the permanent of the unitary with column i repeated n_i times and
     row j repeated m_j times, divided by sqrt(prod n_i! * prod m_j!).
-    ``unitary`` takes the same forms as in ``permanent``.
+    ``unitary`` takes the same forms as in ``permanent``.  Each occupied
+    output mode's row is built once and passed as the same tuple for each of
+    its photons, so ``permanent`` forms that row's sums once.
     """
     u = _square_rows(unitary, "unitary")
     modes = len(u)
@@ -189,8 +235,9 @@ def scattering_amplitude(unitary, state_in: FockState, state_out: FockState) -> 
         return 1 + 0j
 
     cols = [i for i, n in enumerate(state_in.occupations) for _ in range(n)]
-    sub = _Rows(tuple(u[i][c] for c in cols)
-                for i, m in enumerate(state_out.occupations) for _ in range(m))
+    # one row object per occupied output mode, repeated, so permanent walks it once
+    sub = _Rows(row for i, m in enumerate(state_out.occupations) if m
+                for row in [tuple(u[i][c] for c in cols)] * m)
     weight = 1.0
     for n in state_in.occupations:
         weight *= math.factorial(n)

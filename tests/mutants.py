@@ -39,6 +39,7 @@ class Mutant(NamedTuple):
 
 
 GATES = "tests/test_experiment.py::TestFullTable::test_gates_decide_exactly_at_the_tolerance"
+BLOCKS = "tests/test_optics.py::TestRowWalk::test_walks_of_several_blocks_match_the_step_walk"
 MUTANTS = (
     # a probability up to two tolerances above 1 passes the range check
     Mutant("src/bosonctx/experiment.py",
@@ -80,6 +81,19 @@ MUTANTS = (
            " or rec.keys() != set(_RECORD_FIELDS):", ":",
            "tests/test_experiment.py::TestSerialization::"
            "test_both_formats_refuse_a_record_with_extra_fields"),
+    # the permanent's terms take the sign of the step after theirs
+    Mutant("src/bosonctx/optics.py",
+           "terms[::2] = map(operator.neg, terms[::2])",
+           "terms[1::2] = map(operator.neg, terms[1::2])",
+           "tests/test_optics.py::TestRowWalk::test_shared_rows_match_the_step_walk"),
+    # each block of the permanent's walk starts every row's sum again from 0j
+    Mutant("src/bosonctx/optics.py",
+           "initial=carry[key]", "initial=0j",
+           f"{BLOCKS}[11]"),
+    # each block of the permanent's walk starts the total again from 0j
+    Mutant("src/bosonctx/optics.py",
+           "reduce(operator.add, terms, total)", "reduce(operator.add, terms, 0j)",
+           f"{BLOCKS}[11]"),
 )
 
 

@@ -447,6 +447,40 @@ class TestErrorPath:
         assert captured.err.endswith("\n")
         assert "usage:" not in captured.err
 
+    @pytest.mark.parametrize("field, message", [
+        ("context", "unknown context"),
+        ("note", "bad table record"),
+        ("outcome", "has no outcome"),
+        ("schema", "unsupported schema"),
+        ("csv header", "CSV header must be"),
+        ("csv field", "not valid CSV"),
+    ])
+    def test_huge_input_value_is_echoed_in_short(self, capsys, tmp_path, field, message):
+        """A table value of a million characters gives one short ``error:`` line."""
+        value = {"context": "A", "schema": "2."}.get(field, "x") + "0" * 10**6
+        simulated = full_table(BeamsplitterSpec(0.3), DistinguishabilityParam(0.37))
+        path = tmp_path / "table.json"
+        if field == "csv header":  # short fields, a million characters in all
+            text = simulated.to_csv().replace("probability", "probability," + ",".join(value))
+        elif field == "csv field":  # one field past csv's size limit
+            text = simulated.to_csv().replace("A,at,", "A,at," + value, 1)
+        else:
+            payload = json.loads(simulated.to_json())
+            if field == "schema":
+                payload["schema"] = value
+            else:
+                payload["records"][0][field] = value
+            text = json.dumps(payload)
+        path.write_text(text)
+        with pytest.raises(SystemExit) as err:
+            main(["verify", "--input", str(path)])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert message in captured.err
+        assert len(captured.err.encode()) <= 200
+
 
 class TestUsage:
     def test_unknown_command(self):

@@ -4,6 +4,7 @@ import operator
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -444,10 +445,75 @@ class TestGraySchedule:
                                                           env.get("PYTHONPATH")]))
         code = ("import bosonctx\n"
                 "from bosonctx import optics\n"
-                "print(optics._gray_schedule.cache_info().currsize)")
+                "print(optics._gray_schedule.cache_info().currsize,\n"
+                "      optics._walk_getters.cache_info().currsize)")
         result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                                 env=env, timeout=60, check=True)
-        assert result.stdout == "0\n"
+        assert result.stdout == "0 0\n"
+
+
+@st.composite
+def shared_row_submatrices(draw) -> optics._Rows:
+    """A submatrix of at most 6 x 6 as ``scattering_amplitude`` builds it: the
+    columns of an input occupation, and each occupied output mode's row as one
+    tuple, repeated by its count, in a ``_Rows`` that ``permanent`` takes as it
+    is.  Entries mix ints and complexes whose parts are often 0.0 or -0.0."""
+    modes = draw(st.integers(1, 4))
+    part = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-2.0, 2.0, allow_subnormal=False))
+    entry = st.one_of(st.integers(-3, 3), st.builds(complex, part, part))
+    u = draw(st.lists(st.lists(entry, min_size=modes, max_size=modes),
+                      min_size=modes, max_size=modes))
+    total = draw(st.integers(1, 6))
+    photons = st.lists(st.integers(0, modes - 1), min_size=total, max_size=total).map(sorted)
+    cols = draw(photons)
+    outputs = draw(photons)
+    rows = {i: tuple(u[i][c] for c in cols) for i in outputs}
+    return optics._Rows(rows[i] for i in outputs)
+
+
+class TestRowWalk:
+    """``permanent`` walks each distinct row object once, in blocks, and keeps
+    every bit of the step-by-step walk of ``numpy_ryser_permanent``."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(shared_row_submatrices())
+    def test_shared_rows_match_the_step_walk(self, rows):
+        assert _hex(permanent(rows)) == _hex(numpy_ryser_permanent(rows))
+
+    @pytest.mark.parametrize("n", [11, 12])
+    def test_walks_of_several_blocks_match_the_step_walk(self, n):
+        assert len(optics._walk_getters(n)) > 1
+        rng = np.random.default_rng(n)
+        distinct = optics._square_rows(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)),
+                                       "matrix")
+        shared = optics._Rows(distinct[i // 3] for i in range(n))
+        for rows in (distinct, shared):
+            assert _hex(permanent(rows)) == _hex(numpy_ryser_permanent(rows))
+
+    def test_scattering_amplitude_passes_each_output_row_as_one_object(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(optics, "permanent", lambda rows: seen.append(rows) or 1j)
+        u = [[complex(4 * i + j, -j) for j in range(4)] for i in range(4)]
+        scattering_amplitude(u, make_fock([1, 2, 0, 3]), make_fock([2, 0, 3, 1]))
+        (rows,) = seen
+        assert type(rows) is optics._Rows
+        modes, cols = (0, 0, 2, 2, 2, 3), (0, 1, 1, 3, 3, 3)
+        assert rows == tuple(tuple(u[i][c] for c in cols) for i in modes)
+        first = {i: rows[modes.index(i)] for i in modes}
+        assert all(row is first[i] for row, i in zip(rows, modes))
+        assert len({id(row) for row in rows}) == 3
+
+    def test_walk_holds_blocks_not_the_whole_walk(self):
+        rng = np.random.default_rng(14)
+        m = (rng.normal(size=(14, 14)) + 1j * rng.normal(size=(14, 14))).tolist()
+        permanent(m)  # builds the size's schedule and getters, which outlive the call
+        tracemalloc.start()
+        try:
+            permanent(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
 
 class TestParameterInputs:
