@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import operator
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from functools import cache, cached_property, reduce
 from itertools import accumulate, repeat
@@ -213,14 +213,45 @@ def permanent(matrix) -> complex:
     return total if n % 2 == 0 else -total
 
 
+def _amplitudes(u: _Rows, state_in: FockState, outs) -> Iterator[complex]:
+    """<out| U |in> for each ``out`` in ``outs``, which hold the photon total of
+    ``state_in``, through the checked unitary ``u``: the one amplitude rule.
+
+    The columns, the input weight (1.0 times each n_i!, in mode order) and one
+    row per mode are built once per input state.  Each output's submatrix
+    passes an occupied mode's shared row once per photon in that mode, so
+    ``permanent`` forms that row's sums once, and its weight goes on from the
+    input weight by each m_j!, in mode order (0! = 1 changes no bit and is
+    skipped).
+    """
+    cols = [i for i, n in enumerate(state_in.occupations) for _ in range(n)]
+    if not cols:  # the vacuum goes to the vacuum
+        for _ in outs:
+            yield 1 + 0j
+        return
+    mode_rows = [tuple(row[c] for c in cols) for row in u]
+    weight_in = 1.0
+    for n in state_in.occupations:
+        weight_in *= math.factorial(n)
+    for out in outs:
+        weight = weight_in
+        sub = []
+        for row, m in zip(mode_rows, out.occupations):
+            if m:
+                weight *= math.factorial(m)
+                sub += [row] * m
+        yield permanent(_Rows(sub)) / math.sqrt(weight)
+
+
 def scattering_amplitude(unitary, state_in: FockState, state_out: FockState) -> complex:
     """Transition amplitude <out| U |in> for non-interacting bosons.
 
     Equals the permanent of the unitary with column i repeated n_i times and
     row j repeated m_j times, divided by sqrt(prod n_i! * prod m_j!).
-    ``unitary`` takes the same forms as in ``permanent``.  Each occupied
-    output mode's row is built once and passed as the same tuple for each of
-    its photons, so ``permanent`` forms that row's sums once.
+    ``unitary`` takes the same forms as in ``permanent``.  After checking the
+    states against the unitary, it takes the amplitude from :func:`_amplitudes`,
+    which passes each occupied output mode's row as one tuple for each of its
+    photons, so ``permanent`` forms that row's sums once.
     """
     u = _square_rows(unitary, "unitary")
     modes = len(u)
@@ -231,24 +262,18 @@ def scattering_amplitude(unitary, state_in: FockState, state_out: FockState) -> 
     if state_in.total != state_out.total:
         raise ValueError(
             f"photon number mismatch: {state_in.total} in vs {state_out.total} out")
-    if state_in.total == 0:
-        return 1 + 0j
-
-    cols = [i for i, n in enumerate(state_in.occupations) for _ in range(n)]
-    # one row object per occupied output mode, repeated, so permanent walks it once
-    sub = _Rows(row for i, m in enumerate(state_out.occupations) if m
-                for row in [tuple(u[i][c] for c in cols)] * m)
-    weight = 1.0
-    for n in state_in.occupations:
-        weight *= math.factorial(n)
-    for n in state_out.occupations:
-        weight *= math.factorial(n)
-    return permanent(sub) / math.sqrt(weight)
+    return next(_amplitudes(u, state_in, [state_out]))
 
 
 def apply_interferometer(state: PureState, unitary) -> PureState:
     """Linear extension of the scattering amplitudes to a full superposition;
-    terms with ``|amplitude| <= fock.PRUNE`` are dropped."""
+    terms with ``|amplitude| <= fock.PRUNE`` are dropped.
+
+    The unitary is checked once per call, each photon total's output basis
+    is built once, and each input term makes one :func:`_amplitudes` pass over
+    its total's basis, which sets up the columns, input weight and mode rows
+    of that input state once for all of its outputs.
+    """
     u = _square_rows(unitary, "unitary")
     if len(u) != state.modes:
         raise ValueError(
@@ -256,10 +281,12 @@ def apply_interferometer(state: PureState, unitary) -> PureState:
     bases: dict[int, list[FockState]] = {}
     out_terms: dict[FockState, complex] = {}
     for fock, amp in state.terms.items():
-        if fock.total not in bases:
-            bases[fock.total] = fock_basis(fock.total, state.modes)
-        for out in bases[fock.total]:
-            a = amp * scattering_amplitude(u, fock, out)
+        total = fock.total
+        if total not in bases:
+            bases[total] = fock_basis(total, state.modes)
+        outs = bases[total]
+        for out, a in zip(outs, _amplitudes(u, fock, outs)):
+            a = amp * a
             if a != 0j:
                 out_terms[out] = out_terms.get(out, 0j) + a
     return pure_state(out_terms, modes=state.modes)

@@ -40,6 +40,7 @@ class Mutant(NamedTuple):
 
 GATES = "tests/test_experiment.py::TestFullTable::test_gates_decide_exactly_at_the_tolerance"
 BLOCKS = "tests/test_optics.py::TestRowWalk::test_walks_of_several_blocks_match_the_step_walk"
+PASS = "tests/test_optics.py::TestAmplitudePass"
 MUTANTS = (
     # a probability up to two tolerances above 1 passes the range check
     Mutant("src/bosonctx/experiment.py",
@@ -94,6 +95,15 @@ MUTANTS = (
     Mutant("src/bosonctx/optics.py",
            "reduce(operator.add, terms, total)", "reduce(operator.add, terms, 0j)",
            f"{BLOCKS}[11]"),
+    # each output's weight starts again from 1.0, without the input factorials
+    Mutant("src/bosonctx/optics.py",
+           "weight = weight_in", "weight = 1.0",
+           f"{PASS}::test_terms_are_the_per_output_amplitudes_bit_for_bit"),
+    # each output builds its own mode rows instead of sharing its input state's
+    Mutant("src/bosonctx/optics.py",
+           "zip(mode_rows, out.occupations)",
+           "zip([tuple(row[c] for c in cols) for row in u], out.occupations)",
+           f"{PASS}::test_outputs_of_one_input_share_its_mode_rows"),
 )
 
 

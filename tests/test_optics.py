@@ -516,6 +516,99 @@ class TestRowWalk:
         assert peak < 1_000_000
 
 
+def _unitary(seed: int, n: int) -> tuple[tuple[complex, ...], ...]:
+    """A seeded Haar-like n x n unitary as tuple rows of Python complex."""
+    rng = np.random.default_rng(seed)
+    q, r = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    return tuple(map(tuple, (q * (np.diag(r) / abs(np.diag(r)))).tolist()))
+
+
+def _reference_amplitude(u, state_in, state_out) -> complex:
+    """``scattering_amplitude`` as it computed each amplitude before the
+    per-input-state set-up was shared: its own columns, each occupied output
+    mode's row built once and repeated, and the weight from 1.0 over the input
+    then the output factorials."""
+    cols = [i for i, n in enumerate(state_in.occupations) for _ in range(n)]
+    if not cols:
+        return 1 + 0j
+    sub = optics._Rows(row for i, m in enumerate(state_out.occupations) if m
+                       for row in [tuple(u[i][c] for c in cols)] * m)
+    weight = 1.0
+    for n in state_in.occupations + state_out.occupations:
+        weight *= math.factorial(n)
+    return permanent(sub) / math.sqrt(weight)
+
+
+@st.composite
+def interferometer_cases(draw):
+    """A unitary-shaped matrix of 1 to 5 modes and a superposition of 2 or 3
+    terms over at least 2 photon totals of 0 to 6 (the vacuum among them).
+    Entries are often ints, and complex parts are often 0.0 or -0.0."""
+    modes = draw(st.integers(1, 5))
+    part = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-2.0, 2.0, allow_subnormal=False))
+    entry = st.one_of(st.integers(-3, 3), st.builds(complex, part, part))
+    u = draw(st.lists(st.lists(entry, min_size=modes, max_size=modes),
+                      min_size=modes, max_size=modes))
+    totals = draw(st.lists(st.integers(0, 6), min_size=2, max_size=3)
+                  .filter(lambda t: len(set(t)) > 1))
+    amp = st.builds(complex, st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
+    terms = {}
+    for total in totals:
+        photons = draw(st.lists(st.integers(0, modes - 1), min_size=total, max_size=total))
+        terms[tuple(photons.count(i) for i in range(modes))] = draw(amp)
+    return u, pure_state(terms, modes=modes)
+
+
+class TestAmplitudePass:
+    """``apply_interferometer`` sets up each input state once for all of its
+    outputs and keeps every bit of one ``scattering_amplitude`` per output."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(interferometer_cases())
+    def test_terms_are_the_per_output_amplitudes_bit_for_bit(self, case):
+        u, state = case
+        expected: dict = {}
+        for fock, amp in state.terms.items():
+            for out in fock_basis(fock.total, state.modes):
+                a = _reference_amplitude(u, fock, out)
+                assert _hex(scattering_amplitude(u, fock, out)) == _hex(a)
+                a = amp * a
+                if a != 0j:
+                    expected[out] = expected.get(out, 0j) + a
+        expected = pure_state(expected, modes=state.modes).terms
+        got = apply_interferometer(state, u).terms
+        assert [(f, _hex(a)) for f, a in got.items()] == \
+            [(f, _hex(a)) for f, a in expected.items()]
+
+    def test_outputs_of_one_input_share_its_mode_rows(self, monkeypatch):
+        seen = []
+        real_permanent = optics.permanent
+        monkeypatch.setattr(optics, "permanent",
+                            lambda rows: seen.append(rows) or real_permanent(rows))
+        u = _unitary(41, 5)
+        apply_interferometer(basis_state([2, 1, 1, 1, 1]), u)
+        assert len(seen) == 210
+        assert all(len(rows) == 6 for rows in seen)
+        assert len({id(row) for rows in seen for row in rows}) <= 5
+
+    @pytest.mark.parametrize("seed, occupations", [(3, (2, 1, 1, 1, 1)),
+                                                   (5, (6, 0, 0, 0, 0)),
+                                                   (7, (0, 3, 0, 1, 2))],
+                             ids=["21111", "60000", "03012"])
+    def test_six_photon_amplitudes_match_the_naive_permanent(self, seed, occupations):
+        u = _unitary(seed, 5)
+        state = basis_state(occupations)
+        out = apply_interferometer(state, u)
+        cols = [i for i, n in enumerate(occupations) for _ in range(n)]
+        for fock in fock_basis(6, 5):
+            sub = [[u[i][c] for c in cols] for i, m in enumerate(fock.occupations)
+                   for _ in range(m)]
+            weight = math.prod(map(math.factorial, occupations + fock.occupations))
+            want = naive_permanent(sub) / math.sqrt(weight)
+            assert abs(out.amplitude(fock) - want) <= 1e-12
+        assert state_norm(out) == pytest.approx(state_norm(state), abs=1e-12)
+
+
 class TestParameterInputs:
     """Both parameter types read their value by ``fock.real_number``."""
 
