@@ -114,16 +114,15 @@ def cmd_bounds(args) -> int:
     spec: str = args.graph
     if spec in STANDARD_TESTS:
         graph = derive_exclusivity(standard_events(spec))
-        theta = standard_bounds(spec).get("quantum")
+        cycle = STANDARD_TESTS[spec][1]
     elif spec.startswith("cycle:"):
-        n = exact_search_size(int(spec.split(":", 1)[1]))
-        graph = cycle_graph(n)
-        theta = lovasz_theta_odd_cycle(n) if n % 2 == 1 else None
+        cycle = exact_search_size(int(spec.split(":", 1)[1]))
+        graph = cycle_graph(cycle)
     else:
         raise ValueError(f"--graph must be pentagon, triangle or cycle:N, got {spec!r}")
     payload = _header(graph=spec, alpha=independence_number(graph))
-    if theta is not None:
-        payload["theta_lovasz"] = theta
+    if cycle is not None and cycle % 2 == 1:
+        payload["theta_lovasz"] = lovasz_theta_odd_cycle(cycle)
     payload["fractional_max"] = fractional_packing_max(graph)
     _emit(dump_json(payload), args.output)
     return 0

@@ -7,11 +7,13 @@ Conventions fixed here and relied on everywhere else:
   ``[[cos t, i sin t], [i sin t, cos t]]`` with transmittance T = cos^2 t;
 * "transmitted" means a photon leaves through the output port with the same
   number as its input port, "reflected" means it crosses over;
-* partial distinguishability is a convex mixture: weight ``eta`` of ideal
-  identical bosons plus weight ``1 - eta`` of classical distinguishable
-  particles.  This keeps every probability non-negative for any splitting
-  ratio and gives the usual two-photon coincidence formula
-  ``T^2 + R^2 - 2 eta T R``.
+* partial distinguishability is an internal mode: the photon in port 1 is in
+  |0>, the one in port 2 in sqrt(eta)|0> + sqrt(1 - eta)|1>, and the splitter
+  is U (x) I_2 on the modes (port 1, |0>), (port 1, |1>), (port 2, |0>),
+  (port 2, |1>).  So ``eta`` weighs identical bosons and ``1 - eta`` photons
+  told apart; no probability is negative, the coincidence is
+  ``T^2 + R^2 - 2 eta T R``, a bunch port's entry sums its internal modes, and
+  both t, both r and ``coinc`` read |1,0,0,1>, |0,1,1,0> and |1,0,1,0>.
 """
 
 from __future__ import annotations
@@ -122,31 +124,6 @@ def _square_rows(matrix, name: str) -> _Rows:
     return rows
 
 
-@cache
-def _gray_schedule(n: int) -> tuple[tuple[int, Callable, bool], ...]:
-    """The 2^n - 1 steps of the Gray-code walk over the non-empty column
-    subsets of n columns, in walk order.
-
-    Step k moves from Gray code ``(k-1) ^ ((k-1) >> 1)`` to ``k ^ (k >> 1)``:
-    it adds or subtracts one column (``operator.add`` or ``operator.sub``),
-    and ``odd`` tells whether the new subset has an odd size.  Each step is
-    one of at most 4n shared tuples, so the schedule costs 2^n - 1 pointers:
-    504 bytes at n = 6, about 8 MB at n = 20.  Built on first use of a size.
-    """
-    shared: dict[tuple, tuple] = {}
-    steps = []
-    gray = 0
-    for k in range(1, 1 << n):
-        new_gray = k ^ (k >> 1)
-        changed = new_gray ^ gray
-        step = (changed.bit_length() - 1,
-                operator.add if new_gray & changed else operator.sub,
-                bool(new_gray.bit_count() & 1))
-        steps.append(shared.setdefault(step, step))
-        gray = new_gray
-    return tuple(steps)
-
-
 # Steps per block of the walk in ``permanent``: a call holds O(n * _WALK_BLOCK)
 # running sums, not O(n * 2^n).  Even, so each block starts into an odd subset.
 _WALK_BLOCK = 1 << 9
@@ -154,13 +131,15 @@ _WALK_BLOCK = 1 << 9
 
 @cache
 def _walk_getters(n: int) -> tuple[Callable, ...]:
-    """For each block of at most ``_WALK_BLOCK`` steps of ``_gray_schedule(n)``,
-    in walk order, a getter that picks from a row's ``row + tuple(map(neg, row))``
-    the entry each step adds to that row's sum: index j for a step that adds
-    column j, n + j for one that subtracts it.  Equal blocks share one getter.
-    Built on first use of a size.
+    """One getter per block of at most ``_WALK_BLOCK`` steps of the Gray-code
+    walk over the non-empty subsets of n columns, in walk order; equal blocks
+    share one.  Step k (1 <= k < 2^n) flips column j, the lowest set bit of k,
+    and its getter picks from a row's ``row + tuple(map(neg, row))`` the entry
+    the step adds to that row's sum: j if the Gray code ``k ^ (k >> 1)`` holds
+    column j, n + j if not.  Built on first use of a size, and never at import.
     """
-    indices = [j if step is operator.add else n + j for j, step, _ in _gray_schedule(n)]
+    flips = ((k, (k & -k).bit_length() - 1) for k in range(1, 1 << n))  # step k, column j
+    indices = [j if (k ^ k >> 1) >> j & 1 else n + j for k, j in flips]
     shared: dict[tuple, Callable] = {}
     getters = []
     for start in range(0, len(indices), _WALK_BLOCK):
@@ -181,8 +160,8 @@ def permanent(matrix) -> complex:
     O(2^n * n) for an n x n matrix in plain Python; exact up to floating point.
 
     The walk goes row by row.  Each distinct row *object* forms its running
-    sums over the steps of :func:`_gray_schedule` once, through the getters of
-    :func:`_walk_getters` (both cached per size); a row repeated as the same
+    sums over the Gray-code walk once, through the getters of
+    :func:`_walk_getters` (cached per size); a row repeated as the same
     object, as :func:`scattering_amplitude` repeats a bunched output mode's
     row, shares them.  Rows are matched by identity, never by equality, since
     0.0 == -0.0.  Each term is the product of the rows' sums in row order from

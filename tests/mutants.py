@@ -73,6 +73,11 @@ MUTANTS = (
            "((1.0 - eta) * T * T, (1.0 - eta) * R * R)",
            "((1.0 - eta) * R * R, (1.0 - eta) * T * T)",
            "tests/test_experiment.py::TestNoDisturbance::test_passes_over_parameter_grid"),
+    # the unresolved coincidence loses its interference: (T + R)^2 for (T - R)^2
+    Mutant("src/bosonctx/optics.py",
+           "eta * (T - R) ** 2", "eta * (T + R) ** 2",
+           "tests/test_table_contract.py::"
+           "test_run_context_is_the_internal_mode_model_through_the_permanent"),
     # a sweep point adds its events' entries in reverse event order
     Mutant("src/bosonctx/contextuality.py",
            "for c, t in entries]", "for c, t in entries[::-1]]",

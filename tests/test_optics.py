@@ -1,6 +1,5 @@
 import dataclasses
 import math
-import operator
 import os
 import subprocess
 import sys
@@ -373,16 +372,16 @@ class TestPairOutcomeDistribution:
         assert dist.p_bunch_port1 == pytest.approx(abs(amp1) ** 2, abs=1e-12)
 
 
-def _inline_gray_steps(n: int) -> list[tuple[int, object, bool]]:
-    """The walk as the permanent computed it inline: ``k ^ (k >> 1)``, the
-    changed bit, the add/sub test and the parity of the new subset."""
+def _inline_gray_steps(n: int) -> list[int]:
+    """The walk as the permanent once computed it inline, from ``k ^ (k >> 1)``
+    and the bit that changed: for each step, the index into a row's
+    ``row + tuple(map(neg, row))`` of the entry it adds, j for a step that adds
+    column j and n + j for one that subtracts it."""
     steps, gray = [], 0
     for k in range(1, 1 << n):
         new_gray = k ^ (k >> 1)
         changed = new_gray ^ gray
-        steps.append((changed.bit_length() - 1,
-                      operator.add if new_gray & changed else operator.sub,
-                      bool(new_gray.bit_count() & 1)))
+        steps.append(changed.bit_length() - 1 + (0 if new_gray & changed else n))
         gray = new_gray
     return steps
 
@@ -415,11 +414,15 @@ def scattering_submatrices(draw) -> list[list]:
 class TestGraySchedule:
     @pytest.mark.parametrize("n", range(1, 13))
     def test_schedule_is_the_inline_recurrence_from_shared_steps(self, n):
-        schedule = optics._gray_schedule(n)
-        assert type(schedule) is tuple
-        assert list(schedule) == _inline_gray_steps(n)
-        assert len({id(step) for step in schedule}) <= 4 * n
-        assert optics._gray_schedule(n) is schedule
+        getters = optics._walk_getters(n)
+        assert type(getters) is tuple
+        positions = tuple(range(2 * n))
+        blocks = [getter(positions) for getter in getters]
+        assert [i for block in blocks for i in block] == _inline_gray_steps(n)
+        assert all(len(block) == optics._WALK_BLOCK for block in blocks[:-1])
+        # equal blocks share one getter, and distinct blocks never do
+        assert len({id(getter) for getter in getters}) == len(set(blocks))
+        assert optics._walk_getters(n) is getters
 
     def test_sizes_in_mixed_order_stay_bit_identical(self):
         rng = np.random.default_rng(29)
@@ -438,18 +441,31 @@ class TestGraySchedule:
         scale = math.prod(sum(abs(x) for x in row) for row in m)
         assert abs(got - naive_permanent(m)) <= 1e-9 * scale
 
-    def test_import_builds_no_schedule(self):
+    @staticmethod
+    def _fresh_run(code: str) -> str:
+        """The stdout of ``code`` run in a fresh interpreter that imports this checkout."""
         root = Path(__file__).resolve().parent.parent
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"),
                                                           env.get("PYTHONPATH")]))
-        code = ("import bosonctx\n"
-                "from bosonctx import optics\n"
-                "print(optics._gray_schedule.cache_info().currsize,\n"
-                "      optics._walk_getters.cache_info().currsize)")
         result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                                 env=env, timeout=60, check=True)
-        assert result.stdout == "0 0\n"
+        return result.stdout
+
+    def test_import_builds_no_schedule(self):
+        code = ("import bosonctx\n"
+                "from bosonctx import optics\n"
+                "print(optics._walk_getters.cache_info().currsize)")
+        assert self._fresh_run(code) == "0\n"
+
+    def test_a_size_leaves_little_cached(self):
+        # 65 535 steps of n = 16 fit in a few shared blocks, not one pointer per step
+        code = ("import tracemalloc\n"
+                "from bosonctx import optics\n"
+                "tracemalloc.start()\n"
+                "optics._walk_getters(16)\n"
+                "print(tracemalloc.get_traced_memory()[0])")
+        assert int(self._fresh_run(code)) < 200_000
 
 
 @st.composite

@@ -7,6 +7,9 @@ and both-r left out at eta = 1), each with the value of the matching field of
 anything that is not a context with ``ValueError``.  A table without a context
 refuses it with ``ValueError``.  ``matching_mass`` and ``inequality_sum`` add
 left to right from the int 0, so their bits are those of ``0 + p1 + ... + pk``.
+
+Every ``run_context`` entry is also the readout of the internal-mode model in
+the ``optics`` module docstring, computed through ``apply_interferometer``.
 """
 
 from __future__ import annotations
@@ -40,9 +43,12 @@ from bosonctx.experiment import (
     parse_table,
     run_context,
 )
+from bosonctx.fock import basis_state, pure_state
 from bosonctx.optics import (
     BeamsplitterSpec,
     DistinguishabilityParam,
+    apply_interferometer,
+    beamsplitter_unitary,
     pair_outcome_distribution,
     single_outcome_distribution,
 )
@@ -87,6 +93,46 @@ def test_run_context_gives_the_outcome_tokens_and_the_distribution_fields(theta,
         for token, p in dist.items():
             assert p == fields[labels[token]]
             assert type(p) is float and p.hex() == fields[labels[token]].hex()
+
+
+def _model_readout(bs: BeamsplitterSpec, d: DistinguishabilityParam) -> dict[tuple, float]:
+    """Each outcome's labels, in context order, mapped to its probability in the
+    internal-mode model, through the permanent.  A single context sends one
+    photon into port 1.  A pair context sends its first fiber's photon into
+    port 1 in internal state |0> and its second fiber's into port 2 in
+    sqrt(eta)|0> + sqrt(1 - eta)|1>, through U (x) I_2 on the modes (port 1,
+    |0>), (port 1, |1>), (port 2, |0>), (port 2, |1>)."""
+    u = beamsplitter_unitary(bs)
+    single = {f.occupations: abs(a) ** 2
+              for f, a in apply_interferometer(basis_state([1, 0]), u).terms.items()}
+    u2 = [[u[p][q] if i == k else 0 for q in range(2) for k in range(2)]
+          for p in range(2) for i in range(2)]
+    pair_in = pure_state({(1, 0, 1, 0): math.sqrt(d.eta),
+                          (1, 0, 0, 1): math.sqrt(1 - d.eta)}, modes=4)
+    pair = {f.occupations: abs(a) ** 2 for f, a in apply_interferometer(pair_in, u2).terms.items()}
+    readout = {(T,): single.get((1, 0), 0.0), (R,): single.get((0, 1), 0.0),
+               # both photons in one port, whatever their internal modes
+               (T, R): sum(p for occ, p in pair.items() if occ[0] + occ[1] == 2),
+               (R, T): sum(p for occ, p in pair.items() if occ[2] + occ[3] == 2),
+               (T, T): pair.get((1, 0, 0, 1), 0.0), (R, R): pair.get((0, 1, 1, 0), 0.0),
+               (): pair.get((1, 0, 1, 0), 0.0)}
+    # the readouts account for every output of both inputs
+    assert abs(sum(readout.values()) - 2) <= 1e-12
+    return readout
+
+
+@SETTINGS
+@given(st.floats(-10, 10), st.floats(0, 1))
+@_points()
+def test_run_context_is_the_internal_mode_model_through_the_permanent(theta, eta):
+    bs, d = BeamsplitterSpec(theta), DistinguishabilityParam(eta)
+    readout = _model_readout(bs, d)
+    for ctx in ALL_CONTEXTS:
+        dist = run_context(ctx, bs, d)
+        for token, labels in OUTCOMES[ctx].items():
+            # both-t and both-r are left out at eta = 1, where the model reads 0
+            got = dist.get(token, 0.0)
+            assert abs(got - readout[tuple(labels.values())]) <= 1e-12
 
 
 @pytest.mark.parametrize("ctx", ["XY", "", None, ["AB"]], ids=["XY", "empty", "None", "list"])
