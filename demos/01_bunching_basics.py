@@ -20,12 +20,18 @@ from bosonctx import (
     single_outcome_distribution,
 )
 
+
+def coincidence(p_unresolved, resolved):
+    """One photon per output port, whether or not the photons are told apart."""
+    return p_unresolved + sum(resolved or ())
+
+
 print("=" * 64)
 print("One photon, balanced splitter")
 print("=" * 64)
-single = single_outcome_distribution(BALANCED)
-print(f"p(transmitted) = {single.p_transmitted:.6f}")
-print(f"p(reflected)   = {single.p_reflected:.6f}")
+p_transmitted, p_reflected = single_outcome_distribution(BALANCED)
+print(f"p(transmitted) = {p_transmitted:.6f}")
+print(f"p(reflected)   = {p_reflected:.6f}")
 
 print()
 print("=" * 64)
@@ -43,8 +49,8 @@ print("=" * 64)
 print(f"{'theta/pi':>10} {'T':>8} {'p(coinc)':>10}")
 for frac in (0.0, 0.1, 0.2, 0.25, 0.3, 0.4, 0.5):
     bs = BeamsplitterSpec(frac * math.pi)
-    dist = pair_outcome_distribution(bs, DistinguishabilityParam(1.0))
-    print(f"{frac:>10.2f} {bs.transmittance:>8.4f} {dist.p_coincidence:>10.6f}")
+    _, p_unresolved, resolved = pair_outcome_distribution(bs, DistinguishabilityParam(1.0))
+    print(f"{frac:>10.2f} {bs.transmittance:>8.4f} {coincidence(p_unresolved, resolved):>10.6f}")
 print("The dip bottoms out at exactly zero for the 50-50 splitter.")
 
 print()
@@ -53,6 +59,6 @@ print("Coincidence vs photon overlap eta (balanced splitter)")
 print("=" * 64)
 print(f"{'eta':>6} {'p(bunch each)':>14} {'p(coinc)':>10}")
 for eta in (1.0, 0.75, 0.5, 0.25, 0.0):
-    dist = pair_outcome_distribution(BALANCED, DistinguishabilityParam(eta))
-    print(f"{eta:>6.2f} {dist.p_bunch_port1:>14.6f} {dist.p_coincidence:>10.6f}")
+    p_bunch, p_unresolved, resolved = pair_outcome_distribution(BALANCED, DistinguishabilityParam(eta))
+    print(f"{eta:>6.2f} {p_bunch:>14.6f} {coincidence(p_unresolved, resolved):>10.6f}")
 print("p(coinc) = (1 - eta)/2 at the balanced splitter: the standard dip.")

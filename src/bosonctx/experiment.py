@@ -41,11 +41,7 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from .fock import real_number
-from .optics import (
-    BeamsplitterSpec,
-    DistinguishabilityParam,
-    _pair_probabilities,
-)
+from .optics import BeamsplitterSpec, DistinguishabilityParam, pair_outcome_distribution
 
 FIBERS = ("A", "B", "C")
 SINGLE_CONTEXTS = ("A", "B", "C")
@@ -128,9 +124,8 @@ def run_context(ctx: str, bs: BeamsplitterSpec,
     """Outcome distribution for one context, keyed by the tokens of
     ``OUTCOMES[ctx]`` in their order.  A pair context's resolved both-t and
     both-r entries appear only for eta < 1; ``coinc`` is always present.  The
-    values are the cached T and R and the results of
-    :func:`~bosonctx.optics._pair_probabilities`, equal bit for bit to the
-    ``*_outcome_distribution`` fields, in a dict literal.
+    values are the cached T and R, or the results of the one pair rule
+    :func:`~bosonctx.optics.pair_outcome_distribution`, in a dict literal.
     """
     try:
         tokens = _TOKENS[ctx]
@@ -138,7 +133,7 @@ def run_context(ctx: str, bs: BeamsplitterSpec,
         tokens = _TOKENS[validate_context(ctx)]
     if len(tokens) == 2:
         return {tokens[0]: bs.transmittance, tokens[1]: bs.reflectance}
-    p_bunch, p_unresolved, resolved = _pair_probabilities(bs.transmittance, bs.reflectance, d.eta)
+    p_bunch, p_unresolved, resolved = pair_outcome_distribution(bs, d)
     port1, port2, both_t, both_r, coinc = tokens
     if resolved is None:
         return {port1: p_bunch, port2: p_bunch, coinc: p_unresolved}

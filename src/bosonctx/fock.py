@@ -10,8 +10,10 @@ float, int or complex and refuses booleans and what it cannot read with ``ValueE
 
 from __future__ import annotations
 
+import operator
 import sys
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
 from typing import Iterable, Iterator, Mapping
 
 PRUNE = 1e-15
@@ -141,16 +143,14 @@ def basis_state(occupations: Iterable[int]) -> PureState:
 
 
 def fock_basis(total: int, modes: int) -> list[FockState]:
-    """All occupation vectors with the given photon total, in lexicographic order."""
+    """All occupation vectors with the given photon total, in lexicographic order.
+
+    Stars and bars: ``bars[i]`` counts the photons in modes 0 to i, so mode i
+    holds ``bars[i] - bars[i - 1]``.  ``combinations_with_replacement`` yields
+    the non-decreasing bar positions in lexicographic order, which is the
+    vectors' order, without recursion, so any mode count works.
+    """
     total = whole_number(total, "total", 0)
     modes = whole_number(modes, "modes", 1)
-
-    def _fill(remaining: int, slots: int) -> Iterator[tuple[int, ...]]:
-        if slots == 1:
-            yield (remaining,)
-            return
-        for first in range(remaining + 1):
-            for rest in _fill(remaining - first, slots - 1):
-                yield (first,) + rest
-
-    return [FockState(occ) for occ in _fill(total, modes)]
+    return [FockState(tuple(map(operator.sub, (*bars, total), (0, *bars))))
+            for bars in combinations_with_replacement(range(total + 1), modes - 1)]

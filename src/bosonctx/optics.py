@@ -67,34 +67,6 @@ class DistinguishabilityParam:
         object.__setattr__(self, "eta", eta + 0.0)  # a zero overlap is 0.0, never -0.0
 
 
-@dataclass(frozen=True)
-class SinglePhotonDistribution:
-    p_transmitted: float
-    p_reflected: float
-
-
-@dataclass(frozen=True)
-class PairDistribution:
-    """Output statistics for one photon in each input port.
-
-    ``p_unresolved`` is the interfering bosonic fraction of the one photon per
-    output port coincidence, a single outcome that labels neither photon.
-    For partially distinguishable photons (eta < 1) the classical fraction of
-    that coincidence splits into (both transmitted, both reflected) and is
-    reported in ``resolved_coincidence``.
-    """
-
-    p_bunch_port1: float
-    p_bunch_port2: float
-    p_unresolved: float
-    resolved_coincidence: tuple[float, float] | None = None
-
-    @property
-    def p_coincidence(self) -> float:
-        """Total probability of one photon per output port, resolved or not."""
-        return self.p_unresolved + sum(self.resolved_coincidence or ())
-
-
 def beamsplitter_unitary(bs: BeamsplitterSpec) -> np.ndarray:
     """2x2 mode unitary of the beamsplitter in the fixed symmetric convention."""
     c, s = math.cos(bs.theta), math.sin(bs.theta)
@@ -271,26 +243,22 @@ def apply_interferometer(state: PureState, unitary) -> PureState:
     return pure_state(out_terms, modes=state.modes)
 
 
-def single_outcome_distribution(bs: BeamsplitterSpec) -> SinglePhotonDistribution:
-    """One photon in, vacuum in the other port: transmit with T, reflect with R."""
-    return SinglePhotonDistribution(bs.transmittance, bs.reflectance)
+def single_outcome_distribution(bs: BeamsplitterSpec) -> tuple[float, float]:
+    """One photon in, vacuum in the other port: (transmitted, reflected) = (T, R)."""
+    return bs.transmittance, bs.reflectance
 
 
-def pair_outcome_distribution(bs: BeamsplitterSpec,
-                              d: DistinguishabilityParam) -> PairDistribution:
-    """One photon in each input port, with tunable mutual distinguishability.
+def pair_outcome_distribution(bs: BeamsplitterSpec, d: DistinguishabilityParam
+                              ) -> tuple[float, float, tuple[float, float] | None]:
+    """One photon in each input port, with tunable mutual distinguishability:
+    the one pair rule, (p_bunch per port, p_unresolved, (both t, both r) or
+    None at eta = 1).
 
     Ideal bosons bunch: each both-photons-in-one-port outcome has probability
-    2TR and the coincidence survives with (T - R)^2.  Distinguishable
-    particles behave as independent coins: TR per bunch port, T^2 + R^2 for
-    the coincidence.  The returned distribution is the eta-weighted mixture.
+    2TR and the unresolved coincidence keeps (T - R)^2.  Distinguishable
+    particles behave as independent coins: TR per bunch port, T^2 and R^2 for
+    the resolved both t and both r.  The result is the eta-weighted mixture.
     """
-    p_bunch, p_unresolved, resolved = _pair_probabilities(bs.transmittance, bs.reflectance, d.eta)
-    return PairDistribution(p_bunch, p_bunch, p_unresolved, resolved)
-
-
-def _pair_probabilities(T: float, R: float,
-                        eta: float) -> tuple[float, float, tuple[float, float] | None]:
-    """The one pair rule: (p_bunch per port, p_unresolved, (both t, both r) or None at eta = 1)."""
+    T, R, eta = bs.transmittance, bs.reflectance, d.eta
     resolved = ((1.0 - eta) * T * T, (1.0 - eta) * R * R) if eta < 1.0 else None
     return (1.0 + eta) * T * R, eta * (T - R) ** 2, resolved

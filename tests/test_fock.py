@@ -2,7 +2,17 @@ import math
 
 import pytest
 
-from bosonctx.fock import FockState, fock_basis, make_fock, pure_state
+from bosonctx.fock import FockState, basis_state, fock_basis, make_fock, pure_state
+from bosonctx.optics import apply_interferometer
+
+
+def _recursive_basis(total: int, modes: int) -> list[tuple[int, ...]]:
+    """The reference order: the first mode's count ascending, then the rest's
+    basis, one recursion level per mode."""
+    if modes == 1:
+        return [(total,)]
+    return [(first, *rest) for first in range(total + 1)
+            for rest in _recursive_basis(total - first, modes - 1)]
 
 
 class TestMakeFock:
@@ -63,3 +73,16 @@ class TestFockBasis:
             fock_basis(-1, 2)
         with pytest.raises(ValueError):
             fock_basis(2, 0)
+
+    @pytest.mark.parametrize("total", range(9))
+    def test_order_is_the_recursive_lexicographic_order(self, total):
+        for modes in range(1, 8):
+            assert [f.occupations for f in fock_basis(total, modes)] == \
+                _recursive_basis(total, modes)
+
+    def test_more_modes_than_the_recursion_limit(self):
+        assert fock_basis(0, 5000) == [FockState((0,) * 5000)]
+        assert [f.occupations.index(1) for f in fock_basis(1, 1200)] == list(range(1199, -1, -1))
+        identity = [[float(i == j) for j in range(1100)] for i in range(1100)]
+        state = basis_state([1] + [0] * 1099)
+        assert apply_interferometer(state, identity).terms == state.terms

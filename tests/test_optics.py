@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bosonctx import optics
+from bosonctx.experiment import run_context
 from bosonctx.fock import basis_state, fock_basis, make_fock, pure_state
 from bosonctx.optics import (
     BALANCED,
@@ -295,42 +296,52 @@ class TestApplyInterferometer:
 
 class TestSingleOutcomeDistribution:
     def test_balanced(self):
-        dist = single_outcome_distribution(BALANCED)
-        assert dist.p_transmitted == pytest.approx(0.5, abs=1e-15)
-        assert dist.p_reflected == pytest.approx(0.5, abs=1e-15)
+        p_transmitted, p_reflected = single_outcome_distribution(BALANCED)
+        assert p_transmitted == pytest.approx(0.5, abs=1e-15)
+        assert p_reflected == pytest.approx(0.5, abs=1e-15)
 
     def test_fully_transmissive(self):
-        dist = single_outcome_distribution(BeamsplitterSpec(0.0))
-        assert (dist.p_transmitted, dist.p_reflected) == (1.0, 0.0)
+        assert single_outcome_distribution(BeamsplitterSpec(0.0)) == (1.0, 0.0)
 
     def test_sixty_degree_splitter(self):
-        dist = single_outcome_distribution(BeamsplitterSpec(math.pi / 3))
-        assert dist.p_transmitted == pytest.approx(0.25, abs=1e-15)
-        assert dist.p_reflected == pytest.approx(0.75, abs=1e-15)
+        p_transmitted, p_reflected = single_outcome_distribution(BeamsplitterSpec(math.pi / 3))
+        assert p_transmitted == pytest.approx(0.25, abs=1e-15)
+        assert p_reflected == pytest.approx(0.75, abs=1e-15)
+
+
+def _pair(bs: BeamsplitterSpec, eta: float):
+    """(bunch at port 1, bunch at port 2, coincidence, resolved) for one photon
+    in each port: port 1, the coincidence and the resolved pair from
+    ``pair_outcome_distribution``, port 2 from ``run_context("AB", ...)``.  The
+    coincidence counts one photon per output port, resolved or not:
+    ``coinc`` plus both t and both r."""
+    d = DistinguishabilityParam(eta)
+    p_bunch, p_unresolved, resolved = pair_outcome_distribution(bs, d)
+    return p_bunch, run_context("AB", bs, d)["ar,bt"], p_unresolved + sum(resolved or ()), resolved
 
 
 class TestPairOutcomeDistribution:
     def test_identical_photons_bunch_at_balanced_splitter(self):
-        dist = pair_outcome_distribution(BALANCED, DistinguishabilityParam(1.0))
-        assert dist.p_bunch_port1 == pytest.approx(0.5, abs=1e-12)
-        assert dist.p_bunch_port2 == pytest.approx(0.5, abs=1e-12)
-        assert dist.p_coincidence == pytest.approx(0.0, abs=1e-12)
-        assert dist.resolved_coincidence is None
+        port1, port2, coincidence, resolved = _pair(BALANCED, 1.0)
+        assert port1 == pytest.approx(0.5, abs=1e-12)
+        assert port2 == pytest.approx(0.5, abs=1e-12)
+        assert coincidence == pytest.approx(0.0, abs=1e-12)
+        assert resolved is None
 
     def test_distinguishable_photons_are_independent_coins(self):
-        dist = pair_outcome_distribution(BALANCED, DistinguishabilityParam(0.0))
-        assert dist.p_bunch_port1 == pytest.approx(0.25, abs=1e-12)
-        assert dist.p_bunch_port2 == pytest.approx(0.25, abs=1e-12)
-        assert dist.p_coincidence == pytest.approx(0.5, abs=1e-12)
-        both_t, both_r = dist.resolved_coincidence
+        port1, port2, coincidence, resolved = _pair(BALANCED, 0.0)
+        assert port1 == pytest.approx(0.25, abs=1e-12)
+        assert port2 == pytest.approx(0.25, abs=1e-12)
+        assert coincidence == pytest.approx(0.5, abs=1e-12)
+        both_t, both_r = resolved
         assert both_t == pytest.approx(0.25, abs=1e-12)
         assert both_r == pytest.approx(0.25, abs=1e-12)
 
     def test_half_overlap(self):
-        dist = pair_outcome_distribution(BALANCED, DistinguishabilityParam(0.5))
-        assert dist.p_bunch_port1 == pytest.approx(3 / 8, abs=1e-12)
-        assert dist.p_bunch_port2 == pytest.approx(3 / 8, abs=1e-12)
-        assert dist.p_coincidence == pytest.approx(1 / 4, abs=1e-12)
+        port1, port2, coincidence, _ = _pair(BALANCED, 0.5)
+        assert port1 == pytest.approx(3 / 8, abs=1e-12)
+        assert port2 == pytest.approx(3 / 8, abs=1e-12)
+        assert coincidence == pytest.approx(1 / 4, abs=1e-12)
 
     def test_coincidence_dip_formula_on_grid(self):
         # mixture model identity: p_coinc = T^2 + R^2 - 2 eta T R
@@ -338,25 +349,22 @@ class TestPairOutcomeDistribution:
             bs = BeamsplitterSpec(float(theta))
             T, R = bs.transmittance, bs.reflectance
             for eta in ETA_GRID:
-                dist = pair_outcome_distribution(bs, DistinguishabilityParam(float(eta)))
-                assert dist.p_coincidence == pytest.approx(
-                    T * T + R * R - 2 * eta * T * R, abs=1e-12)
+                _, _, coincidence, _ = _pair(bs, float(eta))
+                assert coincidence == pytest.approx(T * T + R * R - 2 * eta * T * R, abs=1e-12)
 
     def test_probabilities_sum_to_one_on_grid(self):
         for theta in THETA_GRID:
             bs = BeamsplitterSpec(float(theta))
             for eta in ETA_GRID:
-                dist = pair_outcome_distribution(bs, DistinguishabilityParam(float(eta)))
-                total = dist.p_bunch_port1 + dist.p_bunch_port2 + dist.p_coincidence
-                assert total == pytest.approx(1.0, abs=1e-12)
-                for p in (dist.p_bunch_port1, dist.p_bunch_port2, dist.p_coincidence):
+                port1, port2, coincidence, _ = _pair(bs, float(eta))
+                assert port1 + port2 + coincidence == pytest.approx(1.0, abs=1e-12)
+                for p in (port1, port2, coincidence):
                     assert -1e-12 <= p <= 1 + 1e-12
 
     def test_resolved_coincidence_present_only_below_full_overlap(self):
         bs = BeamsplitterSpec(0.3)
-        assert pair_outcome_distribution(bs, DistinguishabilityParam(1.0)).resolved_coincidence is None
-        dist = pair_outcome_distribution(bs, DistinguishabilityParam(0.7))
-        both_t, both_r = dist.resolved_coincidence
+        assert pair_outcome_distribution(bs, DistinguishabilityParam(1.0))[2] is None
+        both_t, both_r = pair_outcome_distribution(bs, DistinguishabilityParam(0.7))[2]
         T, R = bs.transmittance, bs.reflectance
         assert both_t + both_r == pytest.approx(0.3 * (T * T + R * R), abs=1e-12)
 
@@ -367,9 +375,9 @@ class TestPairOutcomeDistribution:
         amp1 = scattering_amplitude(u, make_fock([1, 1]), make_fock([2, 0]))
         amp2 = scattering_amplitude(u, make_fock([1, 1]), make_fock([0, 2]))
         assert abs(amp1) == pytest.approx(abs(amp2), abs=1e-14)
-        dist = pair_outcome_distribution(BeamsplitterSpec(0.9), DistinguishabilityParam(1.0))
-        assert dist.p_bunch_port1 == dist.p_bunch_port2
-        assert dist.p_bunch_port1 == pytest.approx(abs(amp1) ** 2, abs=1e-12)
+        ab = run_context("AB", BeamsplitterSpec(0.9), DistinguishabilityParam(1.0))
+        assert ab["at,br"].hex() == ab["ar,bt"].hex()
+        assert ab["at,br"] == pytest.approx(abs(amp1) ** 2, abs=1e-12)
 
 
 def _inline_gray_steps(n: int) -> list[int]:

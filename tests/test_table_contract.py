@@ -2,11 +2,13 @@
 point, and the event sums that ``analyze`` and the library take from a table.
 
 ``run_context`` returns the tokens of ``OUTCOMES[ctx]`` in their order (both-t
-and both-r left out at eta = 1), each with the value of the matching field of
-``single_outcome_distribution`` or ``pair_outcome_distribution``, and refuses
-anything that is not a context with ``ValueError``.  A table without a context
-refuses it with ``ValueError``.  ``matching_mass`` and ``inequality_sum`` add
-left to right from the int 0, so their bits are those of ``0 + p1 + ... + pk``.
+and both-r left out at eta = 1), each with the value, bit for bit, of the
+matching entry of the tuples that ``single_outcome_distribution`` (T, R) and
+``pair_outcome_distribution``, the one pair rule, return; both bunch ports
+hold its one p_bunch.  It refuses anything that is not a context with
+``ValueError``.  A table without a context refuses it with ``ValueError``.
+``matching_mass`` and ``inequality_sum`` add left to right from the int 0, so
+their bits are those of ``0 + p1 + ... + pk``.
 
 Every ``run_context`` entry is also the readout of the internal-mode model in
 the ``optics`` module docstring, computed through ``apply_interferometer``.
@@ -68,13 +70,14 @@ def _points(*rest):
 
 
 def _fields(bs: BeamsplitterSpec, d: DistinguishabilityParam) -> dict[tuple[str, ...], float]:
-    """Each outcome's labels, in context order, mapped to the field that holds it."""
-    single = single_outcome_distribution(bs)
-    pair = pair_outcome_distribution(bs, d)
-    fields = {(T,): single.p_transmitted, (R,): single.p_reflected,
-              (T, R): pair.p_bunch_port1, (R, T): pair.p_bunch_port2, (): pair.p_unresolved}
-    if pair.resolved_coincidence is not None:
-        fields[T, T], fields[R, R] = pair.resolved_coincidence
+    """Each outcome's labels, in context order, mapped to the entry of the
+    closed-form tuples that holds it; both bunch ports hold the one p_bunch."""
+    p_transmitted, p_reflected = single_outcome_distribution(bs)
+    p_bunch, p_unresolved, resolved = pair_outcome_distribution(bs, d)
+    fields = {(T,): p_transmitted, (R,): p_reflected,
+              (T, R): p_bunch, (R, T): p_bunch, (): p_unresolved}
+    if resolved is not None:
+        fields[T, T], fields[R, R] = resolved
     return fields
 
 
