@@ -27,7 +27,8 @@ from itertools import accumulate, repeat
 
 import numpy as np
 
-from .fock import FockState, PureState, complex_number, fock_basis, pure_state, real_number
+from .fock import (FockState, PureState, _as_fock, complex_number, fock_basis, pure_state,
+                   real_number)
 
 
 @dataclass(frozen=True)
@@ -78,8 +79,13 @@ class _Rows(tuple):
 
     So ``apply_interferometer`` checks its unitary once per call, and
     ``permanent`` does not re-check the submatrices ``scattering_amplitude``
-    cuts from it.
+    cuts from it.  ``walks`` maps ``id(row)`` to ``(row, block index, that
+    block's running sums)``: the last block ``permanent`` formed for the row.
     """
+
+    @cached_property
+    def walks(self) -> dict[int, tuple[tuple, int, list]]:
+        return {}
 
 
 def _square_rows(matrix, name: str) -> _Rows:
@@ -142,21 +148,28 @@ def permanent(matrix) -> complex:
     arithmetic, so every bit matches the step-by-step walk.  The walk runs in
     blocks of at most ``_WALK_BLOCK`` steps that carry each row's last sum and
     the total, so a call holds O(n * _WALK_BLOCK) sums.
+
+    A row's block is formed only if the rows' ``walks`` lacks it.  A fresh
+    ``_Rows`` brings an empty dict; the submatrices of one input state in
+    :func:`_amplitudes` share one, so its outputs walk each mode row once.
     """
     rows = _square_rows(matrix, "permanent")
     n = len(rows)
-    signed = {id(row): row + tuple(map(operator.neg, row)) for row in rows}
-    carry = dict.fromkeys(signed, 0j)
+    walks = rows.walks
+    distinct = {id(row): row for row in rows}
     total = 0j
-    for getter in _walk_getters(n):
-        sums = {}
-        for key, entries in signed.items():
-            block = sums[key] = list(accumulate(getter(entries), initial=carry[key]))
-            carry[key] = block[-1]
-            del block[0]
+    for index, getter in enumerate(_walk_getters(n)):
+        for key, row in distinct.items():
+            _, walked, block = walks.get(key, (None, -1, None))
+            if walked != index:
+                # past block 0, ``walks`` holds this row's previous block: go on from its last sum
+                block = list(accumulate(getter(row + tuple(map(operator.neg, row))),
+                                        initial=block[-1] if index else 0j))
+                del block[0]
+                walks[key] = row, index, block
         terms = repeat(1)
         for row in rows:
-            terms = map(operator.mul, terms, sums[id(row)])
+            terms = map(operator.mul, terms, walks[id(row)][2])
         terms = list(terms)
         terms[::2] = map(operator.neg, terms[::2])  # each block starts into an odd subset
         # reduce, not sum: newer Pythons sum floats and complexes with compensation
@@ -170,10 +183,11 @@ def _amplitudes(u: _Rows, state_in: FockState, outs) -> Iterator[complex]:
 
     The columns, the input weight (1.0 times each n_i!, in mode order) and one
     row per mode are built once per input state.  Each output's submatrix
-    passes an occupied mode's shared row once per photon in that mode, so
-    ``permanent`` forms that row's sums once, and its weight goes on from the
-    input weight by each m_j!, in mode order (0! = 1 changes no bit and is
-    skipped).
+    passes an occupied mode's shared row once per photon in that mode, and
+    every output's submatrix holds the same ``walks`` dict, so ``permanent``
+    forms each mode row's running sums once per input state, not once per
+    output.  Each output's weight goes on from the input weight by each m_j!,
+    in mode order (0! = 1 changes no bit and is skipped).
     """
     cols = [i for i, n in enumerate(state_in.occupations) for _ in range(n)]
     if not cols:  # the vacuum goes to the vacuum
@@ -184,6 +198,7 @@ def _amplitudes(u: _Rows, state_in: FockState, outs) -> Iterator[complex]:
     weight_in = 1.0
     for n in state_in.occupations:
         weight_in *= math.factorial(n)
+    walks: dict[int, tuple[tuple, int, list]] = {}
     for out in outs:
         weight = weight_in
         sub = []
@@ -191,7 +206,9 @@ def _amplitudes(u: _Rows, state_in: FockState, outs) -> Iterator[complex]:
             if m:
                 weight *= math.factorial(m)
                 sub += [row] * m
-        yield permanent(_Rows(sub)) / math.sqrt(weight)
+        sub = _Rows(sub)
+        sub.walks = walks
+        yield permanent(sub) / math.sqrt(weight)
 
 
 def scattering_amplitude(unitary, state_in: FockState, state_out: FockState) -> complex:
@@ -199,12 +216,15 @@ def scattering_amplitude(unitary, state_in: FockState, state_out: FockState) -> 
 
     Equals the permanent of the unitary with column i repeated n_i times and
     row j repeated m_j times, divided by sqrt(prod n_i! * prod m_j!).
-    ``unitary`` takes the same forms as in ``permanent``.  After checking the
-    states against the unitary, it takes the amplitude from :func:`_amplitudes`,
-    which passes each occupied output mode's row as one tuple for each of its
-    photons, so ``permanent`` forms that row's sums once.
+    ``unitary`` takes the same forms as in ``permanent``; each state is a
+    ``FockState`` or an occupation sequence, read as ``PureState.amplitude``
+    reads its key.  After checking the states against the unitary, it takes
+    the amplitude from :func:`_amplitudes`, which passes each occupied output
+    mode's row as one tuple for each of its photons, so ``permanent`` forms
+    that row's sums once.
     """
     u = _square_rows(unitary, "unitary")
+    state_in, state_out = _as_fock(state_in), _as_fock(state_out)
     modes = len(u)
     if state_in.modes != modes or state_out.modes != modes:
         raise ValueError(
@@ -225,6 +245,8 @@ def apply_interferometer(state: PureState, unitary) -> PureState:
     its total's basis, which sets up the columns, input weight and mode rows
     of that input state once for all of its outputs.
     """
+    if not isinstance(state, PureState):
+        raise ValueError(f"state must be a PureState, got {state!r:.40}")
     u = _square_rows(unitary, "unitary")
     if len(u) != state.modes:
         raise ValueError(

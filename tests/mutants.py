@@ -41,6 +41,7 @@ class Mutant(NamedTuple):
 GATES = "tests/test_experiment.py::TestFullTable::test_gates_decide_exactly_at_the_tolerance"
 BLOCKS = "tests/test_optics.py::TestRowWalk::test_walks_of_several_blocks_match_the_step_walk"
 PASS = "tests/test_optics.py::TestAmplitudePass"
+SHARED = "tests/test_optics.py::TestSharedWalk"
 MUTANTS = (
     # a probability up to two tolerances above 1 passes the range check
     Mutant("src/bosonctx/experiment.py",
@@ -94,7 +95,7 @@ MUTANTS = (
            "tests/test_optics.py::TestRowWalk::test_shared_rows_match_the_step_walk"),
     # each block of the permanent's walk starts every row's sum again from 0j
     Mutant("src/bosonctx/optics.py",
-           "initial=carry[key]", "initial=0j",
+           "initial=block[-1] if index else 0j", "initial=0j",
            f"{BLOCKS}[11]"),
     # each block of the permanent's walk starts the total again from 0j
     Mutant("src/bosonctx/optics.py",
@@ -109,6 +110,14 @@ MUTANTS = (
            "zip(mode_rows, out.occupations)",
            "zip([tuple(row[c] for c in cols) for row in u], out.occupations)",
            f"{PASS}::test_outputs_of_one_input_share_its_mode_rows"),
+    # a row's kept block of running sums is reused for every block of the walk
+    Mutant("src/bosonctx/optics.py",
+           "if walked != index:", "if walked < 0:",
+           f"{SHARED}::test_alternating_rows_that_share_walks_match_the_step_walk[11]"),
+    # each output of an input state walks its rows again: same results, 126 times the walks
+    Mutant("src/bosonctx/optics.py",
+           "        sub.walks = walks\n", "",
+           f"{SHARED}::test_one_input_state_walks_each_mode_row_once"),
     # the Fock basis loses every vector whose last mode holds no photon
     Mutant("src/bosonctx/fock.py",
            "range(total + 1), modes - 1)", "range(total), modes - 1)",

@@ -31,3 +31,12 @@ def test_every_killer_id_is_collected():
         # a class or a parametrized test stands for the ids it collects
         assert any(line == killer or line.startswith((f"{killer}::", f"{killer}["))
                    for line in collected), killer
+
+
+@pytest.mark.parametrize("old, new", [("if walked != index:", "if walked < 0:"),
+                                      ("        sub.walks = walks\n", "")],
+                         ids=["block-index-check", "walks-shared-across-outputs"])
+def test_the_shared_walk_mutants_are_listed(old, new):
+    """The two faults of the walk that one input state's outputs share: one
+    changes results, the other only the work done, so its killer counts walks."""
+    assert [(m.file, m.new) for m in MUTANTS if m.old == old] == [("src/bosonctx/optics.py", new)]

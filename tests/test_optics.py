@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import math
 import os
 import subprocess
@@ -196,6 +197,22 @@ class TestScatteringAmplitude:
             with pytest.raises(ValueError):
                 scattering_amplitude(bad, make_fock([1, 1]), make_fock([2, 0]))
 
+    def test_states_may_be_occupation_sequences(self):
+        u = beamsplitter_unitary(BeamsplitterSpec(0.7))
+        want = scattering_amplitude(u, make_fock([1, 0]), make_fock([0, 1]))
+        for state_in, state_out in (([1, 0], [0, 1]), ((1, 0), make_fock([0, 1])),
+                                    (make_fock([1, 0]), np.array([0, 1]))):
+            assert _hex(scattering_amplitude(u, state_in, state_out)) == _hex(want)
+
+    @pytest.mark.parametrize("bad", [None, 3, "10", [], [1.5, 0], [-1, 1], [True, 0],
+                                     basis_state([1, 0])])
+    def test_junk_states_are_value_errors(self, bad):
+        u = beamsplitter_unitary(BALANCED)
+        with pytest.raises(ValueError):
+            scattering_amplitude(u, bad, [0, 1])
+        with pytest.raises(ValueError):
+            scattering_amplitude(u, [1, 0], bad)
+
     def test_input_forms_agree(self):
         u = beamsplitter_unitary(BeamsplitterSpec(0.7))
         forms = [u, u.tolist(), tuple(map(tuple, u.tolist()))]
@@ -263,6 +280,12 @@ class TestApplyInterferometer:
         for bad in MALFORMED:
             with pytest.raises(ValueError):
                 apply_interferometer(basis_state([1, 1]), bad)
+
+    @pytest.mark.parametrize("bad", [{(1, 0): 1}, make_fock([1, 0]), [1, 0], None, "|1,0>"],
+                             ids=["mapping", "fock", "sequence", "none", "text"])
+    def test_a_state_that_is_not_a_pure_state_is_a_value_error(self, bad):
+        with pytest.raises(ValueError, match="^state must be a PureState"):
+            apply_interferometer(bad, beamsplitter_unitary(BALANCED))
 
     def test_superposition_over_two_totals_is_the_sum_of_its_terms(self):
         u = beamsplitter_unitary(BeamsplitterSpec(0.4)) @ np.diag([1, 1j])
@@ -631,6 +654,52 @@ class TestAmplitudePass:
             want = naive_permanent(sub) / math.sqrt(weight)
             assert abs(out.amplitude(fock) - want) <= 1e-12
         assert state_norm(out) == pytest.approx(state_norm(state), abs=1e-12)
+
+
+class TestSharedWalk:
+    """The submatrices of one input state share one ``walks`` dict, so
+    ``permanent`` forms each mode row's running sums once for all outputs."""
+
+    def test_one_input_state_walks_each_mode_row_once(self, monkeypatch):
+        walks = []
+        real_accumulate = optics.accumulate
+        monkeypatch.setattr(optics, "accumulate",
+                            lambda *args, **kwargs: walks.append(args) or
+                            real_accumulate(*args, **kwargs))
+        out = apply_interferometer(basis_state([2, 1, 1, 1, 1]), _unitary(41, 5))
+        assert len(walks) == 5  # one per mode row, against one per row of each of 210 outputs
+        assert len(out.terms) == 210
+
+    @pytest.mark.parametrize("n", [11, 12])
+    def test_alternating_rows_that_share_walks_match_the_step_walk(self, n):
+        assert len(optics._walk_getters(n)) > 1
+        rng = np.random.default_rng(100 + n)
+        distinct = optics._square_rows(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)),
+                                       "matrix")
+        shared = optics._Rows(distinct[i // 3] for i in range(n))
+        walks: dict = {}
+        distinct.walks = shared.walks = walks
+        for _ in range(2):
+            for rows in (distinct, shared):
+                assert _hex(permanent(rows)) == _hex(numpy_ryser_permanent(rows))
+        assert {key: (row, index) for key, (row, index, _) in walks.items()} == \
+            {id(row): (row, len(optics._walk_getters(n)) - 1) for row in distinct}
+
+    def test_repeated_passes_leave_nothing_that_grows(self):
+        u, state = _unitary(43, 5), basis_state([2, 1, 1, 1, 1])
+        apply_interferometer(state, u)  # builds the size's getters, which outlive the call
+        tracemalloc.start()
+        try:
+            apply_interferometer(state, u)
+            gc.collect()  # also empties the free lists, which fill up to a fixed size
+            first = tracemalloc.get_traced_memory()[0]
+            for _ in range(20):
+                apply_interferometer(state, u)
+            gc.collect()
+            grown = tracemalloc.get_traced_memory()[0] - first
+        finally:
+            tracemalloc.stop()
+        assert grown < 4_000  # one pass's walks alone hold about 13 kB
 
 
 class TestParameterInputs:
