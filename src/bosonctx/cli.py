@@ -26,7 +26,6 @@ from .contextuality import (
     exact_search_size,
     fractional_packing_max,
     independence_number,
-    inequality_sum,
     lovasz_theta_odd_cycle,
     standard_bounds,
     standard_events,
@@ -94,13 +93,13 @@ def _table_for_analysis(args) -> OutcomeTable:
 def cmd_analyze(args) -> int:
     table = _table_for_analysis(args)
     events = standard_events(args.test)
-    total = inequality_sum(table, events)
+    probabilities = [event_probability(table, e) for e in events]
+    total = sum(probabilities)  # inequality_sum's bits: the same list summed from the int 0
     payload = _header(
         test=args.test,
         theta=table.theta,
         eta=table.eta,
-        events=[{"label": e.label, "probability": event_probability(table, e)}
-                for e in events],
+        events=[{"label": e.label, "probability": p} for e, p in zip(events, probabilities)],
         sum=total,
     )
     for key, bound in zip(("nc", "q"), standard_bounds(args.test).values()):

@@ -318,6 +318,8 @@ def sweep_eta(test: str, bs: BeamsplitterSpec,
         if steps > MAX_SWEEP_POINTS:
             raise ValueError(f"sweep limited to {MAX_SWEEP_POINTS} grid points, got {steps!r}")
         etas = [i / (steps - 1) for i in range(steps)]
+    if isinstance(etas, (str, bytes, bytearray)):
+        raise ValueError(f"eta grid must not be text or bytes, got {etas!r:.40}")
     try:
         points = islice(etas, MAX_SWEEP_POINTS + 1)
     except TypeError:

@@ -10,6 +10,7 @@ float, int or complex and refuses booleans and what it cannot read with ``ValueE
 
 from __future__ import annotations
 
+import math
 import operator
 import sys
 from dataclasses import dataclass
@@ -69,17 +70,23 @@ def whole_number(value, name: str, least: int) -> int:
 
 
 def complex_number(value, name: str) -> complex:
-    """``value`` as a complex; text and booleans are refused, though ``complex`` reads them."""
+    """``value`` as a complex of finite parts; text and booleans are refused, though
+    ``complex`` reads them, and so are NaN and infinite parts."""
     if not isinstance(value, str) and not _boolean(value):
         try:
-            return complex(value)
+            z = complex(value)
+            if math.isfinite(z.real) and math.isfinite(z.imag):
+                return z
         except (OverflowError, TypeError, ValueError):
             pass
-    raise ValueError(f"{name} must be a number, got {value!r:.40}")
+    raise ValueError(f"{name} must be a finite number, got {value!r:.40}")
 
 
 def make_fock(occupations: Iterable[int]) -> FockState:
-    """A non-empty iterable of whole numbers of at least 0 as a FockState."""
+    """A non-empty iterable of whole numbers of at least 0 as a FockState; text
+    and bytes are refused, though they iterate."""
+    if isinstance(occupations, (str, bytes, bytearray)):
+        raise ValueError(f"occupations must not be text or bytes, got {occupations!r:.40}")
     try:
         occ = tuple(whole_number(n, "occupation number", 0) for n in occupations)
     except TypeError:

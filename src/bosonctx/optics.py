@@ -74,26 +74,22 @@ def beamsplitter_unitary(bs: BeamsplitterSpec) -> np.ndarray:
     return np.array([[c, 1j * s], [1j * s, c]], dtype=complex)
 
 
-class _Rows(tuple):
-    """Checked rows of Python complex, which ``_square_rows`` passes through as is.
+class _Row(tuple):
+    """One checked row of Python complex.  ``walk`` is ``(block index, that
+    block's running sums)``: the last block ``permanent`` formed for this object."""
 
-    So ``apply_interferometer`` checks its unitary once per call, and
-    ``permanent`` does not re-check the submatrices ``scattering_amplitude``
-    cuts from it.  ``walks`` maps ``id(row)`` to ``(row, block index, that
-    block's running sums)``: the last block ``permanent`` formed for the row.
-    """
-
-    @cached_property
-    def walks(self) -> dict[int, tuple[tuple, int, list]]:
-        return {}
+    walk: tuple[int, list] = (-1, [])
 
 
-def _square_rows(matrix, name: str) -> _Rows:
-    """The rows of a non-empty square matrix of numbers; anything else is a ``ValueError``."""
-    if type(matrix) is _Rows:
+def _square_rows(matrix, name: str) -> tuple[_Row, ...]:
+    """The rows of a non-empty square matrix of numbers; anything else is a ``ValueError``.
+    A non-empty tuple of ``_Row``s of its own length passes through as is, so a
+    unitary is checked once per call and the submatrices cut from it are not."""
+    if type(matrix) is tuple and matrix and all(
+            type(row) is _Row and len(row) == len(matrix) for row in matrix):
         return matrix
     try:
-        rows = _Rows(tuple(complex_number(x, f"{name} entry") for x in row) for row in matrix)
+        rows = tuple(_Row(complex_number(x, f"{name} entry") for x in row) for row in matrix)
     except TypeError:
         raise ValueError(f"{name} must be a square matrix of numbers") from None
     if not rows or any(len(row) != len(rows) for row in rows):
@@ -137,39 +133,31 @@ def permanent(matrix) -> complex:
     ``ndarray`` of numbers; anything else raises ``ValueError``.  Runs in
     O(2^n * n) for an n x n matrix in plain Python; exact up to floating point.
 
-    The walk goes row by row.  Each distinct row *object* forms its running
-    sums over the Gray-code walk once, through the getters of
-    :func:`_walk_getters` (cached per size); a row repeated as the same
-    object, as :func:`scattering_amplitude` repeats a bunched output mode's
-    row, shares them.  Rows are matched by identity, never by equality, since
-    0.0 == -0.0.  Each term is the product of the rows' sums in row order from
-    the int 1, as ``math.prod`` forms it, and the signed terms are added in
-    walk order; a subtraction is the addition of the negation in IEEE
-    arithmetic, so every bit matches the step-by-step walk.  The walk runs in
-    blocks of at most ``_WALK_BLOCK`` steps that carry each row's last sum and
-    the total, so a call holds O(n * _WALK_BLOCK) sums.
-
-    A row's block is formed only if the rows' ``walks`` lacks it.  A fresh
-    ``_Rows`` brings an empty dict; the submatrices of one input state in
-    :func:`_amplitudes` share one, so its outputs walk each mode row once.
+    The walk runs in blocks of at most ``_WALK_BLOCK`` steps, through the
+    getters of :func:`_walk_getters`, so a call holds O(n * _WALK_BLOCK) sums.
+    Each row forms its running sums for a block only if its ``walk`` lacks
+    that block, going on from its previous block's last sum; a row passed
+    again as the same object, as :func:`_amplitudes` passes a bunched output
+    mode's row, or in a later call, reuses them.  Rows are matched by identity,
+    never by equality, since 0.0 == -0.0.  Each term is the product of the
+    rows' sums in row order from the int 1, as ``math.prod`` forms it, and the
+    signed terms are added in walk order; a subtraction is the addition of the
+    negation in IEEE arithmetic, so every bit matches the step-by-step walk.
     """
     rows = _square_rows(matrix, "permanent")
     n = len(rows)
-    walks = rows.walks
-    distinct = {id(row): row for row in rows}
     total = 0j
     for index, getter in enumerate(_walk_getters(n)):
-        for key, row in distinct.items():
-            _, walked, block = walks.get(key, (None, -1, None))
+        terms = repeat(1)
+        for row in rows:
+            walked, block = row.walk
             if walked != index:
-                # past block 0, ``walks`` holds this row's previous block: go on from its last sum
+                # past block 0, ``walk`` holds this row's previous block: go on from its last sum
                 block = list(accumulate(getter(row + tuple(map(operator.neg, row))),
                                         initial=block[-1] if index else 0j))
                 del block[0]
-                walks[key] = row, index, block
-        terms = repeat(1)
-        for row in rows:
-            terms = map(operator.mul, terms, walks[id(row)][2])
+                row.walk = index, block
+            terms = map(operator.mul, terms, block)
         terms = list(terms)
         terms[::2] = map(operator.neg, terms[::2])  # each block starts into an odd subset
         # reduce, not sum: newer Pythons sum floats and complexes with compensation
@@ -177,28 +165,26 @@ def permanent(matrix) -> complex:
     return total if n % 2 == 0 else -total
 
 
-def _amplitudes(u: _Rows, state_in: FockState, outs) -> Iterator[complex]:
+def _amplitudes(u: tuple[_Row, ...], state_in: FockState, outs) -> Iterator[complex]:
     """<out| U |in> for each ``out`` in ``outs``, which hold the photon total of
     ``state_in``, through the checked unitary ``u``: the one amplitude rule.
 
     The columns, the input weight (1.0 times each n_i!, in mode order) and one
-    row per mode are built once per input state.  Each output's submatrix
-    passes an occupied mode's shared row once per photon in that mode, and
-    every output's submatrix holds the same ``walks`` dict, so ``permanent``
-    forms each mode row's running sums once per input state, not once per
-    output.  Each output's weight goes on from the input weight by each m_j!,
-    in mode order (0! = 1 changes no bit and is skipped).
+    ``_Row`` per mode are built once per input state.  Each output's submatrix
+    passes an occupied mode's row once per photon in that mode, so
+    ``permanent`` forms each mode row's running sums once per input state.
+    Each output's weight goes on from the input weight by each m_j!, in mode
+    order (0! = 1 changes no bit and is skipped).
     """
     cols = [i for i, n in enumerate(state_in.occupations) for _ in range(n)]
     if not cols:  # the vacuum goes to the vacuum
         for _ in outs:
             yield 1 + 0j
         return
-    mode_rows = [tuple(row[c] for c in cols) for row in u]
+    mode_rows = [_Row(row[c] for c in cols) for row in u]
     weight_in = 1.0
     for n in state_in.occupations:
         weight_in *= math.factorial(n)
-    walks: dict[int, tuple[tuple, int, list]] = {}
     for out in outs:
         weight = weight_in
         sub = []
@@ -206,9 +192,7 @@ def _amplitudes(u: _Rows, state_in: FockState, outs) -> Iterator[complex]:
             if m:
                 weight *= math.factorial(m)
                 sub += [row] * m
-        sub = _Rows(sub)
-        sub.walks = walks
-        yield permanent(sub) / math.sqrt(weight)
+        yield permanent(tuple(sub)) / math.sqrt(weight)
 
 
 def scattering_amplitude(unitary, state_in: FockState, state_out: FockState) -> complex:
@@ -219,9 +203,7 @@ def scattering_amplitude(unitary, state_in: FockState, state_out: FockState) -> 
     ``unitary`` takes the same forms as in ``permanent``; each state is a
     ``FockState`` or an occupation sequence, read as ``PureState.amplitude``
     reads its key.  After checking the states against the unitary, it takes
-    the amplitude from :func:`_amplitudes`, which passes each occupied output
-    mode's row as one tuple for each of its photons, so ``permanent`` forms
-    that row's sums once.
+    the amplitude from :func:`_amplitudes`.
     """
     u = _square_rows(unitary, "unitary")
     state_in, state_out = _as_fock(state_in), _as_fock(state_out)

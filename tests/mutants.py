@@ -108,15 +108,15 @@ MUTANTS = (
     # each output builds its own mode rows instead of sharing its input state's
     Mutant("src/bosonctx/optics.py",
            "zip(mode_rows, out.occupations)",
-           "zip([tuple(row[c] for c in cols) for row in u], out.occupations)",
+           "zip([_Row(row[c] for c in cols) for row in u], out.occupations)",
            f"{PASS}::test_outputs_of_one_input_share_its_mode_rows"),
     # a row's kept block of running sums is reused for every block of the walk
     Mutant("src/bosonctx/optics.py",
            "if walked != index:", "if walked < 0:",
            f"{SHARED}::test_alternating_rows_that_share_walks_match_the_step_walk[11]"),
-    # each output of an input state walks its rows again: same results, 126 times the walks
+    # each output of an input state takes fresh row objects: same results, 126 times the walks
     Mutant("src/bosonctx/optics.py",
-           "        sub.walks = walks\n", "",
+           "sub += [row] * m", "sub += [_Row(row)] * m",
            f"{SHARED}::test_one_input_state_walks_each_mode_row_once"),
     # the Fock basis loses every vector whose last mode holds no photon
     Mutant("src/bosonctx/fock.py",

@@ -517,6 +517,12 @@ class TestSweepEta:
                 sweep_eta(TRIANGLE, BALANCED, etas=grid)
         assert sweep_eta(TRIANGLE, BALANCED, etas=[0, "0.5", 1]).etas == (0.0, 0.5, 1.0)
 
+    @pytest.mark.parametrize("grid", ["01", b"\x00\x01", bytearray(b"\x00\x01"), "0x"],
+                             ids=["text", "bytes", "bytearray", "unreadable-text"])
+    def test_a_text_or_bytes_grid_is_refused_before_any_point_is_read(self, grid):
+        with pytest.raises(ValueError, match="^eta grid must not be text or bytes"):
+            sweep_eta(PENTAGON, BALANCED, grid)
+
     def test_oversized_grid_is_refused_before_it_is_built(self):
         for steps in (MAX_SWEEP_POINTS + 1, 10**12, float(10**12)):
             with pytest.raises(ValueError, match="sweep limited to 100001 grid points"):

@@ -40,6 +40,12 @@ class TestMakeFock:
             with pytest.raises(ValueError):
                 make_fock([1, bad])
 
+    @pytest.mark.parametrize("occupations", ["10", b"\x01\x00", bytearray(b"\x01\x00")],
+                             ids=["text", "bytes", "bytearray"])
+    def test_text_or_bytes_is_refused_though_it_iterates(self, occupations):
+        with pytest.raises(ValueError, match="^occupations must not be text or bytes"):
+            make_fock(occupations)
+
     def test_integral_floats_accepted(self):
         assert make_fock([1.0, 2.0]) == FockState((1, 2))
 
@@ -53,6 +59,13 @@ class TestPureState:
     def test_mode_mismatch_rejected(self):
         with pytest.raises(ValueError):
             pure_state({(1, 0): 1.0, (0, 1, 0): 1.0})
+
+    @pytest.mark.parametrize("amp", [math.nan, math.inf, -math.inf, complex(0, math.nan),
+                                     complex(1, -math.inf)],
+                             ids=["nan", "inf", "-inf", "nan-imag", "inf-imag"])
+    def test_a_non_finite_amplitude_is_refused(self, amp):
+        with pytest.raises(ValueError, match="^amplitude must be a finite number"):
+            pure_state({(1, 0): amp})
 
     def test_empty_state_needs_modes(self):
         with pytest.raises(ValueError):

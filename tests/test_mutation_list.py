@@ -34,7 +34,7 @@ def test_every_killer_id_is_collected():
 
 
 @pytest.mark.parametrize("old, new", [("if walked != index:", "if walked < 0:"),
-                                      ("        sub.walks = walks\n", "")],
+                                      ("sub += [row] * m", "sub += [_Row(row)] * m")],
                          ids=["block-index-check", "walks-shared-across-outputs"])
 def test_the_shared_walk_mutants_are_listed(old, new):
     """The two faults of the walk that one input state's outputs share: one

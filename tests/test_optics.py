@@ -152,6 +152,20 @@ class TestPermanent:
             with pytest.raises(ValueError):
                 permanent(bad)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(math.nan, 0),
+                                     complex(0, math.inf)],
+                             ids=["nan", "inf", "-inf", "nan-real", "inf-imag"])
+    def test_a_non_finite_entry_is_refused(self, bad):
+        with pytest.raises(ValueError, match="^permanent entry must be a finite number"):
+            permanent([[1, 2], [bad, 4]])
+
+    def test_a_non_square_tuple_of_rows_is_refused(self):
+        row = optics._Row((1j, 2j))
+        for bad in ((row,), (row, row, row), (row, optics._Row((3j,)))):
+            with pytest.raises(ValueError, match="^permanent must be a non-empty square matrix"):
+                permanent(bad)
+        assert permanent((row, optics._Row((3j, 4j)))) == -10
+
     def test_bit_identical_to_numpy_ryser(self):
         rng = np.random.default_rng(17)
         for n in range(1, 11):
@@ -275,6 +289,12 @@ class TestApplyInterferometer:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
             apply_interferometer(basis_state([1, 0]), np.eye(3))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0, -math.inf)],
+                             ids=["nan", "inf", "inf-imag"])
+    def test_a_non_finite_unitary_entry_is_refused(self, bad):
+        with pytest.raises(ValueError, match="^unitary entry must be a finite number"):
+            apply_interferometer(basis_state([1, 0]), [[1, 0], [0, bad]])
 
     def test_malformed_unitary_rejected(self):
         for bad in MALFORMED:
@@ -500,10 +520,10 @@ class TestGraySchedule:
 
 
 @st.composite
-def shared_row_submatrices(draw) -> optics._Rows:
+def shared_row_submatrices(draw) -> tuple[optics._Row, ...]:
     """A submatrix of at most 6 x 6 as ``scattering_amplitude`` builds it: the
     columns of an input occupation, and each occupied output mode's row as one
-    tuple, repeated by its count, in a ``_Rows`` that ``permanent`` takes as it
+    ``_Row``, repeated by its count, in a tuple that ``permanent`` takes as it
     is.  Entries mix ints and complexes whose parts are often 0.0 or -0.0."""
     modes = draw(st.integers(1, 4))
     part = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-2.0, 2.0, allow_subnormal=False))
@@ -514,8 +534,8 @@ def shared_row_submatrices(draw) -> optics._Rows:
     photons = st.lists(st.integers(0, modes - 1), min_size=total, max_size=total).map(sorted)
     cols = draw(photons)
     outputs = draw(photons)
-    rows = {i: tuple(u[i][c] for c in cols) for i in outputs}
-    return optics._Rows(rows[i] for i in outputs)
+    rows = {i: optics._Row(u[i][c] for c in cols) for i in outputs}
+    return tuple(rows[i] for i in outputs)
 
 
 class TestRowWalk:
@@ -533,7 +553,7 @@ class TestRowWalk:
         rng = np.random.default_rng(n)
         distinct = optics._square_rows(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)),
                                        "matrix")
-        shared = optics._Rows(distinct[i // 3] for i in range(n))
+        shared = tuple(distinct[i // 3] for i in range(n))
         for rows in (distinct, shared):
             assert _hex(permanent(rows)) == _hex(numpy_ryser_permanent(rows))
 
@@ -543,7 +563,7 @@ class TestRowWalk:
         u = [[complex(4 * i + j, -j) for j in range(4)] for i in range(4)]
         scattering_amplitude(u, make_fock([1, 2, 0, 3]), make_fock([2, 0, 3, 1]))
         (rows,) = seen
-        assert type(rows) is optics._Rows
+        assert type(rows) is tuple and all(type(row) is optics._Row for row in rows)
         modes, cols = (0, 0, 2, 2, 2, 3), (0, 1, 1, 3, 3, 3)
         assert rows == tuple(tuple(u[i][c] for c in cols) for i in modes)
         first = {i: rows[modes.index(i)] for i in modes}
@@ -578,8 +598,8 @@ def _reference_amplitude(u, state_in, state_out) -> complex:
     cols = [i for i, n in enumerate(state_in.occupations) for _ in range(n)]
     if not cols:
         return 1 + 0j
-    sub = optics._Rows(row for i, m in enumerate(state_out.occupations) if m
-                       for row in [tuple(u[i][c] for c in cols)] * m)
+    sub = tuple(row for i, m in enumerate(state_out.occupations) if m
+                for row in [optics._Row(u[i][c] for c in cols)] * m)
     weight = 1.0
     for n in state_in.occupations + state_out.occupations:
         weight *= math.factorial(n)
@@ -657,8 +677,9 @@ class TestAmplitudePass:
 
 
 class TestSharedWalk:
-    """The submatrices of one input state share one ``walks`` dict, so
-    ``permanent`` forms each mode row's running sums once for all outputs."""
+    """The submatrices of one input state share its mode row objects, each of
+    which carries its ``walk``, so ``permanent`` forms each mode row's running
+    sums once for all outputs."""
 
     def test_one_input_state_walks_each_mode_row_once(self, monkeypatch):
         walks = []
@@ -676,14 +697,12 @@ class TestSharedWalk:
         rng = np.random.default_rng(100 + n)
         distinct = optics._square_rows(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)),
                                        "matrix")
-        shared = optics._Rows(distinct[i // 3] for i in range(n))
-        walks: dict = {}
-        distinct.walks = shared.walks = walks
+        shared = tuple(distinct[i // 3] for i in range(n))
         for _ in range(2):
             for rows in (distinct, shared):
                 assert _hex(permanent(rows)) == _hex(numpy_ryser_permanent(rows))
-        assert {key: (row, index) for key, (row, index, _) in walks.items()} == \
-            {id(row): (row, len(optics._walk_getters(n)) - 1) for row in distinct}
+        last = len(optics._walk_getters(n)) - 1
+        assert [row.walk[0] for row in distinct] == [last] * n
 
     def test_repeated_passes_leave_nothing_that_grows(self):
         u, state = _unitary(43, 5), basis_state([2, 1, 1, 1, 1])
