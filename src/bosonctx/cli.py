@@ -114,11 +114,11 @@ def cmd_bounds(args) -> int:
     if spec in STANDARD_TESTS:
         graph = derive_exclusivity(standard_events(spec))
         cycle = STANDARD_TESTS[spec][1]
-    elif spec.startswith("cycle:"):
-        cycle = exact_search_size(int(spec.split(":", 1)[1]))
+    elif spec.startswith("cycle:") and (n := spec[6:]).isascii() and n.isdigit():
+        cycle = exact_search_size(int(n))
         graph = cycle_graph(cycle)
     else:
-        raise ValueError(f"--graph must be pentagon, triangle or cycle:N, got {spec!r}")
+        raise ValueError(f"--graph must be pentagon, triangle or cycle:N, got {spec!r:.40}")
     payload = _header(graph=spec, alpha=independence_number(graph))
     if cycle is not None and cycle % 2 == 1:
         payload["theta_lovasz"] = lovasz_theta_odd_cycle(cycle)

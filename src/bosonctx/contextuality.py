@@ -4,8 +4,8 @@ projective quantum bound, and the algebraic fractional-packing ceiling.
 
 Two events are exclusive when some fiber is required transmitted by one and
 reflected by the other; equivalently, when no global transmit/reflect
-assignment satisfies both.  The standard events are labelled with
-:func:`~bosonctx.experiment.make_outcome`.
+assignment satisfies both.  Each standard event is one outcome of
+:data:`~bosonctx.experiment.OUTCOMES`, named by its context and token.
 """
 
 from __future__ import annotations
@@ -16,15 +16,7 @@ from itertools import islice
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
-from .experiment import (
-    REFLECTED,
-    TRANSMITTED,
-    OutcomeTable,
-    check_requirements,
-    full_table,
-    make_outcome,
-    matching_mass,
-)
+from .experiment import OUTCOMES, OutcomeTable, check_requirements, full_table, matching_mass
 from .fock import whole_number
 from .optics import BeamsplitterSpec, DistinguishabilityParam
 
@@ -60,29 +52,27 @@ class EventSpec:
         object.__setattr__(self, "requirements", reqs)
 
 
-# The standard tests, read-only: each event's requirements as (fiber, label) pairs, in
+# The standard tests, read-only: each event's (context, token) entry of OUTCOMES, in
 # event order, and the odd cycle length whose Lovasz number is the quantum bound.  The
 # triangle has none: theta(C3) = 1 is already its noncontextual bound alpha.
 STANDARD_TESTS = MappingProxyType({
-    PENTAGON: (((("A", TRANSMITTED),), (("A", REFLECTED), ("B", TRANSMITTED)),
-                (("B", REFLECTED), ("C", TRANSMITTED)), (("B", TRANSMITTED), ("C", REFLECTED)),
-                (("A", REFLECTED), ("C", TRANSMITTED))), 5),
-    TRIANGLE: (((("A", TRANSMITTED), ("B", REFLECTED)), (("B", TRANSMITTED), ("C", REFLECTED)),
-                (("C", TRANSMITTED), ("A", REFLECTED))), None),
+    PENTAGON: ((("A", "at"), ("AB", "ar,bt"), ("BC", "br,ct"), ("BC", "bt,cr"),
+                ("AC", "ar,ct")), 5),
+    TRIANGLE: ((("AB", "at,br"), ("BC", "bt,cr"), ("AC", "ar,ct")), None),
 })
 
 
 def standard_events(test: str) -> list[EventSpec]:
-    """A :data:`STANDARD_TESTS` entry's events, built afresh, each labelled by
-    :func:`~bosonctx.experiment.make_outcome` in the context of its fibers.
+    """A :data:`STANDARD_TESTS` entry's events, built afresh, each labelled by its
+    token and requiring that token's labels in :data:`~bosonctx.experiment.OUTCOMES`.
     ``pentagon``: five cyclically exclusive events, one on a single fiber and four
     on pairs, each of probability 1/2 for identical photons at a balanced
     splitter.  ``triangle``: three pairwise exclusive pair events."""
     try:
-        requirement_sets = STANDARD_TESTS[test][0]
+        entries = STANDARD_TESTS[test][0]
     except (KeyError, TypeError):
         raise ValueError(f"unknown test {test!r}; expected {PENTAGON!r} or {TRIANGLE!r}") from None
-    return [EventSpec(make_outcome(r), "".join(sorted(r)), r) for r in map(dict, requirement_sets)]
+    return [EventSpec(token, ctx, OUTCOMES[ctx][token]) for ctx, token in entries]
 
 
 @dataclass(frozen=True)
@@ -308,11 +298,11 @@ def sweep_eta(test: str, bs: BeamsplitterSpec,
     """Inequality sum as a function of the photon overlap eta, with the points
     where it crosses the noncontextual bound (and, for the pentagon, the
     projective quantum bound) found by linear interpolation.  Each point's sum
-    is read from the one table entry each standard event names.  ``steps``
+    is read from the test's :data:`STANDARD_TESTS` entries.  ``steps``
     makes a uniform grid, refused over :data:`MAX_SWEEP_POINTS` points before
     it is built; each point of either grid is read once by
     :class:`~bosonctx.optics.DistinguishabilityParam` before the grid checks."""
-    events = standard_events(test)
+    bounds = {name: float(bound) for name, bound in standard_bounds(test).items()}
     if etas is None:
         steps = whole_number(steps, "steps", 2)
         if steps > MAX_SWEEP_POINTS:
@@ -333,12 +323,10 @@ def sweep_eta(test: str, bs: BeamsplitterSpec,
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("eta grid must be strictly increasing")
 
-    # each standard event names one bunching or single-fiber entry, present at every eta
-    # and never -0.0, so its mass sum([p]) is p and these sums are inequality_sum's bits
-    entries = [(e.context, token) for e in events for (token,) in (e.tokens,)]
+    # each standard entry is a bunching or single-fiber outcome, present at every eta and
+    # never -0.0, so its event's mass sum([p]) is p and these sums are inequality_sum's bits
+    entries = STANDARD_TESTS[test][0]
     sums = [sum([contexts[c][t] for c, t in entries])
             for contexts in (full_table(bs, d).contexts for d in params)]
-
-    bounds = {name: float(bound) for name, bound in standard_bounds(test).items()}
     crossings = {name: _first_crossing(grid, sums, b) for name, b in bounds.items()}
     return SweepResult(test, bs.theta, tuple(grid), tuple(sums), bounds, crossings)

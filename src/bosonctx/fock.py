@@ -5,7 +5,8 @@ scenario in this package involves at most a few photons in a few modes.
 Terms with ``|amplitude| <= PRUNE`` are dropped when a state is built.
 Every number the package reads goes through :func:`real_number`,
 :func:`whole_number` or :func:`complex_number`, each of which returns a plain
-float, int or complex and refuses booleans and what it cannot read with ``ValueError``.
+float, int or complex and refuses booleans and what it cannot read with ``ValueError``;
+the two real rules refuse numpy complex values too.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from itertools import combinations_with_replacement
 from typing import Iterable, Iterator, Mapping
 
 PRUNE = 1e-15
+_NOT_REAL = ("b", "c")  # the dtype kinds the real rules refuse: boolean and complex
 
 
 @dataclass(frozen=True)
@@ -39,16 +41,17 @@ class FockState:
         return "|" + ",".join(str(n) for n in self.occupations) + ">"
 
 
-def _boolean(value) -> bool:
-    """A Python boolean or anything of ``dtype.kind`` "b", which no number rule reads."""
+def _refused(value, kinds: tuple[str, ...]) -> bool:
+    """A Python boolean, or anything whose ``dtype.kind`` is in ``kinds``: "b" (a
+    boolean, which no number rule reads) or "c" (a complex, which no real rule reads)."""
     return not isinstance(value, float) and (
-        isinstance(value, bool) or getattr(getattr(value, "dtype", None), "kind", "") == "b")
+        isinstance(value, bool) or getattr(getattr(value, "dtype", None), "kind", "") in kinds)
 
 
 def real_number(value, name: str) -> float:
     """``value`` as a float: a number, or text that spells one, that fits a float.
-    A boolean is refused although ``float(True)`` works."""
-    if not _boolean(value):
+    A boolean or a numpy complex is refused although ``float`` reads it."""
+    if not _refused(value, _NOT_REAL):
         try:
             return float(value)
         except (OverflowError, TypeError, ValueError):
@@ -58,13 +61,14 @@ def real_number(value, name: str) -> float:
 
 def whole_number(value, name: str, least: int) -> int:
     """``value`` as an int, if it equals a whole number from ``least`` up that
-    fits a float; text, a boolean, an infinity or NaN raises ``ValueError``."""
-    try:
-        n = int(value)
-        if n == value and least <= n <= sys.float_info.max and not _boolean(value):
-            return n
-    except (OverflowError, TypeError, ValueError):
-        pass
+    fits a float; text, a boolean, a complex, an infinity or NaN raises ``ValueError``."""
+    if not _refused(value, _NOT_REAL):
+        try:
+            n = int(value)
+            if n == value and least <= n <= sys.float_info.max:
+                return n
+        except (OverflowError, TypeError, ValueError):
+            pass
     raise ValueError(f"{name} must be a whole number from {least} up that fits a float, "
                      f"got {value!r:.40}")
 
@@ -72,7 +76,7 @@ def whole_number(value, name: str, least: int) -> int:
 def complex_number(value, name: str) -> complex:
     """``value`` as a complex of finite parts; text and booleans are refused, though
     ``complex`` reads them, and so are NaN and infinite parts."""
-    if not isinstance(value, str) and not _boolean(value):
+    if not isinstance(value, str) and not _refused(value, ("b",)):
         try:
             z = complex(value)
             if math.isfinite(z.real) and math.isfinite(z.imag):

@@ -83,6 +83,14 @@ MUTANTS = (
     Mutant("src/bosonctx/contextuality.py",
            "for c, t in entries]", "for c, t in entries[::-1]]",
            "tests/test_golden.py::test_dense_digest_matches_the_record"),
+    # the pentagon's single-fiber event asks for A reflected: no longer exclusive of its neighbours
+    Mutant("src/bosonctx/contextuality.py",
+           '("A", "at")', '("A", "ar")',
+           "tests/test_contextuality.py::TestDeriveExclusivity::test_pentagon_is_a_five_cycle"),
+    # the real number rules read a numpy complex as its real part, with a ComplexWarning
+    Mutant("src/bosonctx/fock.py",
+           '_NOT_REAL = ("b", "c")', '_NOT_REAL = ("b",)',
+           "tests/test_optics.py::TestParameterInputs::test_non_numbers_are_value_errors"),
     # a table record with extra keys is read, its extra fields dropped
     Mutant("src/bosonctx/experiment.py",
            " or rec.keys() != set(_RECORD_FIELDS):", ":",

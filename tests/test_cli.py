@@ -216,10 +216,19 @@ class TestBounds:
             "error: exact search limited to 24 vertices, got 1000000\n")
 
     def test_bad_graph_is_usage_error(self, capsys):
-        for bad in ("hexagon", "cycle:x", "cycle:2"):
+        """Only ASCII decimal digits follow ``cycle:``; any other spec gets the one
+        --graph error, which echoes at most 40 characters of it."""
+        with pytest.raises(SystemExit) as err:
+            main(["bounds", "--graph", "cycle:2"])
+        assert err.value.code == 2
+        capsys.readouterr()
+        for bad in ("hexagon", "cycle:x", "cycle:1_3", "cycle: 7", "cycle:+7", "cycle:7 ",
+                    "cycle:\u0667", "cycle:", "c" * 100):
             with pytest.raises(SystemExit) as err:
                 main(["bounds", "--graph", bad])
             assert err.value.code == 2
+            assert capsys.readouterr().err == (
+                f"error: --graph must be pentagon, triangle or cycle:N, got {bad!r:.40}\n")
 
 
 class TestSweep:
@@ -409,6 +418,9 @@ class TestErrorPath:
         ["simulate", "--theta-deg", "inf"],
         ["bounds", "--graph", "cycle:2"],
         ["bounds", "--graph", "cycle:x"],
+        ["bounds", "--graph", "cycle:1_3"],
+        ["bounds", "--graph", "cycle:\u0667"],
+        ["bounds", "--graph", "x" * 10**6],
         ["bounds", "--graph", "cycle:25"],
         ["bounds", "--graph", "square"],
         ["sweep", "--test", "pentagon", "--steps", "1"],
@@ -419,7 +431,8 @@ class TestErrorPath:
         ["verify", "--input", "{out_of_range}"],
         ["verify", "--input", "{csv_schema_2}"],
         ["verify", "--input", "{json_schema_true}"],
-    ], ids=["eta_2", "theta_nan", "theta_deg_inf", "cycle_2", "cycle_x", "cycle_25",
+    ], ids=["eta_2", "theta_nan", "theta_deg_inf", "cycle_2", "cycle_x", "cycle_1_3",
+            "cycle_arabic_indic_7", "graph_million_chars", "cycle_25",
             "graph_square", "steps_1", "tolerance_nan", "missing_input", "garbage_table",
             "output_in_missing_dir", "verify_out_of_range", "csv_schema_2",
             "json_schema_true"])

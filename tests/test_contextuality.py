@@ -145,7 +145,7 @@ PENTAGON_REPR = (
 TRIANGLE_REPR = (
     "[EventSpec(label='at,br', context='AB', requirements={'A': 't', 'B': 'r'}), "
     "EventSpec(label='bt,cr', context='BC', requirements={'B': 't', 'C': 'r'}), "
-    "EventSpec(label='ar,ct', context='AC', requirements={'C': 't', 'A': 'r'})]")
+    "EventSpec(label='ar,ct', context='AC', requirements={'A': 'r', 'C': 't'})]")
 
 
 def reachable(value):

@@ -48,6 +48,15 @@ class TestTokens:
         assert make_outcome({"B": "t", "A": "r"}) == "ar,bt"
         assert make_outcome({"C": "r"}) == "cr"
 
+    @pytest.mark.parametrize("labels, message", [
+        ({}, "^outcome needs at least one fiber label$"),
+        ({"D": "t"}, "^unknown fiber 'D'$"),
+        ({"A": "x"}, "^label must be 't' or 'r', got 'x'$"),
+    ], ids=["empty", "unknown-fiber", "bad-label"])
+    def test_make_outcome_refuses_what_labels_no_outcome(self, labels, message):
+        with pytest.raises(ValueError, match=message):
+            make_outcome(labels)
+
     def test_parse_round_trip(self):
         assert OUTCOMES["AB"]["ar,bt"] == {"A": "r", "B": "t"}
         assert OUTCOMES["AB"][COINCIDENCE] == {}

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from bosonctx.fock import FockState, basis_state, fock_basis, make_fock, pure_state
@@ -36,7 +37,9 @@ class TestMakeFock:
             make_fock([])
 
     def test_fractional_entry_rejected(self):
-        for bad in (0.5, float("inf"), float("-inf"), float("nan"), None):
+        # a complex is refused, never read as its real part
+        for bad in (0.5, float("inf"), float("-inf"), float("nan"), None,
+                    1 + 0j, np.complex128(1 + 0j), np.complex64(1)):
             with pytest.raises(ValueError):
                 make_fock([1, bad])
 

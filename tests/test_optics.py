@@ -725,8 +725,11 @@ class TestParameterInputs:
     """Both parameter types read their value by ``fock.real_number``."""
 
     @pytest.mark.parametrize("bad", ["x", None, 1j, [0.5], True,
-                                     pytest.param(10**400, id="10**400")])
+                                     pytest.param(10**400, id="10**400"),
+                                     pytest.param(np.complex128(0.5 + 0.3j), id="np-complex"),
+                                     pytest.param(np.complex128(0.5), id="np-complex-real")])
     def test_non_numbers_are_value_errors(self, bad):
+        """A numpy complex is refused, not read as its real part with a warning."""
         with pytest.raises(ValueError, match="^theta must be a number that fits a float"):
             BeamsplitterSpec(bad)
         with pytest.raises(ValueError, match="^eta must be a number that fits a float"):
