@@ -115,7 +115,8 @@ def cmd_bounds(args) -> int:
         graph = derive_exclusivity(standard_events(spec))
         cycle = STANDARD_TESTS[spec][1]
     elif spec.startswith("cycle:") and (n := spec[6:]).isascii() and n.isdigit():
-        cycle = exact_search_size(int(n))
+        # 40 significant digits refuse any longer N and echo it as short as other errors
+        cycle = exact_search_size(int((n.lstrip("0") or "0")[:40]))
         graph = cycle_graph(cycle)
     else:
         raise ValueError(f"--graph must be pentagon, triangle or cycle:N, got {spec!r:.40}")

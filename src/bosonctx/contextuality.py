@@ -117,7 +117,15 @@ def events_exclusive(e1: EventSpec, e2: EventSpec) -> bool:
                for fiber, value in e1.requirements.items())
 
 
+def _event_spec(event) -> EventSpec:
+    """``event``, or ``ValueError`` unless it is an :class:`EventSpec`."""
+    if not isinstance(event, EventSpec):
+        raise ValueError(f"an event must be an EventSpec, got {event!r:.40}")
+    return event
+
+
 def derive_exclusivity(events: Sequence[EventSpec]) -> ExclusivityGraph:
+    events = [_event_spec(e) for e in events]
     edges = set()
     for i, e1 in enumerate(events):
         for e2 in events[i + 1:]:
@@ -134,6 +142,7 @@ def event_probability(table: OutcomeTable, event: EventSpec) -> float:
 
     The unresolved coincidence labels no fiber, so it never contributes.
     """
+    event = _event_spec(event)
     return matching_mass(table.context_distribution(event.context), event.tokens)
 
 

@@ -8,13 +8,11 @@ with the alphabetically first fiber of a pair entering input port 1.
 
 Outcome tokens (in tables and table files) are the closed set
 :data:`OUTCOMES`; any other spelling, such as ``At`` or ``bt,ar``, is refused.
-
-* a single-fiber outcome is the lowercase fiber letter followed by ``t``
-  (transmitted) or ``r`` (reflected), e.g. ``at``;
-* a pair outcome joins the two tokens in port order with a comma,
-  e.g. ``ar,bt`` means A reflected and B transmitted;
-* ``coinc``, in pair contexts only, is the unresolved one-photon-per-output-port
-  coincidence of the interfering bosonic fraction, which labels no fiber.
+A token joins, in port order with a comma, each fiber's lowercase letter
+followed by ``t`` (transmitted) or ``r`` (reflected): ``at``, or ``ar,bt`` for
+A reflected and B transmitted.  ``coinc``, in pair contexts only, is the
+unresolved one-photon-per-output-port coincidence of the interfering bosonic
+fraction, which labels no fiber.
 
 A requirement set (fiber letters mapped to ``t`` or ``r``) picks the tokens
 of one context whose labels include it (:func:`check_requirements`, the one
@@ -25,9 +23,10 @@ Only :func:`parse_table` reads table text: JSON or CSV, one header rule
 (schema 1 if given; theta and eta given), then :meth:`OutcomeTable.from_records`,
 whose records are mappings with exactly the keys context, outcome and probability.
 Table numbers and the tolerance are read by :func:`~bosonctx.fock.real_number`.
-:meth:`OutcomeTable.validate_structure` (a finite positive tolerance,
-contexts, tokens, each probability's range, then the header) gates both checkers;
-:meth:`OutcomeTable.validate` adds normalization.  An outcome a table leaves out counts as probability 0.
+:meth:`OutcomeTable.validate_structure` (a finite positive tolerance, mappings
+of the contexts and their tokens, each probability a real number in range, then
+the header) gates both checkers; :meth:`OutcomeTable.validate` adds
+normalization.  An outcome a table leaves out counts as probability 0.
 """
 
 from __future__ import annotations
@@ -36,6 +35,7 @@ import csv
 import io
 import json
 from dataclasses import dataclass
+from numbers import Real
 from pathlib import Path
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
@@ -44,9 +44,8 @@ from .fock import real_number
 from .optics import BeamsplitterSpec, DistinguishabilityParam, pair_outcome_distribution
 
 FIBERS = ("A", "B", "C")
-SINGLE_CONTEXTS = ("A", "B", "C")
 PAIR_CONTEXTS = ("AB", "AC", "BC")
-ALL_CONTEXTS = SINGLE_CONTEXTS + PAIR_CONTEXTS
+ALL_CONTEXTS = FIBERS + PAIR_CONTEXTS  # a single-fiber context is named by its fiber
 
 TRANSMITTED = "t"
 REFLECTED = "r"
@@ -65,28 +64,12 @@ def validate_context(ctx: str) -> str:
     return ctx
 
 
-def make_outcome(assignments: Mapping[str, str]) -> str:
-    """Render per-fiber transmit/reflect labels as a canonical outcome token."""
-    if not assignments:
-        raise ValueError("outcome needs at least one fiber label")
-    parts = []
-    for fiber in sorted(assignments):
-        value = assignments[fiber]
-        if fiber not in FIBERS:
-            raise ValueError(f"unknown fiber {fiber!r}")
-        if value not in (TRANSMITTED, REFLECTED):
-            raise ValueError(f"label must be {TRANSMITTED!r} or {REFLECTED!r}, got {value!r}")
-        parts.append(fiber.lower() + value)
-    return ",".join(parts)
-
-
 def _context_outcomes(ctx: str) -> Mapping[str, Mapping[str, str]]:
     # Table order: t, r for one fiber; for a pair, bunching at port 1 (first
     # fiber t, second r), at port 2, both t, both r, then the label-free coinc.
-    t, r = TRANSMITTED, REFLECTED
-    rows = [(t,), (r,)] if len(ctx) == 1 else [(t, r), (r, t), (t, t), (r, r), ()]
-    labels = (MappingProxyType(dict(zip(ctx, row))) for row in rows)
-    return MappingProxyType({make_outcome(a) if a else COINCIDENCE: a for a in labels})
+    rows = ("t", "r") if len(ctx) == 1 else ("tr", "rt", "tt", "rr", "")
+    return MappingProxyType({",".join(f.lower() + v for f, v in zip(ctx, row)) or COINCIDENCE:
+                             MappingProxyType(dict(zip(ctx, row))) for row in rows})
 
 
 # Every context's outcome tokens, each with its read-only per-fiber labels.
@@ -162,19 +145,26 @@ class OutcomeTable:
             raise ValueError(f"table has no context {ctx!r}") from None
 
     def validate_structure(self, tol: float = DEFAULT_TOLERANCE) -> float:
-        """Every check but normalization: ``tol`` a table number that is finite
-        and positive, the six contexts, their outcome tokens, each probability
-        within [0, 1] up to ``tol`` (not NaN), then theta and eta through their
-        parameter types.  Returns ``tol`` as a float."""
+        """Every check but normalization: ``tol`` a finite positive table number,
+        mappings of the six contexts and of their outcome tokens, each probability
+        a real number (not a boolean) within [0, 1] up to ``tol`` (not NaN), then
+        theta and eta through their parameter types.  Returns ``tol`` as a float."""
         tol = real_number(tol, "tolerance")
         if not 0 < tol < float("inf"):
             raise ValueError(f"tolerance must be finite and positive, got {tol!r}")
+        if not isinstance(self.contexts, Mapping):
+            raise ValueError(f"table contexts must be a mapping, got {self.contexts!r:.40}")
         if self.contexts.keys() != set(ALL_CONTEXTS):
             raise ValueError(f"table needs the contexts {', '.join(ALL_CONTEXTS)}, "
                              f"got {list(self.contexts)}")
         for ctx, dist in self.contexts.items():
+            if not isinstance(dist, Mapping):
+                raise ValueError(f"context {ctx!r} must be a mapping, got {dist!r:.40}")
             for token, p in dist.items():
                 _validate_outcome_for_context(token, ctx)
+                if isinstance(p, bool) or not isinstance(p, Real):
+                    raise ValueError(f"probability {p!r:.40} of {token!r} in {ctx!r} "
+                                     "is not a real number")
                 if not (-tol <= p <= 1.0 + tol):
                     raise ValueError(
                         f"probability {p!r} of {token!r} in {ctx!r} is outside [0, 1]")

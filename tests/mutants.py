@@ -130,6 +130,16 @@ MUTANTS = (
     Mutant("src/bosonctx/fock.py",
            "range(total + 1), modes - 1)", "range(total), modes - 1)",
            "tests/test_fock.py::TestFockBasis::test_order_is_the_recursive_lexicographic_order"),
+    # every outcome token keeps its fiber's capital letter: At, Ar,Bt, ...
+    Mutant("src/bosonctx/experiment.py",
+           "f.lower() + v", "f + v",
+           "tests/test_experiment.py::TestTokens::test_catalogue_has_the_nineteen_outcomes"),
+    # the table gate reads True and False as the probabilities 1 and 0
+    Mutant("src/bosonctx/experiment.py",
+           "if isinstance(p, bool) or not isinstance(p, Real):",
+           "if not isinstance(p, Real):",
+           "tests/test_experiment.py::TestFullTable::"
+           "test_malformed_tables_fail_every_gate[probability-true]"),
 )
 
 

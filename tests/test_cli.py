@@ -215,6 +215,20 @@ class TestBounds:
         assert capsys.readouterr().err == (
             "error: exact search limited to 24 vertices, got 1000000\n")
 
+    @pytest.mark.parametrize("digits", [300, 5000])
+    def test_long_cycle_length_is_refused_with_a_short_echo(self, capsys, digits):
+        """An N of hundreds or thousands of digits is refused by the exact-search
+        cap, never converted whole, and echoed by its first 40 digits."""
+        with pytest.raises(SystemExit) as err:
+            main(["bounds", "--graph", "cycle:" + "9" * digits])
+        assert err.value.code == 2
+        assert capsys.readouterr().err == (
+            f"error: exact search limited to 24 vertices, got {'9' * 40}\n")
+
+    def test_leading_zeros_are_not_significant(self, capsys):
+        _, out = run_cli(capsys, "bounds", "--graph", "cycle:" + "0" * 100 + "5")
+        assert json.loads(out)["alpha"] == 2
+
     def test_bad_graph_is_usage_error(self, capsys):
         """Only ASCII decimal digits follow ``cycle:``; any other spec gets the one
         --graph error, which echoes at most 40 characters of it."""
@@ -422,6 +436,8 @@ class TestErrorPath:
         ["bounds", "--graph", "cycle:\u0667"],
         ["bounds", "--graph", "x" * 10**6],
         ["bounds", "--graph", "cycle:25"],
+        ["bounds", "--graph", "cycle:" + "9" * 300],
+        ["bounds", "--graph", "cycle:" + "9" * 5000],
         ["bounds", "--graph", "square"],
         ["sweep", "--test", "pentagon", "--steps", "1"],
         ["verify", "--input", "{table}", "--tolerance", "nan"],
@@ -433,9 +449,9 @@ class TestErrorPath:
         ["verify", "--input", "{json_schema_true}"],
     ], ids=["eta_2", "theta_nan", "theta_deg_inf", "cycle_2", "cycle_x", "cycle_1_3",
             "cycle_arabic_indic_7", "graph_million_chars", "cycle_25",
-            "graph_square", "steps_1", "tolerance_nan", "missing_input", "garbage_table",
-            "output_in_missing_dir", "verify_out_of_range", "csv_schema_2",
-            "json_schema_true"])
+            "cycle_300_nines", "cycle_5000_nines", "graph_square", "steps_1",
+            "tolerance_nan", "missing_input", "garbage_table", "output_in_missing_dir",
+            "verify_out_of_range", "csv_schema_2", "json_schema_true"])
     def test_input_error_is_one_error_line(self, capsys, tmp_path, argv):
         table = tmp_path / "table.json"
         run_cli(capsys, "simulate", "-o", str(table))

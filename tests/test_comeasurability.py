@@ -17,7 +17,6 @@ from bosonctx.experiment import (
     REFLECTED,
     TRANSMITTED,
     full_table,
-    make_outcome,
 )
 from bosonctx.optics import BeamsplitterSpec, DistinguishabilityParam
 
@@ -32,12 +31,17 @@ def requirement_sets(ctx: str) -> list[dict[str, str]]:
             for values in product((TRANSMITTED, REFLECTED), repeat=k)]
 
 
+def label(requirements: dict[str, str]) -> str:
+    """A distinct name for each requirement set: its fibers and values in order."""
+    return ",".join(fiber.lower() + value for fiber, value in sorted(requirements.items()))
+
+
 @st.composite
 def one_context_events(draw) -> list[EventSpec]:
     ctx = draw(st.sampled_from(ALL_CONTEXTS))
     chosen = draw(st.lists(st.sampled_from(requirement_sets(ctx)), min_size=1,
-                           unique_by=make_outcome))
-    return [EventSpec(make_outcome(r), ctx, r) for r in chosen]
+                           unique_by=label))
+    return [EventSpec(label(r), ctx, r) for r in chosen]
 
 
 @SETTINGS

@@ -260,6 +260,12 @@ class TestDeriveExclusivity:
         with pytest.raises(ValueError):
             ExclusivityGraph(("u", "v"), frozenset({("u", "w")}))
 
+    def test_events_that_are_not_event_specs_are_value_errors(self):
+        # the last list leads with a good event: every event is checked, not only the first
+        for events in (["a"], "ab", [None], [standard_events(PENTAGON)[0], "x"]):
+            with pytest.raises(ValueError, match="^an event must be an EventSpec, got "):
+                derive_exclusivity(events)
+
     def test_edges_agree_with_zero_joint_assignment_count(self):
         # an edge must appear exactly when no global assignment satisfies both
         rng = random.Random(42)
@@ -301,6 +307,12 @@ class TestEventProbability:
         event = standard_events(PENTAGON)[1]
         assert event_probability(table, event) == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.parametrize("event", ["at", ("A", "at"), None, {"A": "t"}],
+                             ids=["token", "entry", "none", "requirements"])
+    def test_an_event_that_is_not_an_event_spec_is_a_value_error(self, event):
+        with pytest.raises(ValueError, match="^an event must be an EventSpec, got "):
+            event_probability(full_table(BALANCED, IDEAL), event)
+
 
 class TestInequalitySum:
     def test_pentagon_reaches_five_halves(self):
@@ -315,6 +327,12 @@ class TestInequalitySum:
         table = full_table(BALANCED, DistinguishabilityParam(0.0))
         assert inequality_sum(table, standard_events(PENTAGON)) == pytest.approx(1.5, abs=1e-12)
 
+    def test_events_that_are_not_event_specs_are_value_errors(self):
+        table = full_table(BALANCED, IDEAL)
+        for events in (["at"], "at", [*standard_events(PENTAGON), "ar,bt"]):
+            with pytest.raises(ValueError, match="^an event must be an EventSpec, got "):
+                inequality_sum(table, events)
+
 
 class TestNoncontextualMax:
     def test_pentagon_bound(self):
@@ -325,6 +343,11 @@ class TestNoncontextualMax:
 
     def test_single_event(self):
         assert noncontextual_max(standard_events(PENTAGON)[:1]) == 1
+
+    def test_events_that_are_not_event_specs_are_value_errors(self):
+        for events in ("ab", ["at", "ar"], [standard_events(PENTAGON)[0], 1]):
+            with pytest.raises(ValueError, match="^an event must be an EventSpec, got "):
+                noncontextual_max(events)
 
     def test_equals_independence_number_of_derived_graph(self):
         rng = random.Random(7)

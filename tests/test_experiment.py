@@ -1,5 +1,6 @@
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from bosonctx.experiment import (
     check_no_disturbance,
     check_requirements,
     full_table,
-    make_outcome,
     marginal_probability,
     matching_mass,
     parse_table,
@@ -44,32 +44,18 @@ def perturbed(table: OutcomeTable, ctx: str, outcome: str, delta: float) -> Outc
 
 
 class TestTokens:
-    def test_make_outcome_sorts_fibers_into_port_order(self):
-        assert make_outcome({"B": "t", "A": "r"}) == "ar,bt"
-        assert make_outcome({"C": "r"}) == "cr"
-
-    @pytest.mark.parametrize("labels, message", [
-        ({}, "^outcome needs at least one fiber label$"),
-        ({"D": "t"}, "^unknown fiber 'D'$"),
-        ({"A": "x"}, "^label must be 't' or 'r', got 'x'$"),
-    ], ids=["empty", "unknown-fiber", "bad-label"])
-    def test_make_outcome_refuses_what_labels_no_outcome(self, labels, message):
-        with pytest.raises(ValueError, match=message):
-            make_outcome(labels)
-
     def test_parse_round_trip(self):
         assert OUTCOMES["AB"]["ar,bt"] == {"A": "r", "B": "t"}
         assert OUTCOMES["AB"][COINCIDENCE] == {}
-        for outcomes in OUTCOMES.values():
-            for token, labels in outcomes.items():
-                if token != COINCIDENCE:
-                    assert make_outcome(labels) == token
 
     def test_catalogue_has_the_nineteen_outcomes(self):
         assert list(OUTCOMES) == list(ALL_CONTEXTS)
         assert [len(OUTCOMES[ctx]) for ctx in ALL_CONTEXTS] == [2, 2, 2, 5, 5, 5]
-        assert list(OUTCOMES["B"]) == ["bt", "br"]
-        assert list(OUTCOMES["AC"]) == ["at,cr", "ar,ct", "at,ct", "ar,cr", COINCIDENCE]
+        assert {ctx: list(outcomes) for ctx, outcomes in OUTCOMES.items()} == {
+            "A": ["at", "ar"], "B": ["bt", "br"], "C": ["ct", "cr"],
+            "AB": ["at,br", "ar,bt", "at,bt", "ar,br", COINCIDENCE],
+            "AC": ["at,cr", "ar,ct", "at,ct", "ar,cr", COINCIDENCE],
+            "BC": ["bt,cr", "br,ct", "bt,ct", "br,cr", COINCIDENCE]}
         tokens = {token for outcomes in OUTCOMES.values() for token in outcomes}
         assert len(tokens) == 19
         for ctx, outcomes in OUTCOMES.items():
@@ -166,7 +152,8 @@ class TestRunContext:
         for ctx in ALL_CONTEXTS:
             resolved = set()
             if len(ctx) == 2 and eta == 1.0:
-                resolved = {make_outcome(dict.fromkeys(ctx, v)) for v in (TRANSMITTED, REFLECTED)}
+                resolved = {token for v in (TRANSMITTED, REFLECTED)
+                            for token in check_requirements(ctx, dict.fromkeys(ctx, v))}
             expected = [token for token in OUTCOMES[ctx] if token not in resolved]
             dist = run_context(ctx, BeamsplitterSpec(0.7), DistinguishabilityParam(eta))
             assert list(dist) == expected
@@ -224,6 +211,42 @@ class TestFullTable:
                      lambda: check_no_disturbance(bad), lambda: check_indistinguishability(bad)):
             with pytest.raises(ValueError, match="is outside"):
                 gate()
+
+    @pytest.mark.parametrize("contexts, match", [
+        (None, "^table contexts must be a mapping"),
+        (list(ALL_CONTEXTS), "^table contexts must be a mapping"),
+        ({"A": "at"}, "^context 'A' must be a mapping"),
+        ({"A": [("at", 1.0), ("ar", 0.0)]}, "^context 'A' must be a mapping"),
+        ({"A": {"at": "1.0", "ar": 0.0}}, "^probability '1.0' of 'at' in 'A' is not a real"),
+        ({"A": {"at": None, "ar": 0.0}}, "^probability None of 'at' in 'A' is not a real"),
+        ({"A": {"at": 1 + 0j, "ar": 0.0}}, r"^probability \(1\+0j\) of 'at' in 'A' is not a"),
+        ({"A": {"at": True, "ar": False}}, "^probability True of 'at' in 'A' is not a real"),
+        ({"A": {"at": 1.0, "ar": False}}, "^probability False of 'ar' in 'A' is not a real"),
+        ({"A": {"at": np.bool_(True)}}, " of 'at' in 'A' is not a real number$"),
+    ], ids=["contexts-none", "contexts-list", "distribution-str", "distribution-list",
+            "probability-str", "probability-none", "probability-complex", "probability-true",
+            "probability-false", "probability-numpy-bool"])
+    def test_malformed_tables_fail_every_gate(self, contexts, match):
+        # at theta = 0, A is exactly {at: 1, ar: 0}: a True and a False there sum to 1,
+        # so only the refusal of booleans stops them
+        table = full_table(BeamsplitterSpec(0.0), IDEAL)
+        if isinstance(contexts, dict):
+            contexts = {**table.contexts, **contexts}
+        bad = OutcomeTable(table.theta, table.eta, contexts)
+        for gate in (bad.validate_structure, bad.validate,
+                     lambda: check_no_disturbance(bad), lambda: check_indistinguishability(bad)):
+            with pytest.raises(ValueError, match=match):
+                gate()
+
+    @pytest.mark.parametrize("kind", [Fraction, np.float64, np.float32],
+                             ids=["fraction", "np-float64", "np-float32"])
+    def test_real_probabilities_of_other_types_pass_the_gate(self, kind):
+        table = full_table(BeamsplitterSpec(0.0), IDEAL)  # every entry 0 or 1, exact in each
+        exact = OutcomeTable(table.theta, table.eta,
+                             {ctx: {token: kind(int(p)) for token, p in dist.items()}
+                              for ctx, dist in table.contexts.items()})
+        exact.validate()
+        assert check_no_disturbance(exact).passed and check_indistinguishability(exact).passed
 
     @pytest.mark.parametrize("theta,eta,match", [
         (math.nan, 0.5, "theta must be finite"), (math.inf, 0.5, "theta must be finite"),
