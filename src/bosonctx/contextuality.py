@@ -71,29 +71,36 @@ def standard_events(test: str) -> list[EventSpec]:
     try:
         entries = STANDARD_TESTS[test][0]
     except (KeyError, TypeError):
-        raise ValueError(f"unknown test {test!r}; expected {PENTAGON!r} or {TRIANGLE!r}") from None
+        raise ValueError(f"unknown test {test!r:.40}; "
+                         f"expected {PENTAGON!r} or {TRIANGLE!r}") from None
     return [EventSpec(token, ctx, OUTCOMES[ctx][token]) for ctx, token in entries]
 
 
 @dataclass(frozen=True)
 class ExclusivityGraph:
-    """Vertices are event labels; an edge marks logical exclusivity."""
+    """Vertices are event labels; an edge marks logical exclusivity.  ``neighbours``
+    holds each vertex's neighbour indices, built once in the pass that checks the edges."""
 
     vertices: tuple[str, ...]
     edges: frozenset[tuple[str, str]]
+    neighbours: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         try:
-            known = set(self.vertices)
-            if len(known) != len(self.vertices):
-                raise ValueError(f"vertex labels must be distinct, got {list(self.vertices)}")
+            index = {v: i for i, v in enumerate(self.vertices)}
+            if len(index) != len(self.vertices):
+                raise ValueError(f"vertex labels must be distinct, got {[*self.vertices]!r:.40}")
+            neighbours: list[list[int]] = [[] for _ in index]
             for u, v in self.edges:
                 if u == v:
-                    raise ValueError(f"self-loop on {u!r}")
-                if u not in known or v not in known:
-                    raise ValueError(f"edge ({u!r}, {v!r}) uses unknown vertices")
+                    raise ValueError(f"self-loop on {u!r:.40}")
+                if u not in index or v not in index:
+                    raise ValueError(f"edge ({u!r:.40}, {v!r:.40}) uses unknown vertices")
+                neighbours[index[u]].append(index[v])
+                neighbours[index[v]].append(index[u])
         except TypeError:
             raise ValueError("graph needs hashable vertices and pairs of them as edges") from None
+        object.__setattr__(self, "neighbours", tuple(map(tuple, neighbours)))
 
 
 def _edge(u: str, v: str) -> tuple[str, str]:
@@ -170,30 +177,18 @@ def noncontextual_max(events: Sequence[EventSpec]) -> int:
 def exact_search_size(n: int) -> int:
     """``n``, or ``ValueError`` if :func:`independence_number` refuses n vertices."""
     if n > MAX_EXACT_INDEPENDENCE:
-        raise ValueError(f"exact search limited to {MAX_EXACT_INDEPENDENCE} vertices, got {n}")
+        raise ValueError(f"exact search limited to {MAX_EXACT_INDEPENDENCE} vertices, "
+                         f"got {n!s:.40}")
     return n
-
-
-def _neighbours(graph: ExclusivityGraph) -> list[list[int]]:
-    """Each vertex's neighbours, as indices into ``graph.vertices``."""
-    index = {v: i for i, v in enumerate(graph.vertices)}
-    neighbours: list[list[int]] = [[] for _ in graph.vertices]
-    for u, v in graph.edges:
-        i, j = index[u], index[v]
-        neighbours[i].append(j)
-        neighbours[j].append(i)
-    return neighbours
 
 
 def independence_number(graph: ExclusivityGraph) -> int:
     """Exact maximum independent set size by branch and bound on bitmasks."""
     n = exact_search_size(len(graph.vertices))
-    adjacency = []
-    for neighbours in _neighbours(graph):
-        mask = 0
+    adjacency = [0] * n
+    for i, neighbours in enumerate(graph.neighbours):
         for j in neighbours:
-            mask |= 1 << j
-        adjacency.append(mask)
+            adjacency[i] |= 1 << j
 
     best = 0
 
@@ -221,7 +216,7 @@ def lovasz_theta_odd_cycle(n: int) -> float:
     """
     n = whole_number(n, "cycle length", 3)
     if n % 2 == 0:
-        raise ValueError(f"closed form requires an odd cycle length, got {n}")
+        raise ValueError(f"closed form requires an odd cycle length, got {n!s:.40}")
     c = math.cos(math.pi / n)
     return n * c / (1.0 + c)
 
@@ -240,8 +235,7 @@ def fractional_packing_max(graph: ExclusivityGraph) -> float:
     n - nu/2, with nu a maximum matching of the bipartite double cover (left copy
     of i joined to right copy of j for each edge {i, j}), because the LP is
     half-integral (Nemhauser-Trotter) and Konig's theorem applies."""
-    n = len(graph.vertices)
-    neighbours = _neighbours(graph)
+    n, neighbours = len(graph.vertices), graph.neighbours
     owner = [-1] * n  # left copy matched to each right copy
     seen, stamp = [-1] * n, 0  # seen[r] == stamp: right copy r entered since the last augmentation
     for root in range(n):
@@ -315,7 +309,7 @@ def sweep_eta(test: str, bs: BeamsplitterSpec,
     if etas is None:
         steps = whole_number(steps, "steps", 2)
         if steps > MAX_SWEEP_POINTS:
-            raise ValueError(f"sweep limited to {MAX_SWEEP_POINTS} grid points, got {steps!r}")
+            raise ValueError(f"sweep limited to {MAX_SWEEP_POINTS} grid points, got {steps!r:.40}")
         etas = [i / (steps - 1) for i in range(steps)]
     if isinstance(etas, (str, bytes, bytearray)):
         raise ValueError(f"eta grid must not be text or bytes, got {etas!r:.40}")

@@ -142,7 +142,7 @@ class OutcomeTable:
         try:
             return self.contexts[ctx]
         except KeyError:
-            raise ValueError(f"table has no context {ctx!r}") from None
+            raise ValueError(f"table has no context {ctx!r:.40}") from None
 
     def validate_structure(self, tol: float = DEFAULT_TOLERANCE) -> float:
         """Every check but normalization: ``tol`` a finite positive table number,
@@ -151,23 +151,23 @@ class OutcomeTable:
         theta and eta through their parameter types.  Returns ``tol`` as a float."""
         tol = real_number(tol, "tolerance")
         if not 0 < tol < float("inf"):
-            raise ValueError(f"tolerance must be finite and positive, got {tol!r}")
+            raise ValueError(f"tolerance must be finite and positive, got {tol!r:.40}")
         if not isinstance(self.contexts, Mapping):
             raise ValueError(f"table contexts must be a mapping, got {self.contexts!r:.40}")
         if self.contexts.keys() != set(ALL_CONTEXTS):
             raise ValueError(f"table needs the contexts {', '.join(ALL_CONTEXTS)}, "
-                             f"got {list(self.contexts)}")
+                             f"got {[*self.contexts]!r:.40}")
         for ctx, dist in self.contexts.items():
             if not isinstance(dist, Mapping):
-                raise ValueError(f"context {ctx!r} must be a mapping, got {dist!r:.40}")
+                raise ValueError(f"context {ctx!r:.40} must be a mapping, got {dist!r:.40}")
             for token, p in dist.items():
                 _validate_outcome_for_context(token, ctx)
                 if isinstance(p, bool) or not isinstance(p, Real):
-                    raise ValueError(f"probability {p!r:.40} of {token!r} in {ctx!r} "
+                    raise ValueError(f"probability {p!r:.40} of {token!r:.40} in {ctx!r:.40} "
                                      "is not a real number")
                 if not (-tol <= p <= 1.0 + tol):
                     raise ValueError(
-                        f"probability {p!r} of {token!r} in {ctx!r} is outside [0, 1]")
+                        f"probability {p!r:.40} of {token!r:.40} in {ctx!r:.40} is outside [0, 1]")
         BeamsplitterSpec(self.theta)
         DistinguishabilityParam(self.eta)
         return tol
@@ -181,7 +181,8 @@ class OutcomeTable:
         tol = self.validate_structure(tol)
         deviation, ctx = self.normalization_deviation()
         if deviation > tol:
-            raise ValueError(f"context {ctx!r} probabilities miss a sum of 1 by {deviation!r}")
+            raise ValueError(f"context {ctx!r:.40} probabilities miss a sum of 1 "
+                             f"by {deviation!r:.40}")
 
     # -- serialization ----------------------------------------------------
 
@@ -243,14 +244,14 @@ def write_csv(meta: Mapping[str, object], header: Sequence[str],
 def parse_table(text: str) -> OutcomeTable:
     """Parse a serialized table, sniffing JSON vs CSV; ``text`` must be a ``str``."""
     if not isinstance(text, str):
-        raise ValueError(f"table text must be a str, got {type(text).__name__}")
+        raise ValueError(f"table text must be a str, got {type(text).__name__!s:.40}")
     stripped = text.lstrip()
     if not stripped:
         raise ValueError("empty table file")
     if stripped[0] in "{[":
         try:
             header = json.loads(text)
-        except (json.JSONDecodeError, RecursionError) as exc:
+        except (ValueError, RecursionError) as exc:  # such as an int past 4300 digits
             raise ValueError(f"not valid JSON: {exc}") from exc
         records = header.get("records") if isinstance(header, dict) else None
         if not isinstance(records, list):

@@ -69,7 +69,7 @@ def whole_number(value, name: str, least: int) -> int:
                 return n
         except (OverflowError, TypeError, ValueError):
             pass
-    raise ValueError(f"{name} must be a whole number from {least} up that fits a float, "
+    raise ValueError(f"{name} must be a whole number from {least!s:.40} up that fits a float, "
                      f"got {value!r:.40}")
 
 
@@ -137,8 +137,8 @@ def pure_state(terms: Mapping, *, modes: int | None = None) -> PureState:
         if modes is None:
             modes = fock.modes
         elif fock.modes != modes:
-            raise ValueError(
-                f"mode count mismatch: expected {modes}, got {fock.modes} for {fock}")
+            raise ValueError(f"mode count mismatch: expected {modes!s:.40}, "
+                             f"got {fock.modes!s:.40} for {fock!s:.40}")
         a = complex_number(amp, "amplitude")
         if abs(a) > PRUNE:
             clean[fock] = a

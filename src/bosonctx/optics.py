@@ -40,7 +40,7 @@ class BeamsplitterSpec:
     def __post_init__(self) -> None:
         theta = real_number(self.theta, "theta")
         if not math.isfinite(theta):
-            raise ValueError(f"theta must be finite, got {theta!r}")
+            raise ValueError(f"theta must be finite, got {theta!r:.40}")
         object.__setattr__(self, "theta", theta)
 
     @cached_property
@@ -64,7 +64,7 @@ class DistinguishabilityParam:
     def __post_init__(self) -> None:
         eta = real_number(self.eta, "eta")
         if not 0.0 <= eta <= 1.0:
-            raise ValueError(f"eta must lie in [0, 1], got {eta!r}")
+            raise ValueError(f"eta must lie in [0, 1], got {eta!r:.40}")
         object.__setattr__(self, "eta", eta + 0.0)  # a zero overlap is 0.0, never -0.0
 
 
@@ -94,7 +94,7 @@ def _square_rows(matrix, name: str) -> tuple[_Row, ...]:
         raise ValueError(f"{name} must be a square matrix of numbers") from None
     if not rows or any(len(row) != len(rows) for row in rows):
         raise ValueError(f"{name} must be a non-empty square matrix, got {len(rows)} "
-                         f"rows of lengths {sorted({len(row) for row in rows})}")
+                         f"rows of lengths {sorted({len(row) for row in rows})!s:.40}")
     return rows
 
 
@@ -210,11 +210,11 @@ def scattering_amplitude(unitary, state_in: FockState, state_out: FockState) -> 
     modes = len(u)
     if state_in.modes != modes or state_out.modes != modes:
         raise ValueError(
-            f"mode count mismatch: unitary has {modes}, states have "
-            f"{state_in.modes} and {state_out.modes}")
+            f"mode count mismatch: unitary has {modes!s:.40}, states have "
+            f"{state_in.modes!s:.40} and {state_out.modes!s:.40}")
     if state_in.total != state_out.total:
         raise ValueError(
-            f"photon number mismatch: {state_in.total} in vs {state_out.total} out")
+            f"photon number mismatch: {state_in.total!s:.40} in vs {state_out.total!s:.40} out")
     return next(_amplitudes(u, state_in, [state_out]))
 
 
@@ -232,7 +232,7 @@ def apply_interferometer(state: PureState, unitary) -> PureState:
     u = _square_rows(unitary, "unitary")
     if len(u) != state.modes:
         raise ValueError(
-            f"unitary has {len(u)} modes, the state has {state.modes}")
+            f"unitary has {len(u)} modes, the state has {state.modes!s:.40}")
     bases: dict[int, list[FockState]] = {}
     out_terms: dict[FockState, complex] = {}
     for fock, amp in state.terms.items():

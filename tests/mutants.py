@@ -140,6 +140,11 @@ MUTANTS = (
            "if not isinstance(p, Real):",
            "tests/test_experiment.py::TestFullTable::"
            "test_malformed_tables_fail_every_gate[probability-true]"),
+    # a graph's index pass lists each edge under its first endpoint only
+    Mutant("src/bosonctx/contextuality.py",
+           "                neighbours[index[v]].append(index[u])\n", "",
+           "tests/test_contextuality.py::TestNeighbourIndex::"
+           "test_matches_the_pair_oracle_on_random_graphs"),
 )
 
 

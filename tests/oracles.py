@@ -12,7 +12,8 @@ and eta, and a sweep's crossing from the sum being linear in eta.  Event mass is
 testing every token against labels read off its own text, instead of the
 library's ``OUTCOMES`` catalogue and ``check_requirements``; nothing here
 imports ``bosonctx``.  The state norm and the edge test are small helpers the
-library itself does not need.
+library itself does not need.  A graph's neighbour lists come from testing every
+ordered vertex pair against its edges, not from a pass over the edges.
 """
 
 from __future__ import annotations
@@ -150,6 +151,15 @@ def state_norm(state) -> float:
 def graph_has_edge(graph, u: str, v: str) -> bool:
     """Whether the exclusivity graph joins ``u`` and ``v``, in either order."""
     return (u, v) in graph.edges or (v, u) in graph.edges
+
+
+def neighbour_lists(graph) -> list[list[int]]:
+    """Each vertex's neighbours as ascending indices into ``graph.vertices``, one
+    entry per edge tuple that joins the pair: an edge given in both orientations
+    appears twice."""
+    names = graph.vertices
+    return [[j for j, v in enumerate(names) for pair in ((u, v), (v, u)) if pair in graph.edges]
+            for u in names]
 
 
 def subset_independence_number(graph) -> int:

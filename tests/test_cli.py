@@ -476,6 +476,20 @@ class TestErrorPath:
         assert captured.err.endswith("\n")
         assert "usage:" not in captured.err
 
+    @pytest.mark.parametrize("command", [["analyze", "--test", "pentagon"], ["verify"]],
+                             ids=["analyze", "verify"])
+    def test_an_integer_past_the_digit_limit_is_not_valid_json(self, capsys, tmp_path, command):
+        """``json`` refuses an integer of over 4300 digits with a plain ``ValueError``."""
+        path = tmp_path / "table.json"
+        path.write_text('{"schema": 1, "theta": 0.3, "eta": ' + "9" * 5000 + ', "records": []}')
+        with pytest.raises(SystemExit) as err:
+            main([*command, "--input", str(path)])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: not valid JSON: ")
+        assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+
     @pytest.mark.parametrize("field, message", [
         ("context", "unknown context"),
         ("note", "bad table record"),

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from itertools import combinations, repeat
@@ -44,6 +45,7 @@ from oracles import (
     assignment_satisfies,
     graph_has_edge,
     grid_packing_max,
+    neighbour_lists,
     predicate_matching_mass,
     subset_independence_number,
     token_labels,
@@ -398,6 +400,53 @@ class TestIndependenceNumber:
     def test_cycle_graph_builds_up_to_the_cap(self):
         graph = cycle_graph(MAX_CYCLE_LENGTH)
         assert len(graph.vertices) == len(graph.edges) == MAX_CYCLE_LENGTH
+
+
+class TestNeighbourIndex:
+    """``ExclusivityGraph.neighbours``: each vertex's neighbour indices, built once
+    when the graph is made and read by both bound algorithms."""
+
+    def test_matches_the_pair_oracle_on_random_graphs(self):
+        rng = random.Random(27)
+        for _ in range(60):
+            graph = random_graph(rng, rng.randint(0, 12), rng.random())
+            assert all(type(ns) is tuple for ns in graph.neighbours)
+            assert [sorted(ns) for ns in graph.neighbours] == neighbour_lists(graph)
+
+    def test_an_edge_in_both_orientations_is_listed_twice(self):
+        rng = random.Random(2008)
+        for _ in range(40):
+            graph = random_graph(rng, rng.randint(1, 9), rng.uniform(0.2, 0.6))
+            flipped = frozenset((v, u) for u, v in graph.edges if rng.random() < 0.5)
+            both = ExclusivityGraph(graph.vertices, graph.edges | flipped)
+            assert [sorted(ns) for ns in both.neighbours] == neighbour_lists(both)
+            assert sum(map(len, both.neighbours)) == 2 * len(graph.edges) + 2 * len(flipped)
+            assert independence_number(both) == subset_independence_number(graph)
+            assert fractional_packing_max(both) == grid_packing_max(graph, 2)
+
+    def test_isolated_vertices_have_empty_lists(self):
+        graph = ExclusivityGraph(("a", "b", "c", "d"),
+                                 frozenset({("a", "b"), ("b", "a"), ("b", "c")}))
+        assert [sorted(ns) for ns in graph.neighbours] == [[1, 1], [0, 0, 2], [1], []]
+        assert ExclusivityGraph((), frozenset()).neighbours == ()
+        assert independence_number(graph) == 3 and fractional_packing_max(graph) == 3.0
+
+    def test_is_not_part_of_repr_equality_or_hash(self):
+        graph = cycle_graph(5)
+        twin = ExclusivityGraph(graph.vertices, graph.edges)
+        object.__setattr__(twin, "neighbours", ())
+        assert twin == graph and hash(twin) == hash(graph) and repr(twin) == repr(graph)
+        assert repr(graph) == (f"ExclusivityGraph(vertices={graph.vertices!r}, "
+                               f"edges={graph.edges!r})")
+        with pytest.raises(TypeError):
+            ExclusivityGraph(graph.vertices, graph.edges, graph.neighbours)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            graph.neighbours = ()
+
+    def test_replace_rebuilds_it(self):
+        path = dataclasses.replace(cycle_graph(4), edges=frozenset({("v0", "v1"), ("v1", "v2")}))
+        assert [sorted(ns) for ns in path.neighbours] == [[1], [0, 2], [1], []]
+        assert independence_number(path) == 3
 
 
 class TestLovaszThetaOddCycle:

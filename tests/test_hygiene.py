@@ -1,7 +1,10 @@
 """Source and suite hygiene: no module of the package imports a name it never
 uses or defines a top-level function or class that pytest would collect, no
 private name the package defines goes unreferenced, and a failing property
-test fails the run without stopping it.
+test fails the run without stopping it.  Every field of a ``ValueError`` message
+built in the package echoes at most 40 characters (``!r:.40`` or ``!s:.40``), and
+a huge input at each refusal that can name one gives a message of at most 200
+characters.
 
 ``__init__`` is exempt from the import rule, since its imports are the
 package's exports, and so are ``from __future__`` imports.  A name counts as
@@ -11,6 +14,10 @@ in every test module that imports it.  A private name is a single-underscore
 name (not a dunder) defined at a module's top level or in a class body, by
 ``def``, ``class`` or assignment; it counts as referenced when some module of
 the package reads it as an identifier or an attribute, or imports it by name.
+A message field needs no precision only when it cannot grow with input: an
+all-capitals module constant, a join of such constants or of their entries, a
+``len(…)``, ``name`` (the label the number and matrix rules take from their
+callers) and ``exc`` (the exception text the JSON and CSV readers pass on).
 """
 
 from __future__ import annotations
@@ -18,9 +25,17 @@ from __future__ import annotations
 import ast
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+
+from bosonctx.contextuality import (PENTAGON, ExclusivityGraph, exact_search_size,
+                                    lovasz_theta_odd_cycle, standard_events, sweep_eta)
+from bosonctx.experiment import OutcomeTable, full_table, parse_table
+from bosonctx.fock import pure_state
+from bosonctx.optics import (BALANCED, DistinguishabilityParam, permanent,
+                             scattering_amplitude)
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "bosonctx"
@@ -80,6 +95,41 @@ def orphaned_private_names(sources: list[str]) -> list[str]:
     return [name for tree in trees for name in private_definitions(tree) if name not in used]
 
 
+def _constant(node: ast.expr) -> bool:
+    """An all-capitals name, or an entry of one."""
+    while isinstance(node, ast.Subscript):
+        node = node.value
+    return isinstance(node, ast.Name) and node.id.isupper()
+
+
+def _fixed(node: ast.expr) -> bool:
+    """Whether a message field cannot grow with input (see the module docstring)."""
+    if isinstance(node, ast.Name):
+        return node.id.isupper() or node.id in ("name", "exc")
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+        return node.func.id == "len"
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "join" and isinstance(node.func.value, ast.Constant)
+            and all(map(_constant, node.args)))
+
+
+def unbounded_echoes(source: str) -> list[str]:
+    """The fields of ``ValueError`` f-string messages with neither a 40-character
+    precision nor an exemption, as source text."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and node.func.id == "ValueError":
+            for field in (f for arg in node.args for f in ast.walk(arg)
+                          if isinstance(f, ast.FormattedValue)):
+                spec = field.format_spec
+                bounded = spec is not None and [getattr(v, "value", None)
+                                                for v in spec.values] == [".40"]
+                if not bounded and not _fixed(field.value):
+                    found.append(ast.unparse(field.value))
+    return found
+
+
 def test_the_package_has_modules_to_check():
     assert {p.name for p in MODULES} >= {"cli.py", "contextuality.py", "experiment.py"}
 
@@ -112,6 +162,55 @@ def test_an_orphaned_private_name_is_found():
             "def read():\n    def _inner():\n        pass\n    return _Reader()\n")
     assert orphaned_private_names([helpers, user]) == ["_CACHE", "_orphan", "_read_header",
                                                       "_ready"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_every_refusal_echoes_at_most_40_characters(path):
+    assert unbounded_echoes(path.read_text()) == []
+
+
+def test_an_unbounded_echo_is_found():
+    source = ("def check(x, name, exc, rows):\n"
+              "    raise ValueError(f'{name} {x!r:.40} {LIMIT} {len(rows)} {exc}')\n"
+              "    raise ValueError(f\"{', '.join(CONTEXTS)} {', '.join(OUTCOMES[x])}\")\n"
+              "    raise ValueError(f'{x} got {x!r}, {rows[0]!s:.80} in {LIMIT + x}')\n"
+              "    raise ValueError('got ' f'{\", \".join(rows)}')\n"
+              "    raise TypeError(f'{x}')\n"
+              "    return f'{x}'\n")
+    assert unbounded_echoes(source) == ["x", "x", "rows[0]", "LIMIT + x", "', '.join(rows)"]
+
+
+# refusals whose echoed value can grow with input, each driven by a huge one
+_VALID = full_table(BALANCED, DistinguishabilityParam(1.0))
+_HUGE = "x" * 10**5
+ECHO_SITES = {
+    "table-missing-contexts": lambda: OutcomeTable(
+        0.1, 0.5, {f"k{i}": {} for i in range(10**5)}).validate_structure(),
+    "table-has-no-context": lambda: _VALID.context_distribution(_HUGE),
+    "probability-out-of-range": lambda: OutcomeTable(
+        _VALID.theta, _VALID.eta, {**_VALID.contexts, "A": {"at": Fraction(10**3000, 3),
+                                                           "ar": 0.0}}).validate_structure(),
+    "table-text-type": lambda: parse_table(type(_HUGE, (), {})()),
+    "unknown-test": lambda: standard_events(_HUGE),
+    "graph-duplicate-labels": lambda: ExclusivityGraph(("v",) * 10**5, frozenset()),
+    "graph-self-loop": lambda: ExclusivityGraph((_HUGE,), frozenset({(_HUGE, _HUGE)})),
+    "graph-unknown-vertex": lambda: ExclusivityGraph(("a",), frozenset({("a", _HUGE)})),
+    "exact-search-size": lambda: exact_search_size(10**300),
+    "ragged-matrix": lambda: permanent([[1] * (i % 200 + 1) for i in range(1000)]),
+    "photon-number-mismatch": lambda: scattering_amplitude([[1, 0], [0, 1]], (10**300, 0),
+                                                           (0, 1)),
+    "pure-state-mode-count": lambda: pure_state({(1,): 1, (0,) * 10**5: 1}),
+    "pure-state-modes-argument": lambda: pure_state({(1,): 1}, modes=_HUGE),
+    "sweep-steps": lambda: sweep_eta(PENTAGON, BALANCED, steps=10**300),
+    "odd-cycle-length": lambda: lovasz_theta_odd_cycle(10**300),
+}
+
+
+@pytest.mark.parametrize("site", ECHO_SITES)
+def test_a_huge_input_gives_a_short_refusal(site):
+    with pytest.raises(ValueError) as err:
+        ECHO_SITES[site]()
+    assert len(str(err.value)) <= 200, str(err.value)[:300]
 
 
 def test_a_collectable_name_is_found():

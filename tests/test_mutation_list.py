@@ -40,3 +40,13 @@ def test_the_shared_walk_mutants_are_listed(old, new):
     """The two faults of the walk that one input state's outputs share: one
     changes results, the other only the work done, so its killer counts walks."""
     assert [(m.file, m.new) for m in MUTANTS if m.old == old] == [("src/bosonctx/optics.py", new)]
+
+
+def test_the_index_pass_mutant_is_listed():
+    """Dropping the reverse-direction append of ``ExclusivityGraph``'s index pass,
+    killed by the neighbour oracle."""
+    assert [(m.file, m.new, m.killer) for m in MUTANTS
+            if m.old.strip() == "neighbours[index[v]].append(index[u])"] == [
+        ("src/bosonctx/contextuality.py", "",
+         "tests/test_contextuality.py::TestNeighbourIndex::"
+         "test_matches_the_pair_oracle_on_random_graphs")]
