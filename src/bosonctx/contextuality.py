@@ -17,7 +17,7 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from .experiment import OUTCOMES, OutcomeTable, check_requirements, full_table, matching_mass
-from .fock import whole_number
+from .fock import _echo, whole_number
 from .optics import BeamsplitterSpec, DistinguishabilityParam
 
 PENTAGON = "pentagon"
@@ -178,12 +178,14 @@ def exact_search_size(n: int) -> int:
     """``n``, or ``ValueError`` if :func:`independence_number` refuses n vertices."""
     if n > MAX_EXACT_INDEPENDENCE:
         raise ValueError(f"exact search limited to {MAX_EXACT_INDEPENDENCE} vertices, "
-                         f"got {n!s:.40}")
+                         f"got {_echo(n, str):.40}")
     return n
 
 
 def independence_number(graph: ExclusivityGraph) -> int:
-    """Exact maximum independent set size by branch and bound on bitmasks."""
+    """Exact maximum independent set size by branch and bound on bitmasks, run on an
+    explicit stack.  The lowest candidate is taken without branching when at most one
+    other candidate is its neighbour: some maximum independent set holds it."""
     n = exact_search_size(len(graph.vertices))
     adjacency = [0] * n
     for i, neighbours in enumerate(graph.neighbours):
@@ -191,20 +193,18 @@ def independence_number(graph: ExclusivityGraph) -> int:
             adjacency[i] |= 1 << j
 
     best = 0
-
-    def grow(candidates: int, size: int) -> None:
-        nonlocal best
-        if size + candidates.bit_count() <= best:
-            return
-        if candidates == 0:
-            best = size
-            return
-        v = (candidates & -candidates).bit_length() - 1
-        rest = candidates & ~(1 << v)
-        grow(rest & ~adjacency[v], size + 1)
-        grow(rest, size)
-
-    grow((1 << n) - 1, 0)
+    stack = [((1 << n) - 1, 0)]  # (candidates, size of the set taken so far)
+    while stack:
+        candidates, size = stack.pop()
+        while size + candidates.bit_count() > best:
+            if not candidates:
+                best = size
+                break
+            low = candidates & -candidates
+            rest, near = candidates ^ low, adjacency[low.bit_length() - 1]
+            if (rest & near).bit_count() > 1:
+                stack.append((rest, size))  # the branch that leaves the vertex out
+            candidates, size = rest & ~near, size + 1
     return best
 
 
@@ -239,19 +239,25 @@ def fractional_packing_max(graph: ExclusivityGraph) -> float:
     owner = [-1] * n  # left copy matched to each right copy
     seen, stamp = [-1] * n, 0  # seen[r] == stamp: right copy r entered since the last augmentation
     for root in range(n):
-        free = next((r for r in neighbours[root] if owner[r] < 0), -1)
-        if free >= 0:  # a one-edge augmenting path needs no search
-            owner[free] = root
-            continue
-        path = [(root, -1, iter(neighbours[root]))]  # DFS: (left, right it came by, untried)
-        while path:
-            right = next((r for r in path[-1][2] if seen[r] != stamp), -1)
-            if right < 0:
-                path.pop()
-            elif owner[right] >= 0:
+        for free in neighbours[root]:
+            if owner[free] < 0:  # a one-edge augmenting path needs no search
+                owner[free] = root
+                break
+        else:
+            path = [(root, -1, 0)]  # DFS: (left, right it came by, next neighbour index)
+            while path:
+                left, via, i = path.pop()
+                rights = neighbours[left]
+                while i < len(rights) and seen[rights[i]] == stamp:
+                    i += 1
+                if i == len(rights):
+                    continue  # a dead end: every right copy it reaches is stamped
+                right = rights[i]
                 seen[right] = stamp
-                path.append((owner[right], right, iter(neighbours[owner[right]])))
-            else:
+                path.append((left, via, i + 1))
+                if owner[right] >= 0:
+                    path.append((owner[right], right, 0))
+                    continue
                 for left, via, _ in reversed(path):
                     owner[right], right = left, via
                 stamp += 1

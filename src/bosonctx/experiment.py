@@ -40,7 +40,7 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
-from .fock import real_number
+from .fock import _echo, real_number
 from .optics import BeamsplitterSpec, DistinguishabilityParam, pair_outcome_distribution
 
 FIBERS = ("A", "B", "C")
@@ -163,11 +163,11 @@ class OutcomeTable:
             for token, p in dist.items():
                 _validate_outcome_for_context(token, ctx)
                 if isinstance(p, bool) or not isinstance(p, Real):
-                    raise ValueError(f"probability {p!r:.40} of {token!r:.40} in {ctx!r:.40} "
+                    raise ValueError(f"probability {_echo(p):.40} of {token!r:.40} in {ctx!r:.40} "
                                      "is not a real number")
                 if not (-tol <= p <= 1.0 + tol):
-                    raise ValueError(
-                        f"probability {p!r:.40} of {token!r:.40} in {ctx!r:.40} is outside [0, 1]")
+                    raise ValueError(f"probability {_echo(p):.40} of {token!r:.40} in {ctx!r:.40} "
+                                     "is outside [0, 1]")
         BeamsplitterSpec(self.theta)
         DistinguishabilityParam(self.eta)
         return tol

@@ -48,6 +48,16 @@ def _refused(value, kinds: tuple[str, ...]) -> bool:
         isinstance(value, bool) or getattr(getattr(value, "dtype", None), "kind", "") in kinds)
 
 
+def _echo(value, convert=repr) -> str:
+    """``convert(value)`` for a refusal to echo, or its type name when it cannot be
+    written out, as an int past Python's int-to-text digit limit or a ``Fraction`` of
+    one cannot.  Each caller cuts the text to 40 characters."""
+    try:
+        return convert(value)
+    except ValueError:
+        return f"<{type(value).__name__} too long to write out>"
+
+
 def real_number(value, name: str) -> float:
     """``value`` as a float: a number, or text that spells one, that fits a float.
     A boolean or a numpy complex is refused although ``float`` reads it."""
@@ -56,7 +66,7 @@ def real_number(value, name: str) -> float:
             return float(value)
         except (OverflowError, TypeError, ValueError):
             pass
-    raise ValueError(f"{name} must be a number that fits a float, got {value!r:.40}")
+    raise ValueError(f"{name} must be a number that fits a float, got {_echo(value):.40}")
 
 
 def whole_number(value, name: str, least: int) -> int:
@@ -70,7 +80,7 @@ def whole_number(value, name: str, least: int) -> int:
         except (OverflowError, TypeError, ValueError):
             pass
     raise ValueError(f"{name} must be a whole number from {least!s:.40} up that fits a float, "
-                     f"got {value!r:.40}")
+                     f"got {_echo(value):.40}")
 
 
 def complex_number(value, name: str) -> complex:
@@ -83,7 +93,7 @@ def complex_number(value, name: str) -> complex:
                 return z
         except (OverflowError, TypeError, ValueError):
             pass
-    raise ValueError(f"{name} must be a finite number, got {value!r:.40}")
+    raise ValueError(f"{name} must be a finite number, got {_echo(value):.40}")
 
 
 def make_fock(occupations: Iterable[int]) -> FockState:

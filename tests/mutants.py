@@ -145,6 +145,16 @@ MUTANTS = (
            "                neighbours[index[v]].append(index[u])\n", "",
            "tests/test_contextuality.py::TestNeighbourIndex::"
            "test_matches_the_pair_oracle_on_random_graphs"),
+    # the search for alpha also takes a candidate with two candidate neighbours unbranched
+    Mutant("src/bosonctx/contextuality.py",
+           "if (rest & near).bit_count() > 1:", "if (rest & near).bit_count() > 2:",
+           "tests/test_contextuality.py::TestIndependenceNumber::"
+           "test_matches_subset_enumeration"),
+    # the packing search keeps its dead ends past an augmentation that may reopen them
+    Mutant("src/bosonctx/contextuality.py",
+           "                stamp += 1\n", "",
+           "tests/test_contextuality.py::TestFractionalPackingMax::"
+           "test_matches_half_step_grid_oracle_on_random_graphs"),
 )
 
 

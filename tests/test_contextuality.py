@@ -75,6 +75,27 @@ def random_graph(rng: random.Random, n: int, p: float) -> ExclusivityGraph:
     return ExclusivityGraph(vertices, edges)
 
 
+def varied_graph(rng: random.Random, n: int) -> ExclusivityGraph:
+    """One of three shapes on n vertices, given in shuffled vertex order: G(n, p); a
+    random forest, each vertex joined to an earlier one or to none; or G(k, p) on the
+    first k vertices with each of the rest hung on it as a pendant or left isolated.
+    p is clipped from [-0.1, 1.1], so about one graph in eleven is edgeless and one
+    complete."""
+    names = [f"v{i}" for i in range(n)]
+    p = min(1.0, max(0.0, rng.uniform(-0.1, 1.1)))
+    shape = rng.randrange(3)
+    if shape == 0:
+        edges = {pair for pair in combinations(names, 2) if rng.random() < p}
+    elif shape == 1:
+        edges = {(names[rng.randrange(i)], names[i]) for i in range(1, n) if rng.random() < 0.9}
+    else:
+        k = rng.randint(1, n)
+        edges = {pair for pair in combinations(names[:k], 2) if rng.random() < p}
+        edges |= {(names[rng.randrange(k)], v) for v in names[k:] if rng.random() < 0.5}
+    rng.shuffle(names)
+    return ExclusivityGraph(tuple(names), frozenset(edges))
+
+
 class TestStandardEvents:
     def test_pentagon_definition(self):
         events = standard_events(PENTAGON)
@@ -381,6 +402,22 @@ class TestIndependenceNumber:
             graph = random_graph(rng, rng.randint(1, 9), 0.4)
             assert independence_number(graph) == subset_independence_number(graph)
 
+    def test_matches_subset_enumeration_on_trees_and_pendant_vertices(self):
+        rng = random.Random(2014)
+        for _ in range(300):
+            graph = varied_graph(rng, rng.randint(1, 14))
+            assert independence_number(graph) == subset_independence_number(graph)
+
+    @pytest.mark.parametrize("shape, alpha", [("path", 12), ("cycle", 12), ("star", 23),
+                                              ("matching", 12), ("edgeless", 24)])
+    def test_closed_forms_on_24_vertices(self, shape, alpha):
+        names = tuple(f"v{i}" for i in range(24))
+        edges = {"path": zip(names, names[1:]), "cycle": zip(names, names[1:] + names[:1]),
+                 "star": zip(repeat(names[0]), names[1:]),
+                 "matching": zip(names[::2], names[1::2]), "edgeless": ()}[shape]
+        result = independence_number(ExclusivityGraph(names, frozenset(edges)))
+        assert result == alpha and type(result) is int
+
     def test_vertex_limit(self):
         big = ExclusivityGraph(tuple(f"v{i}" for i in range(25)), frozenset())
         with pytest.raises(ValueError):
@@ -517,6 +554,13 @@ class TestFractionalPackingMax:
         for _ in range(200):
             graph = random_graph(rng, rng.randint(0, 8), rng.random())
             assert fractional_packing_max(graph) == grid_packing_max(graph, 2)
+
+    def test_matches_half_step_grid_oracle_in_shuffled_vertex_order(self):
+        rng = random.Random(2012)
+        for _ in range(200):
+            graph = varied_graph(rng, rng.randint(1, 8))
+            result = fractional_packing_max(graph)
+            assert result == grid_packing_max(graph, 2) and type(result) is float
 
     def test_matches_linprog_on_30_vertex_graphs(self):
         linprog = pytest.importorskip("scipy.optimize").linprog

@@ -2,9 +2,10 @@
 uses or defines a top-level function or class that pytest would collect, no
 private name the package defines goes unreferenced, and a failing property
 test fails the run without stopping it.  Every field of a ``ValueError`` message
-built in the package echoes at most 40 characters (``!r:.40`` or ``!s:.40``), and
-a huge input at each refusal that can name one gives a message of at most 200
-characters.
+built in the package echoes at most 40 characters (``!r:.40``, ``!s:.40``, or
+``:.40`` on the text of ``fock._echo``), and a huge input at each refusal that can
+name one gives a message of at most 200 characters; an int past Python's
+int-to-text digit limit, whose ``repr`` raises, still gets the refusal's own text.
 
 ``__init__`` is exempt from the import rule, since its imports are the
 package's exports, and so are ``from __future__`` imports.  A name counts as
@@ -30,11 +31,11 @@ from pathlib import Path
 
 import pytest
 
-from bosonctx.contextuality import (PENTAGON, ExclusivityGraph, exact_search_size,
+from bosonctx.contextuality import (PENTAGON, ExclusivityGraph, cycle_graph, exact_search_size,
                                     lovasz_theta_odd_cycle, standard_events, sweep_eta)
 from bosonctx.experiment import OutcomeTable, full_table, parse_table
-from bosonctx.fock import pure_state
-from bosonctx.optics import (BALANCED, DistinguishabilityParam, permanent,
+from bosonctx.fock import make_fock, pure_state
+from bosonctx.optics import (BALANCED, BeamsplitterSpec, DistinguishabilityParam, permanent,
                              scattering_amplitude)
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -211,6 +212,48 @@ def test_a_huge_input_gives_a_short_refusal(site):
     with pytest.raises(ValueError) as err:
         ECHO_SITES[site]()
     assert len(str(err.value)) <= 200, str(err.value)[:300]
+
+
+# refusals that echo a number, each given one past Python's int-to-text digit limit,
+# whose repr raises before the 40-character precision applies
+_PAST_LIMIT = 10**5000
+_FLOAT = "must be a number that fits a float, got <int too long to write out>"
+_WHOLE = "must be a whole number from {} up that fits a float, got <int too long to write out>"
+
+
+def _with_probability(p):
+    return OutcomeTable(_VALID.theta, _VALID.eta, {**_VALID.contexts, "A": {"at": p, "ar": 0.0}})
+
+
+DIGIT_LIMIT_SITES = {
+    "eta": (lambda: DistinguishabilityParam(_PAST_LIMIT), "eta " + _FLOAT),
+    "theta": (lambda: BeamsplitterSpec(_PAST_LIMIT), "theta " + _FLOAT),
+    "cycle-graph": (lambda: cycle_graph(_PAST_LIMIT), "cycle length " + _WHOLE.format(3)),
+    "odd-cycle-length": (lambda: lovasz_theta_odd_cycle(_PAST_LIMIT),
+                         "cycle length " + _WHOLE.format(3)),
+    "sweep-steps": (lambda: sweep_eta(PENTAGON, BALANCED, steps=_PAST_LIMIT),
+                    "steps " + _WHOLE.format(2)),
+    "sweep-grid": (lambda: sweep_eta(PENTAGON, BALANCED, [0.0, _PAST_LIMIT]), "eta " + _FLOAT),
+    "exact-search-size": (lambda: exact_search_size(_PAST_LIMIT),
+                          "exact search limited to 24 vertices, got <int too long to write out>"),
+    "occupation": (lambda: make_fock([_PAST_LIMIT]), "occupation number " + _WHOLE.format(0)),
+    "amplitude": (lambda: pure_state({(1,): _PAST_LIMIT}),
+                  "amplitude must be a finite number, got <int too long to write out>"),
+    "probability-int": (lambda: _with_probability(_PAST_LIMIT).validate_structure(),
+                        "probability <int too long to write out> of 'at' in 'A' "
+                        "is outside [0, 1]"),
+    "probability-fraction": (lambda: _with_probability(Fraction(_PAST_LIMIT, 3)).validate(),
+                             "probability <Fraction too long to write out> of 'at' in 'A' "
+                             "is outside [0, 1]"),
+}
+
+
+@pytest.mark.parametrize("site", DIGIT_LIMIT_SITES)
+def test_a_number_past_the_digit_limit_gets_the_refusal(site):
+    call, message = DIGIT_LIMIT_SITES[site]
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
 
 
 def test_a_collectable_name_is_found():

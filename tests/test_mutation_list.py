@@ -50,3 +50,16 @@ def test_the_index_pass_mutant_is_listed():
         ("src/bosonctx/contextuality.py", "",
          "tests/test_contextuality.py::TestNeighbourIndex::"
          "test_matches_the_pair_oracle_on_random_graphs")]
+
+
+@pytest.mark.parametrize("old, new, killer", [
+    ("if (rest & near).bit_count() > 1:", "if (rest & near).bit_count() > 2:",
+     "TestIndependenceNumber::test_matches_subset_enumeration"),
+    ("stamp += 1", "",
+     "TestFractionalPackingMax::test_matches_half_step_grid_oracle_on_random_graphs")],
+    ids=["alpha-fold-degree", "packing-stamp"])
+def test_the_bound_search_mutants_are_listed(old, new, killer):
+    """A fold of a degree-2 vertex in the search for alpha, and dead ends kept
+    across augmentations in the packing search, each killed by its oracle test."""
+    assert [(m.file, m.new, m.killer) for m in MUTANTS if m.old.strip() == old] == [
+        ("src/bosonctx/contextuality.py", new, f"tests/test_contextuality.py::{killer}")]
