@@ -124,15 +124,25 @@ def events_exclusive(e1: EventSpec, e2: EventSpec) -> bool:
                for fiber, value in e1.requirements.items())
 
 
-def _event_spec(event) -> EventSpec:
-    """``event``, or ``ValueError`` unless it is an :class:`EventSpec`."""
-    if not isinstance(event, EventSpec):
-        raise ValueError(f"an event must be an EventSpec, got {event!r:.40}")
-    return event
+def _instance(value, cls: type, name: str):
+    """``value``, or ``ValueError`` naming it ``name`` unless it is a ``cls``."""
+    if not isinstance(value, cls):
+        raise ValueError(f"{name} must be an {cls.__name__:.40}, got {_echo(value):.40}")
+    return value
+
+
+def _event_list(events) -> list[EventSpec]:
+    """``events`` as a list, or ``ValueError`` unless it is an iterable of :class:`EventSpec`."""
+    try:
+        items = iter(events)
+    except TypeError:
+        raise ValueError(f"events must be an iterable of EventSpec, got {_echo(events):.40}"
+                         ) from None
+    return [_instance(e, EventSpec, "an event") for e in items]
 
 
 def derive_exclusivity(events: Sequence[EventSpec]) -> ExclusivityGraph:
-    events = [_event_spec(e) for e in events]
+    events = _event_list(events)
     edges = set()
     for i, e1 in enumerate(events):
         for e2 in events[i + 1:]:
@@ -149,13 +159,13 @@ def event_probability(table: OutcomeTable, event: EventSpec) -> float:
 
     The unresolved coincidence labels no fiber, so it never contributes.
     """
-    event = _event_spec(event)
+    event = _instance(event, EventSpec, "an event")
     return matching_mass(table.context_distribution(event.context), event.tokens)
 
 
 def inequality_sum(table: OutcomeTable, events: Sequence[EventSpec]) -> float:
     """The events' probabilities summed left to right in event order from the int 0."""
-    return sum([event_probability(table, e) for e in events])
+    return sum([event_probability(table, e) for e in _event_list(events)])
 
 
 # -- bounds -----------------------------------------------------------------
@@ -186,7 +196,7 @@ def independence_number(graph: ExclusivityGraph) -> int:
     """Exact maximum independent set size by branch and bound on bitmasks, run on an
     explicit stack.  The lowest candidate is taken without branching when at most one
     other candidate is its neighbour: some maximum independent set holds it."""
-    n = exact_search_size(len(graph.vertices))
+    n = exact_search_size(len(_instance(graph, ExclusivityGraph, "a graph").vertices))
     adjacency = [0] * n
     for i, neighbours in enumerate(graph.neighbours):
         for j in neighbours:
@@ -235,7 +245,7 @@ def fractional_packing_max(graph: ExclusivityGraph) -> float:
     n - nu/2, with nu a maximum matching of the bipartite double cover (left copy
     of i joined to right copy of j for each edge {i, j}), because the LP is
     half-integral (Nemhauser-Trotter) and Konig's theorem applies."""
-    n, neighbours = len(graph.vertices), graph.neighbours
+    n, neighbours = len(_instance(graph, ExclusivityGraph, "a graph").vertices), graph.neighbours
     owner = [-1] * n  # left copy matched to each right copy
     seen, stamp = [-1] * n, 0  # seen[r] == stamp: right copy r entered since the last augmentation
     for root in range(n):

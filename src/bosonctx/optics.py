@@ -31,14 +31,17 @@ from .fock import (FockState, PureState, _as_fock, complex_number, fock_basis, p
                    real_number)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class BeamsplitterSpec:
-    """A lossless two-mode beamsplitter parametrized by a mixing angle in radians."""
+    """A lossless two-mode beamsplitter parametrized by a mixing angle in radians.
+    Like T and R, it keeps its last :func:`pair_outcome_distribution` result."""
 
     theta: float
+    # the last pair-rule call's (eta object, result), not a field; a new splitter's matches no eta
+    _last_pair = (object(), None)
 
-    def __post_init__(self) -> None:
-        theta = real_number(self.theta, "theta")
+    def __init__(self, theta: float) -> None:
+        theta = real_number(theta, "theta")
         if not math.isfinite(theta):
             raise ValueError(f"theta must be finite, got {theta!r:.40}")
         object.__setattr__(self, "theta", theta)
@@ -55,14 +58,14 @@ class BeamsplitterSpec:
 BALANCED = BeamsplitterSpec(math.pi / 4)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class DistinguishabilityParam:
     """Squared mode overlap of the two photons: 1 = identical, 0 = fully distinguishable."""
 
     eta: float
 
-    def __post_init__(self) -> None:
-        eta = real_number(self.eta, "eta")
+    def __init__(self, eta: float) -> None:
+        eta = real_number(eta, "eta")
         if not 0.0 <= eta <= 1.0:
             raise ValueError(f"eta must lie in [0, 1], got {eta!r:.40}")
         object.__setattr__(self, "eta", eta + 0.0)  # a zero overlap is 0.0, never -0.0
@@ -262,7 +265,24 @@ def pair_outcome_distribution(bs: BeamsplitterSpec, d: DistinguishabilityParam
     2TR and the unresolved coincidence keeps (T - R)^2.  Distinguishable
     particles behave as independent coins: TR per bunch port, T^2 and R^2 for
     the resolved both t and both r.  The result is the eta-weighted mixture.
+
+    A :class:`BeamsplitterSpec` keeps its last result with the float ``d.eta``
+    it came from, held by reference, and gives it back while ``d.eta`` is that
+    same object, so a table's three pair contexts compute the rule once.  An
+    eta that is another object or no float, or a splitter of another type,
+    computes it afresh.  The entry is one tuple, read and replaced whole, so
+    threads that share a splitter never pair one eta with another's result.
     """
-    T, R, eta = bs.transmittance, bs.reflectance, d.eta
+    eta = d.eta
+    try:
+        held, result = bs._last_pair
+        if held is eta:
+            return result
+    except AttributeError:  # a splitter of another type keeps no result
+        pass
+    T, R = bs.transmittance, bs.reflectance
     resolved = ((1.0 - eta) * T * T, (1.0 - eta) * R * R) if eta < 1.0 else None
-    return (1.0 + eta) * T * R, eta * (T - R) ** 2, resolved
+    result = (1.0 + eta) * T * R, eta * (T - R) ** 2, resolved
+    if type(eta) is float and isinstance(bs, BeamsplitterSpec):
+        bs.__dict__["_last_pair"] = eta, result  # as cached_property writes T and R
+    return result

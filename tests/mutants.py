@@ -42,6 +42,7 @@ GATES = "tests/test_experiment.py::TestFullTable::test_gates_decide_exactly_at_t
 BLOCKS = "tests/test_optics.py::TestRowWalk::test_walks_of_several_blocks_match_the_step_walk"
 PASS = "tests/test_optics.py::TestAmplitudePass"
 SHARED = "tests/test_optics.py::TestSharedWalk"
+MEMO = "tests/test_optics.py::TestPairRuleMemo"
 MUTANTS = (
     # a probability up to two tolerances above 1 passes the range check
     Mutant("src/bosonctx/experiment.py",
@@ -155,6 +156,10 @@ MUTANTS = (
            "                stamp += 1\n", "",
            "tests/test_contextuality.py::TestFractionalPackingMax::"
            "test_matches_half_step_grid_oracle_on_random_graphs"),
+    # a splitter gives back its last pair-rule result for any overlap, not only its own eta
+    Mutant("src/bosonctx/optics.py",
+           "if held is eta:", "if result is not None:",
+           f"{MEMO}::test_interleaved_splitters_and_overlaps_match_fresh_evaluations"),
 )
 
 

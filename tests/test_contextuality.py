@@ -289,6 +289,11 @@ class TestDeriveExclusivity:
             with pytest.raises(ValueError, match="^an event must be an EventSpec, got "):
                 derive_exclusivity(events)
 
+    @pytest.mark.parametrize("events", [None, 7, 10**5000], ids=["none", "int", "huge-int"])
+    def test_events_that_are_not_iterable_are_value_errors(self, events):
+        with pytest.raises(ValueError, match="^events must be an iterable of EventSpec, got "):
+            derive_exclusivity(events)
+
     def test_edges_agree_with_zero_joint_assignment_count(self):
         # an edge must appear exactly when no global assignment satisfies both
         rng = random.Random(42)
@@ -356,6 +361,11 @@ class TestInequalitySum:
             with pytest.raises(ValueError, match="^an event must be an EventSpec, got "):
                 inequality_sum(table, events)
 
+    @pytest.mark.parametrize("events", [None, 7], ids=["none", "int"])
+    def test_events_that_are_not_iterable_are_value_errors(self, events):
+        with pytest.raises(ValueError, match="^events must be an iterable of EventSpec, got "):
+            inequality_sum(full_table(BALANCED, IDEAL), events)
+
 
 class TestNoncontextualMax:
     def test_pentagon_bound(self):
@@ -371,6 +381,11 @@ class TestNoncontextualMax:
         for events in ("ab", ["at", "ar"], [standard_events(PENTAGON)[0], 1]):
             with pytest.raises(ValueError, match="^an event must be an EventSpec, got "):
                 noncontextual_max(events)
+
+    @pytest.mark.parametrize("events", [None, 7], ids=["none", "int"])
+    def test_events_that_are_not_iterable_are_value_errors(self, events):
+        with pytest.raises(ValueError, match="^events must be an iterable of EventSpec, got "):
+            noncontextual_max(events)
 
     def test_equals_independence_number_of_derived_graph(self):
         rng = random.Random(7)
@@ -417,6 +432,12 @@ class TestIndependenceNumber:
                  "matching": zip(names[::2], names[1::2]), "edgeless": ()}[shape]
         result = independence_number(ExclusivityGraph(names, frozenset(edges)))
         assert result == alpha and type(result) is int
+
+    @pytest.mark.parametrize("graph", ["abc", None, ("a", "b"), 10**5000],
+                             ids=["text", "none", "tuple", "huge-int"])
+    def test_a_graph_that_is_not_an_exclusivity_graph_is_a_value_error(self, graph):
+        with pytest.raises(ValueError, match="^a graph must be an ExclusivityGraph, got "):
+            independence_number(graph)
 
     def test_vertex_limit(self):
         big = ExclusivityGraph(tuple(f"v{i}" for i in range(25)), frozenset())
@@ -520,6 +541,12 @@ class TestFractionalPackingMax:
         graph = ExclusivityGraph(("a", "b", "c"), frozenset())
         assert fractional_packing_max(graph) == 3.0
         assert fractional_packing_max(ExclusivityGraph((), frozenset())) == 0.0
+
+    @pytest.mark.parametrize("graph", ["abc", None, ("a", "b"), 10**5000],
+                             ids=["text", "none", "tuple", "huge-int"])
+    def test_a_graph_that_is_not_an_exclusivity_graph_is_a_value_error(self, graph):
+        with pytest.raises(ValueError, match="^a graph must be an ExclusivityGraph, got "):
+            fractional_packing_max(graph)
 
     def test_matches_quarter_step_grid_oracle(self):
         for graph in (cycle_graph(5), cycle_graph(3), cycle_graph(7)):

@@ -31,8 +31,10 @@ from pathlib import Path
 
 import pytest
 
-from bosonctx.contextuality import (PENTAGON, ExclusivityGraph, cycle_graph, exact_search_size,
-                                    lovasz_theta_odd_cycle, standard_events, sweep_eta)
+from bosonctx.contextuality import (PENTAGON, ExclusivityGraph, cycle_graph, derive_exclusivity,
+                                    exact_search_size, fractional_packing_max,
+                                    independence_number, inequality_sum, lovasz_theta_odd_cycle,
+                                    standard_events, sweep_eta)
 from bosonctx.experiment import OutcomeTable, full_table, parse_table
 from bosonctx.fock import make_fock, pure_state
 from bosonctx.optics import (BALANCED, BeamsplitterSpec, DistinguishabilityParam, permanent,
@@ -197,6 +199,8 @@ ECHO_SITES = {
     "graph-self-loop": lambda: ExclusivityGraph((_HUGE,), frozenset({(_HUGE, _HUGE)})),
     "graph-unknown-vertex": lambda: ExclusivityGraph(("a",), frozenset({("a", _HUGE)})),
     "exact-search-size": lambda: exact_search_size(10**300),
+    "not-a-graph": lambda: independence_number(_HUGE),
+    "not-iterable-events": lambda: derive_exclusivity(10**300),
     "ragged-matrix": lambda: permanent([[1] * (i % 200 + 1) for i in range(1000)]),
     "photon-number-mismatch": lambda: scattering_amplitude([[1, 0], [0, 1]], (10**300, 0),
                                                            (0, 1)),
@@ -236,6 +240,13 @@ DIGIT_LIMIT_SITES = {
     "sweep-grid": (lambda: sweep_eta(PENTAGON, BALANCED, [0.0, _PAST_LIMIT]), "eta " + _FLOAT),
     "exact-search-size": (lambda: exact_search_size(_PAST_LIMIT),
                           "exact search limited to 24 vertices, got <int too long to write out>"),
+    "not-a-graph": (lambda: fractional_packing_max(_PAST_LIMIT),
+                    "a graph must be an ExclusivityGraph, got <int too long to write out>"),
+    "not-iterable-events": (lambda: inequality_sum(_VALID, _PAST_LIMIT),
+                            "events must be an iterable of EventSpec, "
+                            "got <int too long to write out>"),
+    "not-an-event": (lambda: derive_exclusivity([_PAST_LIMIT]),
+                     "an event must be an EventSpec, got <int too long to write out>"),
     "occupation": (lambda: make_fock([_PAST_LIMIT]), "occupation number " + _WHOLE.format(0)),
     "amplitude": (lambda: pure_state({(1,): _PAST_LIMIT}),
                   "amplitude must be a finite number, got <int too long to write out>"),

@@ -63,3 +63,13 @@ def test_the_bound_search_mutants_are_listed(old, new, killer):
     across augmentations in the packing search, each killed by its oracle test."""
     assert [(m.file, m.new, m.killer) for m in MUTANTS if m.old.strip() == old] == [
         ("src/bosonctx/contextuality.py", new, f"tests/test_contextuality.py::{killer}")]
+
+
+def test_the_pair_rule_memo_mutant_is_listed():
+    """A splitter that gives back its held pair-rule result whatever the overlap,
+    killed by interleaving one overlap across two splitters and one splitter
+    across two overlaps."""
+    assert [(m.file, m.new, m.killer) for m in MUTANTS if m.old == "if held is eta:"] == [
+        ("src/bosonctx/optics.py", "if result is not None:",
+         "tests/test_optics.py::TestPairRuleMemo::"
+         "test_interleaved_splitters_and_overlaps_match_fresh_evaluations")]

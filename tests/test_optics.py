@@ -7,6 +7,7 @@ import sys
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bosonctx import optics
-from bosonctx.experiment import run_context
+from bosonctx.experiment import full_table, run_context
 from bosonctx.fock import basis_state, fock_basis, make_fock, pure_state
 from bosonctx.optics import (
     BALANCED,
@@ -421,6 +422,84 @@ class TestPairOutcomeDistribution:
         ab = run_context("AB", BeamsplitterSpec(0.9), DistinguishabilityParam(1.0))
         assert ab["at,br"].hex() == ab["ar,bt"].hex()
         assert ab["at,br"] == pytest.approx(abs(amp1) ** 2, abs=1e-12)
+
+
+def _hexes(result):
+    """A pair-rule result written out bit for bit: floats as ``float.hex``."""
+    p_bunch, p_unresolved, resolved = result
+    return (p_bunch.hex(), p_unresolved.hex(),
+            None if resolved is None else tuple(p.hex() for p in resolved))
+
+
+def _fresh(theta: float, eta: float):
+    """The pair rule on a new splitter and a new overlap, which hold no earlier result."""
+    return _hexes(pair_outcome_distribution(BeamsplitterSpec(theta),
+                                            DistinguishabilityParam(eta)))
+
+
+class TestPairRuleMemo:
+    """A splitter keeps its last pair-rule result, keyed by the ``d.eta`` object
+    it came from; every result equals a fresh evaluation bit for bit."""
+
+    def test_interleaved_splitters_and_overlaps_match_fresh_evaluations(self):
+        # one overlap across two splitters, then one splitter across two overlaps
+        a, b = BeamsplitterSpec(0.4), BeamsplitterSpec(1.1)
+        d1, d2, ideal = (DistinguishabilityParam(e) for e in (0.3, 0.7, 1.0))
+        for bs, d in ((a, d1), (b, d1), (a, d2), (a, d1), (b, ideal), (b, d2), (a, ideal)):
+            assert _hexes(pair_outcome_distribution(bs, d)) == _fresh(bs.theta, d.eta)
+
+    def test_a_reassigned_duck_typed_overlap_gets_the_new_numbers(self):
+        bs, overlap = BeamsplitterSpec(0.4), SimpleNamespace(eta=0.25)
+        assert _hexes(pair_outcome_distribution(bs, overlap)) == _fresh(0.4, 0.25)
+        for eta in (0.75, 1.0, float("0.75")):  # the last: an equal value in another object
+            overlap.eta = eta
+            assert _hexes(pair_outcome_distribution(bs, overlap)) == _fresh(0.4, eta)
+
+    def test_an_eta_changed_in_place_gets_the_new_numbers(self):
+        """Only a float eta is kept: a 0-d array is one object whatever it holds."""
+        bs, overlap = BeamsplitterSpec(0.4), SimpleNamespace(eta=np.array(0.25))
+        assert _hexes(pair_outcome_distribution(bs, overlap)) == _fresh(0.4, 0.25)
+        overlap.eta[...] = 0.75
+        assert _hexes(pair_outcome_distribution(bs, overlap)) == _fresh(0.4, 0.75)
+
+    def test_a_duck_typed_splitter_gets_the_numbers_of_its_beamsplitter_spec(self):
+        for theta in (0.0, 0.4, math.pi / 4, 1.1):
+            spec = BeamsplitterSpec(theta)
+            splitter = SimpleNamespace(transmittance=spec.transmittance,
+                                       reflectance=spec.reflectance, theta=theta)
+            held = dict(vars(splitter))
+            for eta in (0.0, 0.3, 1.0):
+                d = DistinguishabilityParam(eta)
+                assert (_hexes(pair_outcome_distribution(splitter, d))
+                        == _hexes(pair_outcome_distribution(spec, d)) == _fresh(theta, eta))
+            assert vars(splitter) == held  # it is not written to
+
+    def test_a_tables_pair_contexts_share_one_evaluation(self):
+        """The three pair contexts of one table take their entries from one result,
+        so each bunching probability is the same float object in all three."""
+        table = full_table(BeamsplitterSpec(0.4), DistinguishabilityParam(0.3))
+        ab, ac, bc = (table.contexts[ctx] for ctx in ("AB", "AC", "BC"))
+        assert ab["at,br"] is ac["at,cr"] is bc["bt,cr"]
+        assert ab["at,bt"] is ac["at,ct"] is bc["bt,ct"]
+
+    @pytest.mark.parametrize("kind, value, other", [(BeamsplitterSpec, 0.4, 1.1),
+                                                    (DistinguishabilityParam, 0.3, 0.7)],
+                             ids=["splitter", "overlap"])
+    def test_the_dataclass_behaviour_of_both_parameter_types(self, kind, value, other):
+        (name,) = (f.name for f in dataclasses.fields(kind))
+        spec = kind(value)
+        pair_outcome_distribution(*((spec, DistinguishabilityParam(0.5))
+                                    if kind is BeamsplitterSpec else (BALANCED, spec)))
+        assert repr(spec) == f"{kind.__name__}({name}={value!r})"
+        assert spec == kind(value) == kind(**{name: value}) != kind(other)
+        assert hash(spec) == hash(kind(value)) == hash((value,))
+        assert dataclasses.astuple(spec) == (value,)
+        assert dataclasses.replace(spec) == spec
+        assert dataclasses.replace(spec, **{name: other}) == kind(other)
+        with pytest.raises(ValueError, match=f"^{name} must be a number"):
+            dataclasses.replace(spec, **{name: "x"})
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(spec, name, other)
 
 
 def _inline_gray_steps(n: int) -> list[int]:
