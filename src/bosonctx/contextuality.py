@@ -313,20 +313,23 @@ def _first_crossing(etas: Sequence[float], sums: Sequence[float],
 
 
 def sweep_eta(test: str, bs: BeamsplitterSpec,
-              etas: Iterable[float] | None = None, *, steps: int = 101) -> SweepResult:
+              etas: Iterable[float] | None = None, *, steps: int | None = None) -> SweepResult:
     """Inequality sum as a function of the photon overlap eta, with the points
     where it crosses the noncontextual bound (and, for the pentagon, the
     projective quantum bound) found by linear interpolation.  Each point's sum
     is read from the test's :data:`STANDARD_TESTS` entries.  ``steps``
-    makes a uniform grid, refused over :data:`MAX_SWEEP_POINTS` points before
-    it is built; each point of either grid is read once by
+    makes a uniform grid (101 points when neither it nor ``etas`` is given),
+    refused over :data:`MAX_SWEEP_POINTS` points before it is built and
+    refused together with ``etas``; each point of either grid is read once by
     :class:`~bosonctx.optics.DistinguishabilityParam` before the grid checks."""
     bounds = {name: float(bound) for name, bound in standard_bounds(test).items()}
     if etas is None:
-        steps = whole_number(steps, "steps", 2)
+        steps = whole_number(101 if steps is None else steps, "steps", 2)
         if steps > MAX_SWEEP_POINTS:
             raise ValueError(f"sweep limited to {MAX_SWEEP_POINTS} grid points, got {steps!r:.40}")
         etas = [i / (steps - 1) for i in range(steps)]
+    elif steps is not None:
+        raise ValueError(f"give an eta grid or steps, not both; got steps {_echo(steps):.40}")
     if isinstance(etas, (str, bytes, bytearray)):
         raise ValueError(f"eta grid must not be text or bytes, got {etas!r:.40}")
     try:
@@ -345,7 +348,9 @@ def sweep_eta(test: str, bs: BeamsplitterSpec,
     # each standard entry is a bunching or single-fiber outcome, present at every eta and
     # never -0.0, so its event's mass sum([p]) is p and these sums are inequality_sum's bits
     entries = STANDARD_TESTS[test][0]
-    sums = [sum([contexts[c][t] for c, t in entries])
-            for contexts in (full_table(bs, d).contexts for d in params)]
+    sums = []
+    for d in params:
+        contexts = full_table(bs, d).contexts
+        sums.append(sum([contexts[c][t] for c, t in entries]))
     crossings = {name: _first_crossing(grid, sums, b) for name, b in bounds.items()}
     return SweepResult(test, bs.theta, tuple(grid), tuple(sums), bounds, crossings)

@@ -124,7 +124,7 @@ def run_context(ctx: str, bs: BeamsplitterSpec,
             both_t: resolved[0], both_r: resolved[1], coinc: p_unresolved}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class OutcomeTable:
     """Conditional outcome probabilities for all six contexts.
 
@@ -137,6 +137,9 @@ class OutcomeTable:
     theta: float
     eta: float
     contexts: dict[str, dict[str, float]]
+
+    def __init__(self, theta: float, eta: float, contexts: dict[str, dict[str, float]]) -> None:
+        self.__dict__.update(theta=theta, eta=eta, contexts=contexts)  # past frozen; unchecked
 
     def context_distribution(self, ctx: str) -> dict[str, float]:
         try:
@@ -286,7 +289,9 @@ def load_table(path) -> OutcomeTable:
 
 def full_table(bs: BeamsplitterSpec, d: DistinguishabilityParam) -> OutcomeTable:
     """Simulate all six contexts at the given splitter angle and overlap."""
-    contexts = {ctx: run_context(ctx, bs, d) for ctx in ALL_CONTEXTS}
+    contexts = {}
+    for ctx in ALL_CONTEXTS:  # a loop: a comprehension would make a function per table
+        contexts[ctx] = run_context(ctx, bs, d)
     return OutcomeTable(bs.theta, d.eta, contexts)
 
 

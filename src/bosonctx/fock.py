@@ -61,6 +61,8 @@ def _echo(value, convert=repr) -> str:
 def real_number(value, name: str) -> float:
     """``value`` as a float: a number, or text that spells one, that fits a float.
     A boolean or a numpy complex is refused although ``float`` reads it."""
+    if type(value) is float:
+        return value  # the object ``float(value)`` would return
     if not _refused(value, _NOT_REAL):
         try:
             return float(value)

@@ -58,7 +58,7 @@ class BeamsplitterSpec:
 BALANCED = BeamsplitterSpec(math.pi / 4)
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, slots=True)
 class DistinguishabilityParam:
     """Squared mode overlap of the two photons: 1 = identical, 0 = fully distinguishable."""
 

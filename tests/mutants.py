@@ -160,6 +160,15 @@ MUTANTS = (
     Mutant("src/bosonctx/optics.py",
            "if held is eta:", "if result is not None:",
            f"{MEMO}::test_interleaved_splitters_and_overlaps_match_fresh_evaluations"),
+    # a float subclass such as numpy.float64 is passed through, not read as a plain float
+    Mutant("src/bosonctx/fock.py",
+           "if type(value) is float:", "if isinstance(value, float):",
+           "tests/test_optics.py::TestParameterInputs::test_accepted_values_are_stored_as_given"),
+    # a table leaves out its last context, BC
+    Mutant("src/bosonctx/experiment.py",
+           "for ctx in ALL_CONTEXTS:", "for ctx in ALL_CONTEXTS[:-1]:",
+           "tests/test_experiment.py::TestFullTable::"
+           "test_contexts_and_outcomes_follow_the_catalogue_order"),
 )
 
 

@@ -650,7 +650,7 @@ class TestSweepEta:
         for eta in (-0.1, math.nan):
             with pytest.raises(ValueError, match="eta must lie in"):
                 sweep_eta(PENTAGON, BALANCED, etas=[eta, 0.5])
-        for steps in (2.5, math.inf, math.nan, None, "5"):
+        for steps in (2.5, math.inf, math.nan, "5"):
             with pytest.raises(ValueError, match="whole number"):
                 sweep_eta(PENTAGON, BALANCED, steps=steps)
         assert sweep_eta(PENTAGON, BALANCED, steps=5.0) == sweep_eta(PENTAGON, BALANCED, steps=5)
@@ -659,6 +659,20 @@ class TestSweepEta:
             with pytest.raises(ValueError, match="eta must be a number"):
                 sweep_eta(TRIANGLE, BALANCED, etas=grid)
         assert sweep_eta(TRIANGLE, BALANCED, etas=[0, "0.5", 1]).etas == (0.0, 0.5, 1.0)
+
+    def test_steps_none_means_steps_not_given(self):
+        default = sweep_eta(TRIANGLE, BALANCED)
+        assert len(default.etas) == 101
+        assert sweep_eta(TRIANGLE, BALANCED, steps=None) == default
+        assert sweep_eta(TRIANGLE, BALANCED, None, steps=101) == default
+        assert sweep_eta(TRIANGLE, BALANCED, [0, 0.5, 1], steps=None).etas == (0.0, 0.5, 1.0)
+
+    @pytest.mark.parametrize("steps", ["junk", 10**9, 3], ids=["text", "huge", "grid-length"])
+    def test_a_grid_given_with_steps_is_refused(self, steps):
+        """``steps`` is never ignored: with a grid it is refused, even when it
+        equals the grid's length."""
+        with pytest.raises(ValueError, match="^give an eta grid or steps, not both; got steps "):
+            sweep_eta(TRIANGLE, BALANCED, [0, 0.5, 1], steps=steps)
 
     @pytest.mark.parametrize("grid", ["01", b"\x00\x01", bytearray(b"\x00\x01"), "0x"],
                              ids=["text", "bytes", "bytearray", "unreadable-text"])

@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -35,6 +37,16 @@ IDEAL = DistinguishabilityParam(1.0)
 CLASSICAL = DistinguishabilityParam(0.0)
 # 1 + TOL and 1 + 2 * TOL are exact floats, so an edge case lands on the edge
 TOL = 2.0 ** -20
+
+
+def catalogue_keys(ctx: str, eta: float) -> list[str]:
+    """The tokens of ``OUTCOMES[ctx]`` in order, less a pair context's resolved
+    both-t and both-r tokens at eta = 1."""
+    resolved = set()
+    if len(ctx) == 2 and eta == 1.0:
+        resolved = {token for v in (TRANSMITTED, REFLECTED)
+                    for token in check_requirements(ctx, dict.fromkeys(ctx, v))}
+    return [token for token in OUTCOMES[ctx] if token not in resolved]
 
 
 def perturbed(table: OutcomeTable, ctx: str, outcome: str, delta: float) -> OutcomeTable:
@@ -150,13 +162,8 @@ class TestRunContext:
     @pytest.mark.parametrize("eta", [0.0, 0.37, 1.0])
     def test_keys_follow_the_catalogue(self, eta):
         for ctx in ALL_CONTEXTS:
-            resolved = set()
-            if len(ctx) == 2 and eta == 1.0:
-                resolved = {token for v in (TRANSMITTED, REFLECTED)
-                            for token in check_requirements(ctx, dict.fromkeys(ctx, v))}
-            expected = [token for token in OUTCOMES[ctx] if token not in resolved]
             dist = run_context(ctx, BeamsplitterSpec(0.7), DistinguishabilityParam(eta))
-            assert list(dist) == expected
+            assert list(dist) == catalogue_keys(ctx, eta)
 
 
 class TestFullTable:
@@ -164,6 +171,43 @@ class TestFullTable:
         table = full_table(BALANCED, IDEAL)
         assert set(table.contexts) == set(ALL_CONTEXTS)
         table.validate()
+
+    def test_contexts_and_outcomes_follow_the_catalogue_order(self):
+        """Serialized tables and event sums read a table in its own order, so
+        the contexts come in ``ALL_CONTEXTS`` order and each context's
+        outcomes in ``OUTCOMES`` order, the resolved ones absent at eta = 1."""
+        rng = random.Random(30)
+        thetas = [0.0, math.pi / 4, *(rng.uniform(-4.0, 4.0) for _ in range(6))]
+        etas = [0.0, 1.0, *(rng.random() for _ in range(6))]
+        for theta in thetas:
+            bs = BeamsplitterSpec(theta)
+            for eta in etas:
+                table = full_table(bs, DistinguishabilityParam(eta))
+                assert tuple(table.contexts) == ALL_CONTEXTS
+                for ctx, dist in table.contexts.items():
+                    assert list(dist) == catalogue_keys(ctx, eta)
+
+    def test_the_dataclass_behaviour_of_a_table(self):
+        """Construction stores the three fields as given, positionally or by
+        keyword, and checks nothing; the table stays a frozen dataclass."""
+        contexts = {"A": {"at": 0.25, "ar": 0.75}}
+        table = OutcomeTable(0.3, 0.5, contexts)
+        assert table.contexts is contexts and vars(table) == {
+            "theta": 0.3, "eta": 0.5, "contexts": contexts}
+        assert repr(table) == f"OutcomeTable(theta=0.3, eta=0.5, contexts={contexts!r})"
+        assert table == OutcomeTable(theta=0.3, eta=0.5, contexts=dict(contexts))
+        assert table != OutcomeTable(0.3, 0.6, contexts)
+        assert dataclasses.astuple(table) == (0.3, 0.5, contexts)
+        assert dataclasses.replace(table) == table
+        assert dataclasses.replace(table, eta=0.6) == OutcomeTable(0.3, 0.6, contexts)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            table.eta = 0.6
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del table.contexts
+        with pytest.raises(TypeError):
+            OutcomeTable(0.3, 0.5)
+        malformed = OutcomeTable("x", None, 7)
+        assert (malformed.theta, malformed.eta, malformed.contexts) == ("x", None, 7)
 
     def test_reference_values_at_balanced_ideal(self):
         table = full_table(BALANCED, IDEAL)
@@ -251,7 +295,7 @@ class TestFullTable:
     @pytest.mark.parametrize("theta,eta,match", [
         (math.nan, 0.5, "theta must be finite"), (math.inf, 0.5, "theta must be finite"),
         (0.3, 1.5, "eta must lie in"), (0.3, -0.1, "eta must lie in"),
-        (0.3, math.nan, "eta must lie in")])
+        (0.3, math.nan, "eta must lie in"), ("x", 0.5, "theta must be a number")])
     def test_header_is_checked_by_the_parameter_types(self, theta, eta, match):
         table = full_table(BeamsplitterSpec(0.3), DistinguishabilityParam(0.37))
         with pytest.raises(ValueError, match=match):

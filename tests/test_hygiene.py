@@ -207,6 +207,7 @@ ECHO_SITES = {
     "pure-state-mode-count": lambda: pure_state({(1,): 1, (0,) * 10**5: 1}),
     "pure-state-modes-argument": lambda: pure_state({(1,): 1}, modes=_HUGE),
     "sweep-steps": lambda: sweep_eta(PENTAGON, BALANCED, steps=10**300),
+    "sweep-grid-and-steps": lambda: sweep_eta(PENTAGON, BALANCED, [0.0, 1.0], steps=10**300),
     "odd-cycle-length": lambda: lovasz_theta_odd_cycle(10**300),
 }
 
@@ -238,6 +239,9 @@ DIGIT_LIMIT_SITES = {
     "sweep-steps": (lambda: sweep_eta(PENTAGON, BALANCED, steps=_PAST_LIMIT),
                     "steps " + _WHOLE.format(2)),
     "sweep-grid": (lambda: sweep_eta(PENTAGON, BALANCED, [0.0, _PAST_LIMIT]), "eta " + _FLOAT),
+    "sweep-grid-and-steps": (lambda: sweep_eta(PENTAGON, BALANCED, [0.0, 1.0], steps=_PAST_LIMIT),
+                             "give an eta grid or steps, not both; "
+                             "got steps <int too long to write out>"),
     "exact-search-size": (lambda: exact_search_size(_PAST_LIMIT),
                           "exact search limited to 24 vertices, got <int too long to write out>"),
     "not-a-graph": (lambda: fractional_packing_max(_PAST_LIMIT),

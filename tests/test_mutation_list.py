@@ -73,3 +73,17 @@ def test_the_pair_rule_memo_mutant_is_listed():
         ("src/bosonctx/optics.py", "if result is not None:",
          "tests/test_optics.py::TestPairRuleMemo::"
          "test_interleaved_splitters_and_overlaps_match_fresh_evaluations")]
+
+
+@pytest.mark.parametrize("file, old, new, killer", [
+    ("src/bosonctx/fock.py", "if type(value) is float:", "if isinstance(value, float):",
+     "tests/test_optics.py::TestParameterInputs::test_accepted_values_are_stored_as_given"),
+    ("src/bosonctx/experiment.py", "for ctx in ALL_CONTEXTS:", "for ctx in ALL_CONTEXTS[:-1]:",
+     "tests/test_experiment.py::TestFullTable::"
+     "test_contexts_and_outcomes_follow_the_catalogue_order")],
+    ids=["plain-float-pass-through", "table-context-loop"])
+def test_the_sweep_point_mutants_are_listed(file, old, new, killer):
+    """A numpy float passed through by the plain-float shortcut of ``real_number``,
+    killed by the types of stored parameters, and a table missing a context,
+    killed by the table-order test."""
+    assert [(m.file, m.new, m.killer) for m in MUTANTS if m.old == old] == [(file, new, killer)]
