@@ -46,21 +46,25 @@ from .optics import BeamsplitterSpec, DistinguishabilityParam
 
 
 def _add_angle_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--theta", type=float, default=math.pi / 4,
+    parser.add_argument("--theta", type=float, default=None,
                         help="beamsplitter angle in radians (default: pi/4, a 50-50 splitter)")
     parser.add_argument("--theta-deg", type=float, default=None,
                         help="beamsplitter angle in degrees (overrides --theta)")
 
 
 def _add_eta_arg(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--eta", type=float, default=1.0,
+    parser.add_argument("--eta", type=float, default=None,
                         help="photon overlap in [0, 1]; 1 = identical photons (default: 1)")
 
 
 def _resolve_beamsplitter(args: argparse.Namespace) -> BeamsplitterSpec:
     if args.theta_deg is not None:
         return BeamsplitterSpec(math.radians(args.theta_deg))
-    return BeamsplitterSpec(args.theta)
+    return BeamsplitterSpec(math.pi / 4 if args.theta is None else args.theta)
+
+
+def _resolve_overlap(args: argparse.Namespace) -> DistinguishabilityParam:
+    return DistinguishabilityParam(1.0 if args.eta is None else args.eta)
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -76,18 +80,22 @@ def _header(**fields) -> dict:
 
 
 def cmd_simulate(args) -> int:
-    table = full_table(_resolve_beamsplitter(args), DistinguishabilityParam(args.eta))
+    table = full_table(_resolve_beamsplitter(args), _resolve_overlap(args))
     text = table.to_json() if args.format == "json" else table.to_csv()
     _emit(text, args.output)
     return 0
 
 
 def _table_for_analysis(args) -> OutcomeTable:
-    if args.input is not None:
-        table = load_table(args.input)
-        table.validate()
-        return table
-    return full_table(_resolve_beamsplitter(args), DistinguishabilityParam(args.eta))
+    if args.input is None:
+        return full_table(_resolve_beamsplitter(args), _resolve_overlap(args))
+    given = [flag for flag, value in (("--theta", args.theta), ("--theta-deg", args.theta_deg),
+                                      ("--eta", args.eta)) if value is not None]
+    if given:
+        raise ValueError(f"--input takes theta and eta from the table, not {', '.join(given):.40}")
+    table = load_table(args.input)
+    table.validate()
+    return table
 
 
 def cmd_analyze(args) -> int:

@@ -286,6 +286,7 @@ class SweepResult:
     sums: tuple[float, ...]
     bounds: dict[str, float]
     crossings: dict[str, float | None]
+    __hash__ = None  # it holds dicts
 
     def to_dict(self) -> dict:
         return {
@@ -351,6 +352,9 @@ def sweep_eta(test: str, bs: BeamsplitterSpec,
     sums = []
     for d in params:
         contexts = full_table(bs, d).contexts
-        sums.append(sum([contexts[c][t] for c, t in entries]))
+        total = 0
+        for c, t in entries:
+            total += contexts[c][t]
+        sums.append(total)
     crossings = {name: _first_crossing(grid, sums, b) for name, b in bounds.items()}
     return SweepResult(test, bs.theta, tuple(grid), tuple(sums), bounds, crossings)

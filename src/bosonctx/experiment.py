@@ -107,7 +107,7 @@ def run_context(ctx: str, bs: BeamsplitterSpec,
     """Outcome distribution for one context, keyed by the tokens of
     ``OUTCOMES[ctx]`` in their order.  A pair context's resolved both-t and
     both-r entries appear only for eta < 1; ``coinc`` is always present.  The
-    values are the cached T and R, or the results of the one pair rule
+    values are the splitter's T and R, or the results of the one pair rule
     :func:`~bosonctx.optics.pair_outcome_distribution`, in a dict literal.
     """
     try:
@@ -137,6 +137,7 @@ class OutcomeTable:
     theta: float
     eta: float
     contexts: dict[str, dict[str, float]]
+    __hash__ = None  # it holds dicts
 
     def __init__(self, theta: float, eta: float, contexts: dict[str, dict[str, float]]) -> None:
         self.__dict__.update(theta=theta, eta=eta, contexts=contexts)  # past frozen; unchecked

@@ -126,6 +126,7 @@ class PureState:
 
     terms: dict[FockState, complex]
     modes: int
+    __hash__ = None  # it holds a dict
 
     def amplitude(self, key) -> complex:
         """Amplitude of one basis state (0 if absent)."""

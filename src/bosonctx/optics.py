@@ -22,7 +22,7 @@ import math
 import operator
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
-from functools import cache, cached_property, reduce
+from functools import cache, reduce
 from itertools import accumulate, repeat
 
 import numpy as np
@@ -34,25 +34,16 @@ from .fock import (FockState, PureState, _as_fock, complex_number, fock_basis, p
 @dataclass(frozen=True, init=False)
 class BeamsplitterSpec:
     """A lossless two-mode beamsplitter parametrized by a mixing angle in radians.
-    Like T and R, it keeps its last :func:`pair_outcome_distribution` result."""
+    ``transmittance`` T and ``reflectance`` R are set with ``theta`` and never change."""
 
     theta: float
-    # the last pair-rule call's (eta object, result), not a field; a new splitter's matches no eta
-    _last_pair = (object(), None)
 
     def __init__(self, theta: float) -> None:
         theta = real_number(theta, "theta")
         if not math.isfinite(theta):
             raise ValueError(f"theta must be finite, got {theta!r:.40}")
-        object.__setattr__(self, "theta", theta)
-
-    @cached_property
-    def transmittance(self) -> float:
-        return math.cos(self.theta) ** 2
-
-    @cached_property
-    def reflectance(self) -> float:
-        return math.sin(self.theta) ** 2
+        self.__dict__.update(theta=theta, transmittance=math.cos(theta) ** 2,
+                             reflectance=math.sin(theta) ** 2)  # past frozen; not fields
 
 
 BALANCED = BeamsplitterSpec(math.pi / 4)
@@ -265,24 +256,7 @@ def pair_outcome_distribution(bs: BeamsplitterSpec, d: DistinguishabilityParam
     2TR and the unresolved coincidence keeps (T - R)^2.  Distinguishable
     particles behave as independent coins: TR per bunch port, T^2 and R^2 for
     the resolved both t and both r.  The result is the eta-weighted mixture.
-
-    A :class:`BeamsplitterSpec` keeps its last result with the float ``d.eta``
-    it came from, held by reference, and gives it back while ``d.eta`` is that
-    same object, so a table's three pair contexts compute the rule once.  An
-    eta that is another object or no float, or a splitter of another type,
-    computes it afresh.  The entry is one tuple, read and replaced whole, so
-    threads that share a splitter never pair one eta with another's result.
     """
-    eta = d.eta
-    try:
-        held, result = bs._last_pair
-        if held is eta:
-            return result
-    except AttributeError:  # a splitter of another type keeps no result
-        pass
-    T, R = bs.transmittance, bs.reflectance
+    eta, T, R = d.eta, bs.transmittance, bs.reflectance
     resolved = ((1.0 - eta) * T * T, (1.0 - eta) * R * R) if eta < 1.0 else None
-    result = (1.0 + eta) * T * R, eta * (T - R) ** 2, resolved
-    if type(eta) is float and isinstance(bs, BeamsplitterSpec):
-        bs.__dict__["_last_pair"] = eta, result  # as cached_property writes T and R
-    return result
+    return (1.0 + eta) * T * R, eta * (T - R) ** 2, resolved

@@ -42,7 +42,6 @@ GATES = "tests/test_experiment.py::TestFullTable::test_gates_decide_exactly_at_t
 BLOCKS = "tests/test_optics.py::TestRowWalk::test_walks_of_several_blocks_match_the_step_walk"
 PASS = "tests/test_optics.py::TestAmplitudePass"
 SHARED = "tests/test_optics.py::TestSharedWalk"
-MEMO = "tests/test_optics.py::TestPairRuleMemo"
 MUTANTS = (
     # a probability up to two tolerances above 1 passes the range check
     Mutant("src/bosonctx/experiment.py",
@@ -82,7 +81,7 @@ MUTANTS = (
            "test_run_context_is_the_internal_mode_model_through_the_permanent"),
     # a sweep point adds its events' entries in reverse event order
     Mutant("src/bosonctx/contextuality.py",
-           "for c, t in entries]", "for c, t in entries[::-1]]",
+           "for c, t in entries:", "for c, t in entries[::-1]:",
            "tests/test_golden.py::test_dense_digest_matches_the_record"),
     # the pentagon's single-fiber event asks for A reflected: no longer exclusive of its neighbours
     Mutant("src/bosonctx/contextuality.py",
@@ -156,10 +155,11 @@ MUTANTS = (
            "                stamp += 1\n", "",
            "tests/test_contextuality.py::TestFractionalPackingMax::"
            "test_matches_half_step_grid_oracle_on_random_graphs"),
-    # a splitter gives back its last pair-rule result for any overlap, not only its own eta
+    # a splitter's reflectance is 1 - T: sin^2 theta only up to rounding
     Mutant("src/bosonctx/optics.py",
-           "if held is eta:", "if result is not None:",
-           f"{MEMO}::test_interleaved_splitters_and_overlaps_match_fresh_evaluations"),
+           "reflectance=math.sin(theta) ** 2", "reflectance=1.0 - math.cos(theta) ** 2",
+           "tests/test_optics.py::TestBeamsplitterSpec::"
+           "test_transmittance_and_reflectance_are_cached_bit_for_bit"),
     # a float subclass such as numpy.float64 is passed through, not read as a plain float
     Mutant("src/bosonctx/fock.py",
            "if type(value) is float:", "if isinstance(value, float):",

@@ -447,11 +447,15 @@ class TestErrorPath:
         ["verify", "--input", "{out_of_range}"],
         ["verify", "--input", "{csv_schema_2}"],
         ["verify", "--input", "{json_schema_true}"],
+        ["analyze", "--test", "triangle", "--input", "{table}", "--eta", "1", "--theta", "0.1"],
+        ["analyze", "--test", "pentagon", "--input", "{table}", "--theta-deg", "30"],
+        ["analyze", "--test", "pentagon", "--input", "{table}", "--theta", "0.7853981633974483"],
     ], ids=["eta_2", "theta_nan", "theta_deg_inf", "cycle_2", "cycle_x", "cycle_1_3",
             "cycle_arabic_indic_7", "graph_million_chars", "cycle_25",
             "cycle_300_nines", "cycle_5000_nines", "graph_square", "steps_1",
             "tolerance_nan", "missing_input", "garbage_table", "output_in_missing_dir",
-            "verify_out_of_range", "csv_schema_2", "json_schema_true"])
+            "verify_out_of_range", "csv_schema_2", "json_schema_true", "input_with_eta_theta",
+            "input_with_theta_deg", "input_with_the_default_theta"])
     def test_input_error_is_one_error_line(self, capsys, tmp_path, argv):
         table = tmp_path / "table.json"
         run_cli(capsys, "simulate", "-o", str(table))

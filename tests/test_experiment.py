@@ -2,11 +2,13 @@ import dataclasses
 import json
 import math
 import random
+from collections.abc import Hashable
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from bosonctx.contextuality import sweep_eta
 from bosonctx.experiment import (
     ALL_CONTEXTS,
     COINCIDENCE,
@@ -26,6 +28,7 @@ from bosonctx.experiment import (
     run_context,
     validate_context,
 )
+from bosonctx.fock import pure_state
 from bosonctx.optics import BALANCED, BeamsplitterSpec, DistinguishabilityParam
 
 from oracles import token_labels
@@ -360,6 +363,22 @@ class TestFullTable:
             report = check(table, "1e-3")
             assert report.tolerance == 1e-3 and type(report.tolerance) is float
             assert report == check(table, 1e-3)
+
+
+@pytest.mark.parametrize("make", [lambda: full_table(BALANCED, IDEAL),
+                                  lambda: sweep_eta("triangle", BALANCED, steps=3),
+                                  lambda: pure_state({(1, 0): 1.0})],
+                         ids=["OutcomeTable", "SweepResult", "PureState"])
+def test_a_frozen_value_holding_dicts_says_it_is_unhashable(make):
+    """Each holds dicts, so it is not ``Hashable`` and ``hash`` names its class;
+    equality, ``repr`` and ``replace`` work as for any dataclass."""
+    value = make()
+    name = type(value).__name__
+    assert not isinstance(value, Hashable)
+    with pytest.raises(TypeError, match=f"^unhashable type: '{name}'$"):
+        hash(value)
+    assert value == make() == dataclasses.replace(value)
+    assert repr(value) == repr(make()) and repr(value).startswith(f"{name}(")
 
 
 class TestSerialization:

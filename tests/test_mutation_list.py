@@ -65,14 +65,14 @@ def test_the_bound_search_mutants_are_listed(old, new, killer):
         ("src/bosonctx/contextuality.py", new, f"tests/test_contextuality.py::{killer}")]
 
 
-def test_the_pair_rule_memo_mutant_is_listed():
-    """A splitter that gives back its held pair-rule result whatever the overlap,
-    killed by interleaving one overlap across two splitters and one splitter
-    across two overlaps."""
-    assert [(m.file, m.new, m.killer) for m in MUTANTS if m.old == "if held is eta:"] == [
-        ("src/bosonctx/optics.py", "if result is not None:",
-         "tests/test_optics.py::TestPairRuleMemo::"
-         "test_interleaved_splitters_and_overlaps_match_fresh_evaluations")]
+def test_the_splitter_constructor_mutant_is_listed():
+    """A splitter whose reflectance is 1 - T rather than sin^2 theta, which agree
+    only up to rounding, killed by the bit-for-bit T and R test."""
+    assert [(m.file, m.new, m.killer) for m in MUTANTS
+            if m.old == "reflectance=math.sin(theta) ** 2"] == [
+        ("src/bosonctx/optics.py", "reflectance=1.0 - math.cos(theta) ** 2",
+         "tests/test_optics.py::TestBeamsplitterSpec::"
+         "test_transmittance_and_reflectance_are_cached_bit_for_bit")]
 
 
 @pytest.mark.parametrize("file, old, new, killer", [

@@ -15,7 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bosonctx import optics
-from bosonctx.experiment import full_table, run_context
+from bosonctx.contextuality import sweep_eta
+from bosonctx.experiment import (check_indistinguishability, check_no_disturbance, full_table,
+                                 run_context)
 from bosonctx.fock import basis_state, fock_basis, make_fock, pure_state
 from bosonctx.optics import (
     BALANCED,
@@ -84,7 +86,7 @@ class TestBeamsplitterSpec:
     def test_transmittance_and_reflectance_are_cached_bit_for_bit(self):
         for theta in (*map(float, THETA_GRID), -0.3, 2.9, 1e6):
             bs = BeamsplitterSpec(theta)
-            for _ in range(2):  # computed, then read back from the cache
+            for _ in range(2):  # set by the constructor, the same on every read
                 assert bs.transmittance.hex() == (math.cos(theta) ** 2).hex()
                 assert bs.reflectance.hex() == (math.sin(theta) ** 2).hex()
             fresh = BeamsplitterSpec(theta)
@@ -432,14 +434,14 @@ def _hexes(result):
 
 
 def _fresh(theta: float, eta: float):
-    """The pair rule on a new splitter and a new overlap, which hold no earlier result."""
+    """The pair rule on a new splitter and a new overlap."""
     return _hexes(pair_outcome_distribution(BeamsplitterSpec(theta),
                                             DistinguishabilityParam(eta)))
 
 
-class TestPairRuleMemo:
-    """A splitter keeps its last pair-rule result, keyed by the ``d.eta`` object
-    it came from; every result equals a fresh evaluation bit for bit."""
+class TestStatelessPairRule:
+    """A splitter is complete once built: the pair rule reads it and writes
+    nothing, so every result equals a fresh evaluation bit for bit."""
 
     def test_interleaved_splitters_and_overlaps_match_fresh_evaluations(self):
         # one overlap across two splitters, then one splitter across two overlaps
@@ -456,7 +458,7 @@ class TestPairRuleMemo:
             assert _hexes(pair_outcome_distribution(bs, overlap)) == _fresh(0.4, eta)
 
     def test_an_eta_changed_in_place_gets_the_new_numbers(self):
-        """Only a float eta is kept: a 0-d array is one object whatever it holds."""
+        """A 0-d array is one object whatever it holds; the rule reads its value."""
         bs, overlap = BeamsplitterSpec(0.4), SimpleNamespace(eta=np.array(0.25))
         assert _hexes(pair_outcome_distribution(bs, overlap)) == _fresh(0.4, 0.25)
         overlap.eta[...] = 0.75
@@ -474,13 +476,18 @@ class TestPairRuleMemo:
                         == _hexes(pair_outcome_distribution(spec, d)) == _fresh(theta, eta))
             assert vars(splitter) == held  # it is not written to
 
-    def test_a_tables_pair_contexts_share_one_evaluation(self):
-        """The three pair contexts of one table take their entries from one result,
-        so each bunching probability is the same float object in all three."""
-        table = full_table(BeamsplitterSpec(0.4), DistinguishabilityParam(0.3))
-        ab, ac, bc = (table.contexts[ctx] for ctx in ("AB", "AC", "BC"))
-        assert ab["at,br"] is ac["at,cr"] is bc["bt,cr"]
-        assert ab["at,bt"] is ac["at,ct"] is bc["bt,ct"]
+    def test_nothing_writes_into_a_splitter_after_construction(self):
+        """The pair rule, a table, a sweep and both checkers leave a splitter's
+        attributes as its constructor set them."""
+        bs = BeamsplitterSpec(0.4)
+        built = dict(vars(bs))
+        assert built.keys() == {"theta", "transmittance", "reflectance"}
+        pair_outcome_distribution(bs, DistinguishabilityParam(0.3))
+        table = full_table(bs, DistinguishabilityParam(0.3))
+        sweep_eta("pentagon", bs, steps=5)
+        check_no_disturbance(table)
+        check_indistinguishability(table)
+        assert vars(bs) == built
 
     @pytest.mark.parametrize("kind, value, other", [(BeamsplitterSpec, 0.4, 1.1),
                                                     (DistinguishabilityParam, 0.3, 0.7)],
