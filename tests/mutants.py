@@ -42,6 +42,7 @@ GATES = "tests/test_experiment.py::TestFullTable::test_gates_decide_exactly_at_t
 BLOCKS = "tests/test_optics.py::TestRowWalk::test_walks_of_several_blocks_match_the_step_walk"
 PASS = "tests/test_optics.py::TestAmplitudePass"
 SHARED = "tests/test_optics.py::TestSharedWalk"
+PRODUCTS = "tests/test_optics.py::TestSharedProducts"
 MUTANTS = (
     # a probability up to two tolerances above 1 passes the range check
     Mutant("src/bosonctx/experiment.py",
@@ -169,6 +170,15 @@ MUTANTS = (
            "for ctx in ALL_CONTEXTS:", "for ctx in ALL_CONTEXTS[:-1]:",
            "tests/test_experiment.py::TestFullTable::"
            "test_contexts_and_outcomes_follow_the_catalogue_order"),
+    # the first row's chain is never reused: same results, 79 380 products for 29 043
+    Mutant("src/bosonctx/optics.py",
+           "while held == index and", "while held < -1 and",
+           f"{PRODUCTS}::test_one_input_state_forms_each_leading_run_once"),
+    # the chain matches rows by the value of their sums: the same bits, as running sums
+    # start from 0j and so never hold -0.0, but a pass over each held list of sums
+    Mutant("src/bosonctx/optics.py",
+           "rows[kept].walk[1] is blocks[kept]", "rows[kept].walk[1] == blocks[kept]",
+           f"{PRODUCTS}::test_rows_are_matched_by_identity_not_by_value"),
 )
 
 

@@ -87,3 +87,16 @@ def test_the_sweep_point_mutants_are_listed(file, old, new, killer):
     killed by the types of stored parameters, and a table missing a context,
     killed by the table-order test."""
     assert [(m.file, m.new, m.killer) for m in MUTANTS if m.old == old] == [(file, new, killer)]
+
+
+@pytest.mark.parametrize("old, new, killer", [
+    ("while held == index and", "while held < -1 and",
+     "test_one_input_state_forms_each_leading_run_once"),
+    ("rows[kept].walk[1] is blocks[kept]", "rows[kept].walk[1] == blocks[kept]",
+     "test_rows_are_matched_by_identity_not_by_value")],
+    ids=["chain-reuse-off", "chain-matched-by-value"])
+def test_the_shared_product_mutants_are_listed(old, new, killer):
+    """The two faults of the products that one input state's outputs share: both
+    keep every bit and change only the work done, so their killers count products."""
+    assert [(m.file, m.new, m.killer) for m in MUTANTS if m.old == old] == [
+        ("src/bosonctx/optics.py", new, f"tests/test_optics.py::TestSharedProducts::{killer}")]

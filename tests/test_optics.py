@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import math
+import operator
 import os
 import subprocess
 import sys
@@ -595,6 +596,15 @@ class TestGraySchedule:
                 "print(optics._walk_getters.cache_info().currsize)")
         assert self._fresh_run(code) == "0\n"
 
+    def test_a_size_builds_its_getters_in_little_memory(self):
+        # 262 143 steps of n = 18 are cut into blocks as they go, never listed whole
+        code = ("import tracemalloc\n"
+                "from bosonctx import optics\n"
+                "tracemalloc.start()\n"
+                "optics._walk_getters(18)\n"
+                "print(tracemalloc.get_traced_memory()[1])")
+        assert int(self._fresh_run(code)) < 500_000
+
     def test_a_size_leaves_little_cached(self):
         # 65 535 steps of n = 16 fit in a few shared blocks, not one pointer per step
         code = ("import tracemalloc\n"
@@ -805,6 +815,88 @@ class TestSharedWalk:
         finally:
             tracemalloc.stop()
         assert grown < 4_000  # one pass's walks alone hold about 13 kB
+
+
+class CountingMul:
+    """``operator`` for ``optics``, whose ``mul`` counts the products formed."""
+
+    def __init__(self) -> None:
+        self.calls = 0
+
+    def __getattr__(self, name: str):
+        return getattr(operator, name)
+
+    def mul(self, a, b):
+        self.calls += 1
+        return a * b
+
+
+@st.composite
+def call_sequences(draw) -> list[tuple[optics._Row, ...]]:
+    """Submatrices of one size n <= 11 cut from a few shared ``_Row`` objects,
+    in no lexicographic order: the first row drawn from at most two, the others
+    in any order and repeated, so ``permanent`` reuses its chain, cuts it
+    short or drops it, over walks of one block or, for n >= 10, several.
+    Entries mix ints and complexes whose parts are often 0.0 or -0.0."""
+    n = draw(st.integers(1, 11))
+    part = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-2.0, 2.0, allow_subnormal=False))
+    entry = st.one_of(st.integers(-3, 3), st.builds(complex, part, part))
+    pool = draw(st.lists(st.lists(entry, min_size=n, max_size=n).map(optics._Row),
+                         min_size=1, max_size=4))
+    index = st.integers(0, len(pool) - 1)
+    firsts = draw(st.lists(index, min_size=1, max_size=2))
+    calls = draw(st.lists(st.tuples(st.sampled_from(firsts),
+                                    st.lists(index, min_size=n - 1, max_size=n - 1)),
+                          min_size=2, max_size=6))
+    return [tuple(pool[i] for i in (first, *rest)) for first, rest in calls]
+
+
+class TestSharedProducts:
+    """The first row of a submatrix keeps the products of its last call, so
+    the outputs of one input state form each shared leading run's products
+    once and every bit of the step-by-step walk stays."""
+
+    def test_one_input_state_forms_each_leading_run_once(self, monkeypatch):
+        counter = CountingMul()
+        monkeypatch.setattr(optics, "operator", counter)
+        out = apply_interferometer(basis_state([2, 1, 1, 1, 1]), _unitary(41, 5))
+        # each of the 461 multisets of 1 to 6 of the 5 mode rows, once, against 210 x 6 runs
+        runs = sum(math.comb(k + 4, 4) for k in range(1, 7))
+        assert runs == 461
+        assert counter.calls == runs * 63  # 63 steps of 6 columns; 79 380 without the chain
+        assert len(out.terms) == 210
+
+    def test_rows_are_matched_by_identity_not_by_value(self, monkeypatch):
+        rows = optics._square_rows(_unitary(53, 3), "matrix")
+        twin = optics._Row(rows[1])
+        want = permanent(rows)
+        permanent((twin,) * 3)  # twin now carries sums equal, bit for bit, to those of rows[1]
+        counter = CountingMul()
+        monkeypatch.setattr(optics, "operator", counter)
+        assert _hex(permanent(rows)) == _hex(want)
+        assert counter.calls == 7  # the same rows again: only the last row's products
+        assert _hex(permanent((rows[0], twin, rows[2]))) == _hex(want)
+        # an equal row that is another object: one check per row, never a pass over its sums
+        assert counter.calls == 7 + 2 * 7
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(call_sequences())
+    def test_any_order_of_calls_matches_the_step_walk(self, calls):
+        for rows in calls:
+            assert _hex(permanent(rows)) == _hex(numpy_ryser_permanent(rows))
+
+    def test_a_pass_leaves_no_row_to_the_collector(self):
+        # a chain that held rows would make a cycle whenever a row repeats, as in (r0, r0, ...)
+        u, state = _unitary(47, 5), basis_state([2, 1, 1, 1, 1])
+        gc.collect()
+        before = sum(type(o) is optics._Row for o in gc.get_objects())
+        gc.disable()
+        try:
+            apply_interferometer(state, u)
+            left = sum(type(o) is optics._Row for o in gc.get_objects())
+        finally:
+            gc.enable()
+        assert left == before
 
 
 class TestParameterInputs:
