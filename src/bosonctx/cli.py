@@ -26,6 +26,7 @@ from .contextuality import (
     exact_search_size,
     fractional_packing_max,
     independence_number,
+    inequality_sum,
     lovasz_theta_odd_cycle,
     standard_bounds,
     standard_events,
@@ -101,13 +102,12 @@ def _table_for_analysis(args) -> OutcomeTable:
 def cmd_analyze(args) -> int:
     table = _table_for_analysis(args)
     events = standard_events(args.test)
-    probabilities = [event_probability(table, e) for e in events]
-    total = sum(probabilities)  # inequality_sum's bits: the same list summed from the int 0
+    total = inequality_sum(table, events)
     payload = _header(
         test=args.test,
         theta=table.theta,
         eta=table.eta,
-        events=[{"label": e.label, "probability": p} for e, p in zip(events, probabilities)],
+        events=[{"label": e.label, "probability": event_probability(table, e)} for e in events],
         sum=total,
     )
     for key, bound in zip(("nc", "q"), standard_bounds(args.test).values()):

@@ -126,13 +126,13 @@ def run_context(ctx: str, bs: BeamsplitterSpec,
 
 @dataclass(frozen=True, init=False)
 class OutcomeTable:
-    """Conditional outcome probabilities for all six contexts.
+    """Conditional outcome probabilities for all six contexts, as ``contexts[ctx][token]``.
 
-    ``contexts`` maps a context token to an outcome-token distribution.
-    Neither construction nor :func:`parse_table` validates, so that perturbed
-    tables can be built for fault injection; ``analyze`` calls :meth:`validate`
-    on a table it reads, and each checker calls :meth:`validate_structure`.
-    """
+    Construction checks nothing.  :func:`parse_table` refuses unknown contexts, tokens outside a
+    context's closed set, duplicate or malformed records, unreadable numbers and a bad schema or
+    header, but leaves probability ranges, completeness, header ranges and normalization to the
+    gate, so perturbed tables parse for fault injection: ``analyze`` runs :meth:`validate` on a
+    table it reads, and each checker runs :meth:`validate_structure`."""
 
     theta: float
     eta: float

@@ -13,7 +13,9 @@ killing tests must pass on an unmutated copy.  The exit status is 0 when every
 mutant is killed, 1 when one survives or times out, and 2 when a mutant's text
 is no longer in its file or a killing test fails on the unmutated copy.
 
-This file is not a test module: pytest does not collect it.
+This file is not a test module: pytest does not collect it.  A new mutant is
+one more ``Mutant`` here and, to pin it against a later edit, one more row of
+``PINNED`` in ``tests/test_mutation_list.py``, not one more test.
 """
 
 from __future__ import annotations

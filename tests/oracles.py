@@ -13,12 +13,16 @@ testing every token against labels read off its own text, instead of the
 library's ``OUTCOMES`` catalogue and ``check_requirements``; nothing here
 imports ``bosonctx``.  The state norm and the edge test are small helpers the
 library itself does not need.  A graph's neighbour lists come from testing every
-ordered vertex pair against its edges, not from a pass over the edges.
+ordered vertex pair against its edges, not from a pass over the edges.  Exact
+values come from ``Poly``, a polynomial in the symbols ``T`` and ``ETA`` that
+the library's own table and event code can run on, and ``maximum`` takes one's
+exact maximum over [0, 1]^2 by checking its few candidate points.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from itertools import combinations, permutations, product
 
 import numpy as np
@@ -186,3 +190,81 @@ def assignment_satisfies(assignment, event) -> bool:
 def assignment_noncontextual_max(events) -> int:
     """Most events that one deterministic assignment satisfies, over all 8."""
     return max(sum(assignment_satisfies(a, e) for e in events) for a in all_assignments())
+
+
+class Poly:
+    """A polynomial in T and eta with exact coefficients, ``{(power of T, power
+    of eta): Fraction}``.  It supports what the table code does with T, R and
+    eta, so the library's own ``full_table`` and ``event_probability``, run on
+    splitter and overlap stand-ins holding ``T``, ``1 - T`` and ``ETA``, give
+    each entry and event exactly; reading one at a point gives its ``Fraction``."""
+
+    def __init__(self, terms: dict[tuple[int, int], Fraction]) -> None:
+        self.terms = {k: v for k, v in terms.items() if v}
+
+    @staticmethod
+    def of(x) -> Poly:
+        return x if isinstance(x, Poly) else Poly({(0, 0): Fraction(x)})
+
+    def __add__(self, other) -> Poly:
+        terms = dict(self.terms)
+        for k, v in Poly.of(other).terms.items():
+            terms[k] = terms.get(k, 0) + v
+        return Poly(terms)
+
+    __radd__ = __add__
+
+    def __neg__(self) -> Poly:
+        return Poly({k: -v for k, v in self.terms.items()})
+
+    def __sub__(self, other) -> Poly:
+        return self + -Poly.of(other)
+
+    def __rsub__(self, other) -> Poly:
+        return Poly.of(other) - self
+
+    def __mul__(self, other) -> Poly:
+        terms: dict[tuple[int, int], Fraction] = {}
+        for (a, b), v in self.terms.items():
+            for (c, d), w in Poly.of(other).terms.items():
+                terms[a + c, b + d] = terms.get((a + c, b + d), 0) + v * w
+        return Poly(terms)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, n: int) -> Poly:
+        result = Poly.of(1)
+        for _ in range(n):
+            result = result * self
+        return result
+
+    def __lt__(self, other) -> bool:
+        """Only ``ETA < 1``, answered True: the pair rule's ``eta < 1.0``
+        (``optics.pair_outcome_distribution``) then keeps the resolved entries,
+        which carry the factor 1 - eta and so are 0 at eta = 1."""
+        if self.terms != ETA.terms or other != 1:
+            return NotImplemented
+        return True
+
+    def __call__(self, t, eta):
+        return sum(v * t ** a * eta ** b for (a, b), v in self.terms.items())
+
+
+T = Poly({(1, 0): Fraction(1)})
+ETA = Poly({(0, 1): Fraction(1)})
+
+
+def maximum(p: Poly) -> tuple[Fraction, Fraction, int]:
+    """The exact maximum of ``p`` over [0, 1]^2, at the first point that reaches
+    it, as ``(value, T, eta)``.  ``p`` must be affine in eta and at most
+    quadratic in T, as every table entry is: the maximum then lies at eta in
+    {0, 1}, with T at an endpoint or at the vertex of that edge's parabola."""
+    candidates = []
+    for eta in (0, 1):
+        c1, c2 = (sum(v * eta ** b for (a, b), v in p.terms.items() if a == k) for k in (1, 2))
+        ts = [Fraction(0), Fraction(1)]
+        if c2 and 0 < -c1 / (2 * c2) < 1:
+            ts.append(-c1 / (2 * c2))
+        candidates += [(p(t, eta), t, eta) for t in ts]
+    best = max(value for value, _, _ in candidates)
+    return next(c for c in candidates if c[0] == best)

@@ -4,15 +4,19 @@ The catalogue is every (context, requirement set) event of the three fibers:
 a single-fiber context requires its fiber t or r (6 events), a pair context
 requires one of its fibers t or r, or both (8 events each, 24 in all).  Each
 event's probability is taken exactly, as a polynomial in T and eta (R = 1 - T),
-by running the library's own table and event code on polynomial values.  Every
-entry is affine in eta and at most quadratic in T, so a sum's maximum over
-[0, 1]^2 lies at eta in {0, 1}, with T at an endpoint or at the vertex of that
-edge's parabola: checking those points is exhaustive.
+by running the library's own table and event code on the polynomial values of
+``oracles.Poly``.  Every entry is affine in eta and at most quadratic in T, so a
+sum's maximum over [0, 1]^2 lies at eta in {0, 1}, with T at an endpoint or at
+the vertex of that edge's parabola: checking those points (``oracles.maximum``)
+is exhaustive.
 
 * No pairwise-exclusive triple exceeds 3/2.  The paper's triangle reaches it at
   T = 1/2, eta = 1, and so does its mirror image (t and r swapped), and no other.
 * No five-event set whose exclusivity graph is exactly C5 exceeds 81/32, and
   the paper's pentagon reaches it at T = 9/16, eta = 1.
+* The standard sums, read at points, are the paper's exact values: the
+  pentagon 5/2, 2 and 3/2 at T = 1/2 and eta = 1, 1/2 and 0, and 81/32 at
+  T = 9/16, eta = 1; the triangle 3/2, 1 and 3/4 at T = 1/2 and eta = 1, 1/3, 0.
 """
 
 from __future__ import annotations
@@ -25,67 +29,10 @@ from types import SimpleNamespace
 import pytest
 
 from bosonctx.contextuality import (PENTAGON, TRIANGLE, EventSpec, derive_exclusivity,
-                                    event_probability, standard_events)
+                                    event_probability, inequality_sum, standard_events)
 from bosonctx.experiment import FIBERS, PAIR_CONTEXTS, full_table
 from bosonctx.optics import BeamsplitterSpec, DistinguishabilityParam
-
-
-class Poly:
-    """A polynomial in T and eta with exact coefficients, ``{(power of T, power
-    of eta): Fraction}``.  It supports what the table code does with T, R and
-    eta; the eta symbol compares below 1, so a pair context keeps its resolved
-    entries, which carry the factor 1 - eta and so are 0 at eta = 1."""
-
-    def __init__(self, terms: dict[tuple[int, int], Fraction]) -> None:
-        self.terms = {k: v for k, v in terms.items() if v}
-
-    @staticmethod
-    def of(x) -> Poly:
-        return x if isinstance(x, Poly) else Poly({(0, 0): Fraction(x)})
-
-    def __add__(self, other) -> Poly:
-        terms = dict(self.terms)
-        for k, v in Poly.of(other).terms.items():
-            terms[k] = terms.get(k, 0) + v
-        return Poly(terms)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> Poly:
-        return Poly({k: -v for k, v in self.terms.items()})
-
-    def __sub__(self, other) -> Poly:
-        return self + -Poly.of(other)
-
-    def __rsub__(self, other) -> Poly:
-        return Poly.of(other) - self
-
-    def __mul__(self, other) -> Poly:
-        terms: dict[tuple[int, int], Fraction] = {}
-        for (a, b), v in self.terms.items():
-            for (c, d), w in Poly.of(other).terms.items():
-                terms[a + c, b + d] = terms.get((a + c, b + d), 0) + v * w
-        return Poly(terms)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> Poly:
-        result = Poly.of(1)
-        for _ in range(n):
-            result = result * self
-        return result
-
-    def __lt__(self, other) -> bool:
-        if self.terms != ETA.terms or other != 1:
-            return NotImplemented
-        return True
-
-    def __call__(self, t, eta):
-        return sum(v * t ** a * eta ** b for (a, b), v in self.terms.items())
-
-
-T = Poly({(1, 0): Fraction(1)})
-ETA = Poly({(0, 1): Fraction(1)})
+from oracles import ETA, T, maximum
 
 
 def catalogue() -> list[EventSpec]:
@@ -103,20 +50,6 @@ TABLE = full_table(SimpleNamespace(theta=None, transmittance=T, reflectance=1 - 
                    SimpleNamespace(eta=ETA))
 POLYS = [event_probability(TABLE, e) for e in EVENTS]
 NEIGHBOURS = [sum(1 << j for j in near) for near in derive_exclusivity(EVENTS).neighbours]
-
-
-def maximum(p: Poly) -> tuple[Fraction, Fraction, int]:
-    """The exact maximum of ``p`` over [0, 1]^2, at the first point that reaches
-    it, as ``(value, T, eta)``."""
-    candidates = []
-    for eta in (0, 1):
-        c1, c2 = (sum(v * eta ** b for (a, b), v in p.terms.items() if a == k) for k in (1, 2))
-        ts = [Fraction(0), Fraction(1)]
-        if c2 and 0 < -c1 / (2 * c2) < 1:
-            ts.append(-c1 / (2 * c2))
-        candidates += [(p(t, eta), t, eta) for t in ts]
-    best = max(value for value, _, _ in candidates)
-    return next(c for c in candidates if c[0] == best)
 
 
 def standard_indices(test: str, mirrored: bool = False) -> tuple[int, ...]:
@@ -181,3 +114,16 @@ def test_no_five_cycle_of_events_beats_81_32():
     pentagon = standard_indices(PENTAGON)
     assert pentagon in cycles
     assert maximum(sum(POLYS[i] for i in pentagon)) == (Fraction(81, 32), Fraction(9, 16), 1)
+
+
+@pytest.mark.parametrize("test, t, eta, value", [
+    (PENTAGON, Fraction(1, 2), 1, Fraction(5, 2)),
+    (PENTAGON, Fraction(1, 2), Fraction(1, 2), 2),
+    (PENTAGON, Fraction(1, 2), 0, Fraction(3, 2)),
+    (PENTAGON, Fraction(9, 16), 1, Fraction(81, 32)),
+    (TRIANGLE, Fraction(1, 2), 1, Fraction(3, 2)),
+    (TRIANGLE, Fraction(1, 2), Fraction(1, 3), 1),
+    (TRIANGLE, Fraction(1, 2), 0, Fraction(3, 4))], ids=str)
+def test_the_standard_sums_take_the_papers_exact_values(test, t, eta, value):
+    exact = inequality_sum(TABLE, standard_events(test))(t, eta)
+    assert isinstance(exact, Fraction) and exact == value
