@@ -11,6 +11,7 @@ the two real rules refuse numpy complex values too.
 
 from __future__ import annotations
 
+import cmath
 import math
 import operator
 import sys
@@ -120,8 +121,8 @@ def _as_fock(key) -> FockState:
 class PureState:
     """Sparse superposition of Fock states sharing one mode count.
 
-    Instances are immutable by convention: build them with :func:`pure_state`
-    (which validates, coerces and prunes) and treat ``terms`` as read-only.
+    Immutable by convention (``terms`` is read-only); built by :func:`pure_state`, which
+    checks, or by ``apply_interferometer`` from its own terms, both pruned by :func:`_kept`.
     """
 
     terms: dict[FockState, complex]
@@ -134,6 +135,11 @@ class PureState:
 
     def __iter__(self) -> Iterator[tuple[FockState, complex]]:
         return iter(self.terms.items())
+
+
+def _kept(amp: complex) -> bool:
+    """|amp| > ``PRUNE``: the one prune rule.  ``complex_number`` refuses a NaN or infinite part."""
+    return abs(amp if cmath.isfinite(amp) else complex_number(amp, "amplitude")) > PRUNE
 
 
 def pure_state(terms: Mapping, *, modes: int | None = None) -> PureState:
@@ -153,7 +159,7 @@ def pure_state(terms: Mapping, *, modes: int | None = None) -> PureState:
             raise ValueError(f"mode count mismatch: expected {modes!s:.40}, "
                              f"got {fock.modes!s:.40} for {fock!s:.40}")
         a = complex_number(amp, "amplitude")
-        if abs(a) > PRUNE:
+        if _kept(a):
             clean[fock] = a
     if modes is None:
         raise ValueError("cannot infer mode count from an empty state; pass modes=")
@@ -176,5 +182,5 @@ def fock_basis(total: int, modes: int) -> list[FockState]:
     """
     total = whole_number(total, "total", 0)
     modes = whole_number(modes, "modes", 1)
-    return [FockState(tuple(map(operator.sub, (*bars, total), (0, *bars))))
+    return [FockState(tuple(map(operator.sub, bars + (total,), (0,) + bars)))
             for bars in combinations_with_replacement(range(total + 1), modes - 1)]

@@ -27,8 +27,7 @@ from itertools import accumulate, islice, repeat
 
 import numpy as np
 
-from .fock import (FockState, PureState, _as_fock, complex_number, fock_basis, pure_state,
-                   real_number)
+from .fock import FockState, PureState, _as_fock, _kept, complex_number, fock_basis, real_number
 
 
 @dataclass(frozen=True, init=False)
@@ -80,15 +79,20 @@ class _Row(tuple):
     chain: tuple[int, list, list] = (-1, [], [])
 
 
+class _Matrix(tuple):
+    """A checked square matrix of ``_Row``s, made only by ``_square_rows`` and ``_amplitudes``."""
+    __slots__ = ()
+
+
 def _square_rows(matrix, name: str) -> tuple[_Row, ...]:
-    """The rows of a non-empty square matrix of numbers; anything else is a ``ValueError``.
-    A non-empty tuple of ``_Row``s of its own length passes through as is, so a
-    unitary is checked once per call and the submatrices cut from it are not."""
-    if type(matrix) is tuple and matrix and all(
+    """The rows of a non-empty square matrix of numbers as a ``_Matrix``, which passes
+    again on one type test, as a tuple of ``_Row``s of its own length passes after a
+    scan of its rows; anything else is a ``ValueError``."""
+    if type(matrix) is _Matrix or type(matrix) is tuple and matrix and all(
             type(row) is _Row and len(row) == len(matrix) for row in matrix):
         return matrix
     try:
-        rows = tuple(_Row(complex_number(x, f"{name} entry") for x in row) for row in matrix)
+        rows = _Matrix(_Row(complex_number(x, f"{name} entry") for x in row) for row in matrix)
     except TypeError:
         raise ValueError(f"{name} must be a square matrix of numbers") from None
     if not rows or any(len(row) != len(rows) for row in rows):
@@ -137,22 +141,23 @@ def permanent(matrix) -> complex:
     that block, going on from its previous block's last sum; a row passed
     again as the same object, as :func:`_amplitudes` passes a bunched output
     mode's row, or in a later call, reuses them.  Rows are matched by identity,
-    never by equality, since 0.0 == -0.0.  The first row's ``chain`` keeps
-    the sums it multiplied in its last call and the products through each
-    row but the last; a call goes on from the longest leading run of rows
-    whose sums are those very lists, so the outputs of one input state, which
-    :func:`_amplitudes` passes in lexicographic order, form each shared
-    leading run's products once: 461 row products, not 1260, for six photons
-    in five modes.  Each term is the product of the rows' sums in row order
-    from the int 1, as ``math.prod`` forms it, and the signed terms are added
-    in walk order; a subtraction is the addition of the negation in IEEE
-    arithmetic, so every bit matches the step-by-step walk.
+    never by equality, since 0.0 == -0.0.  On a walk of one block (n < 10),
+    the first row's ``chain`` keeps the sums it multiplied in its last call
+    and the products through each row but the last; a call goes on from the
+    longest leading run of rows whose sums are those very lists, so the
+    outputs of one input state, which :func:`_amplitudes` passes in
+    lexicographic order, form each shared leading run's products once: 461
+    row products, not 1260, for six photons in five modes.  Each term is the
+    product of the rows' sums in row order from the int 1, as ``math.prod``
+    forms it, and the signed terms are added in walk order; a subtraction is
+    the addition of the negation in IEEE arithmetic, so every bit matches the
+    step-by-step walk.
     """
     rows = _square_rows(matrix, "permanent")
     n = len(rows)
     first = rows[0]
     total = 0j
-    for index, getter in enumerate(_walk_getters(n)):
+    for index, getter in enumerate(getters := _walk_getters(n)):
         held, blocks, products = first.chain
         first.chain = _Row.chain  # drop what is not reused before more sums form
         kept = 0
@@ -172,7 +177,8 @@ def permanent(matrix) -> complex:
             blocks.append(block)
             products.append(terms)
         del blocks[-1], products[-1]  # the last row's products are this block's terms
-        first.chain = index, blocks, products
+        if len(getters) == 1:  # each call walks from block 0, so only a one-block chain is read
+            first.chain = index, blocks, products
         terms[::2] = map(operator.neg, terms[::2])  # each block starts into an odd subset
         # reduce, not sum: newer Pythons sum floats and complexes with compensation
         total = reduce(operator.add, terms, total)
@@ -183,12 +189,12 @@ def _amplitudes(u: tuple[_Row, ...], state_in: FockState, outs) -> Iterator[comp
     """<out| U |in> for each ``out`` in ``outs``, which hold the photon total of
     ``state_in``, through the checked unitary ``u``: the one amplitude rule.
 
-    The columns, the input weight (1.0 times each n_i!, in mode order) and one
-    ``_Row`` per mode are built once per input state.  Each output's submatrix
-    passes an occupied mode's row once per photon in that mode, so
-    ``permanent`` forms each mode row's running sums once per input state.
-    Each output's weight goes on from the input weight by each m_j!, in mode
-    order (0! = 1 changes no bit and is skipped).
+    The columns, the input weight (1.0 times each n_i!, in mode order), and one
+    ``_Row`` per mode with its runs of m = 0 to n rows and m! are built once per
+    input state.  An output's ``_Matrix`` repeats each occupied mode's row once
+    per photon in it, so ``permanent`` forms each mode row's running sums once
+    per input state; its weight goes on from the input weight by each m_j!, in
+    mode order (0! = 1 changes no bit and is skipped).
     """
     cols = [i for i, n in enumerate(state_in.occupations) for _ in range(n)]
     if not cols:  # the vacuum goes to the vacuum
@@ -196,17 +202,17 @@ def _amplitudes(u: tuple[_Row, ...], state_in: FockState, outs) -> Iterator[comp
             yield 1 + 0j
         return
     mode_rows = [_Row(row[c] for c in cols) for row in u]
-    weight_in = 1.0
-    for n in state_in.occupations:
-        weight_in *= math.factorial(n)
+    runs = [[([row] * m, math.factorial(m)) for m in range(len(cols) + 1)] for row in mode_rows]
+    weight_in = math.prod(map(math.factorial, state_in.occupations), start=1.0)
     for out in outs:
         weight = weight_in
         sub = []
-        for row, m in zip(mode_rows, out.occupations):
+        for run, m in zip(runs, out.occupations):
             if m:
-                weight *= math.factorial(m)
-                sub += [row] * m
-        yield permanent(tuple(sub)) / math.sqrt(weight)
+                rows, factorial = run[m]
+                weight *= factorial
+                sub += rows
+        yield permanent(_Matrix(sub)) / math.sqrt(weight)
 
 
 def scattering_amplitude(unitary, state_in: FockState, state_out: FockState) -> complex:
@@ -234,12 +240,12 @@ def scattering_amplitude(unitary, state_in: FockState, state_out: FockState) -> 
 
 def apply_interferometer(state: PureState, unitary) -> PureState:
     """Linear extension of the scattering amplitudes to a full superposition;
-    terms with ``|amplitude| <= fock.PRUNE`` are dropped.
+    terms with ``|amplitude| <= fock.PRUNE`` are dropped, and a NaN or infinite
+    amplitude is refused, by ``fock._kept`` as in ``pure_state``.
 
-    The unitary is checked once per call, each photon total's output basis
-    is built once, and each input term makes one :func:`_amplitudes` pass over
-    its total's basis, which sets up the columns, input weight and mode rows
-    of that input state once for all of its outputs.
+    The unitary is checked once per call, each photon total's output basis is
+    built once, and each input term makes one :func:`_amplitudes` pass over it.
+    The sums are pruned in place and kept as the result: no key is hashed again.
     """
     if not isinstance(state, PureState):
         raise ValueError(f"state must be a PureState, got {state!r:.40}")
@@ -258,7 +264,9 @@ def apply_interferometer(state: PureState, unitary) -> PureState:
             a = amp * a
             if a != 0j:
                 out_terms[out] = out_terms.get(out, 0j) + a
-    return pure_state(out_terms, modes=state.modes)
+    for out in [out for out, a in out_terms.items() if not _kept(a)]:
+        del out_terms[out]  # in place, so no kept key is hashed again
+    return PureState(out_terms, state.modes)
 
 
 def single_outcome_distribution(bs: BeamsplitterSpec) -> tuple[float, float]:

@@ -3,15 +3,17 @@ test expected to catch it.
 
 Run from the root of a checkout (stdlib only; pytest must be importable):
 
-    python3 tests/mutants.py
+    python3 tests/mutants.py [FILE ...]
 
-Each mutant replaces one exact text, found exactly once, in one file of a
-fresh temporary copy of the checkout.  Its killing test then runs there with
-pytest, stopped after TIMEOUT seconds.  The report gives each mutant as killed
-(the test failed), survived (it passed) or timed out.  Before any mutant, the
-killing tests must pass on an unmutated copy.  The exit status is 0 when every
-mutant is killed, 1 when one survives or times out, and 2 when a mutant's text
-is no longer in its file or a killing test fails on the unmutated copy.
+With no FILE it runs every mutant; with FILEs, only the mutants of those
+files, numbered as in the full list.  Each mutant replaces one exact text,
+found exactly once, in one file of a fresh temporary copy of the checkout.
+Its killing test then runs there with pytest, stopped after TIMEOUT seconds.
+The report gives each mutant as killed (the test failed), survived (it passed)
+or timed out.  Before any mutant, the killing tests must pass on an unmutated
+copy.  The exit status is 0 when every mutant is killed, 1 when one survives
+or times out, and 2 when a FILE names no file of the list, a mutant's text is
+no longer in its file or a killing test fails on the unmutated copy.
 
 This file is not a test module: pytest does not collect it.  A new mutant is
 one more ``Mutant`` here and, to pin it against a later edit, one more row of
@@ -45,6 +47,7 @@ BLOCKS = "tests/test_optics.py::TestRowWalk::test_walks_of_several_blocks_match_
 PASS = "tests/test_optics.py::TestAmplitudePass"
 SHARED = "tests/test_optics.py::TestSharedWalk"
 PRODUCTS = "tests/test_optics.py::TestSharedProducts"
+APPLY = "tests/test_optics.py::TestApplyInterferometer"
 MUTANTS = (
     # a probability up to two tolerances above 1 passes the range check
     Mutant("src/bosonctx/experiment.py",
@@ -118,8 +121,9 @@ MUTANTS = (
            f"{PASS}::test_terms_are_the_per_output_amplitudes_bit_for_bit"),
     # each output builds its own mode rows instead of sharing its input state's
     Mutant("src/bosonctx/optics.py",
-           "zip(mode_rows, out.occupations)",
-           "zip([_Row(row[c] for c in cols) for row in u], out.occupations)",
+           "zip(runs, out.occupations)",
+           "zip([[([_Row(row[c] for c in cols)] * m, math.factorial(m))"
+           " for m in range(len(cols) + 1)] for row in u], out.occupations)",
            f"{PASS}::test_outputs_of_one_input_share_its_mode_rows"),
     # a row's kept block of running sums is reused for every block of the walk
     Mutant("src/bosonctx/optics.py",
@@ -127,7 +131,7 @@ MUTANTS = (
            f"{SHARED}::test_alternating_rows_that_share_walks_match_the_step_walk[11]"),
     # each output of an input state takes fresh row objects: same results, 126 times the walks
     Mutant("src/bosonctx/optics.py",
-           "sub += [row] * m", "sub += [_Row(row)] * m",
+           "sub += rows", "sub += [_Row(rows[0])] * m",
            f"{SHARED}::test_one_input_state_walks_each_mode_row_once"),
     # the Fock basis loses every vector whose last mode holds no photon
     Mutant("src/bosonctx/fock.py",
@@ -181,6 +185,14 @@ MUTANTS = (
     Mutant("src/bosonctx/optics.py",
            "rows[kept].walk[1] is blocks[kept]", "rows[kept].walk[1] == blocks[kept]",
            f"{PRODUCTS}::test_rows_are_matched_by_identity_not_by_value"),
+    # the prune rule lets a NaN or infinite amplitude through: an overflowing pass drops it
+    Mutant("src/bosonctx/fock.py",
+           'amp if cmath.isfinite(amp) else complex_number(amp, "amplitude")', "amp",
+           f"{APPLY}::test_an_amplitude_that_overflows_is_refused"),
+    # the pass keeps every term it formed, also those of |amplitude| <= PRUNE
+    Mutant("src/bosonctx/optics.py",
+           "[out for out, a in out_terms.items() if not _kept(a)]", "[]",
+           f"{APPLY}::test_terms_up_to_the_prune_threshold_are_dropped"),
 )
 
 
@@ -216,14 +228,32 @@ def outcome(mutant: Mutant) -> str:
     return "survived" if status == 0 else "killed"
 
 
-def main() -> int:
+def selection(paths: list[str]) -> list[int]:
+    """The numbers of the mutants of the files ``paths`` name, or of every mutant
+    for no paths.  A path that names no file of the list is a ``ValueError``."""
+    listed = {(ROOT / m.file).resolve(): m.file for m in MUTANTS}
+    files = set()
+    for path in paths:
+        if (resolved := Path(path).resolve()) not in listed:
+            raise ValueError(f"{path} names no file of the mutation list")
+        files.add(listed[resolved])
+    return [i for i, m in enumerate(MUTANTS) if not files or m.file in files]
+
+
+def main(paths: list[str]) -> int:
+    try:
+        chosen = selection(paths)
+    except ValueError as exc:
+        print(exc)
+        return 2
     with tempfile.TemporaryDirectory() as scratch:
-        killers = sorted({m.killer for m in MUTANTS})
+        killers = sorted({MUTANTS[i].killer for i in chosen})
         if run_pytest(copy_checkout(scratch), killers) != 0:
             print("a killing test fails or times out on the unmutated checkout")
             return 2
     results = []
-    for i, mutant in enumerate(MUTANTS):
+    for i in chosen:
+        mutant = MUTANTS[i]
         result = outcome(mutant)
         results.append(result)
         print(f"{i}  {result:<9}  {mutant.file}: {mutant.old.strip()!r} -> "
@@ -236,4 +266,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

@@ -2,7 +2,7 @@
 text occurs exactly once in its file, and each killing test id names tests
 that pytest collects.  The mutants in ``PINNED`` stay listed exactly as there.
 The full run takes minutes, so it stays outside the suite; these checks take
-one collection.
+one collection, and the choice of mutants by file runs no pytest at all.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import sys
 
 import pytest
 
-from mutants import MUTANTS, ROOT, Mutant
+from mutants import MUTANTS, ROOT, Mutant, main, selection
 
 
 @pytest.mark.parametrize("i", range(len(MUTANTS)))  # numbered as the runner reports them
@@ -39,7 +39,7 @@ PINNED = {  # id: (file, old, new, killer); mutants.py says what each fault does
     "block-index-check": (OPTICS, "if walked != index:", "if walked < 0:",
                           "tests/test_optics.py::TestSharedWalk::"
                           "test_alternating_rows_that_share_walks_match_the_step_walk[11]"),
-    "walks-shared-across-outputs": (OPTICS, "sub += [row] * m", "sub += [_Row(row)] * m",
+    "walks-shared-across-outputs": (OPTICS, "sub += rows", "sub += [_Row(rows[0])] * m",
                                     "tests/test_optics.py::TestSharedWalk::"
                                     "test_one_input_state_walks_each_mode_row_once"),
     "index-pass": (CONTEXTUALITY, "                neighbours[index[v]].append(index[u])\n", "",
@@ -71,6 +71,13 @@ PINNED = {  # id: (file, old, new, killer); mutants.py says what each fault does
                                "rows[kept].walk[1] == blocks[kept]",
                                "tests/test_optics.py::TestSharedProducts::"
                                "test_rows_are_matched_by_identity_not_by_value"),
+    "pass-finite-check": ("src/bosonctx/fock.py",
+                          'amp if cmath.isfinite(amp) else complex_number(amp, "amplitude")',
+                          "amp", "tests/test_optics.py::TestApplyInterferometer::"
+                          "test_an_amplitude_that_overflows_is_refused"),
+    "pass-prune": (OPTICS, "[out for out, a in out_terms.items() if not _kept(a)]", "[]",
+                   "tests/test_optics.py::TestApplyInterferometer::"
+                   "test_terms_up_to_the_prune_threshold_are_dropped"),
 }
 
 
@@ -78,3 +85,22 @@ PINNED = {  # id: (file, old, new, killer); mutants.py says what each fault does
 def test_the_pinned_mutants_are_listed(row):
     """Each pinned mutant is listed once, with its file, replacement and killer."""
     assert [m for m in MUTANTS if m.old == row[1]] == [Mutant(*row)]
+
+
+def test_files_choose_their_mutants_by_the_full_list_numbers(monkeypatch):
+    assert selection([]) == list(range(len(MUTANTS)))
+    in_optics = [i for i, m in enumerate(MUTANTS) if m.file == OPTICS]
+    assert selection([str(ROOT / OPTICS)]) == in_optics
+    monkeypatch.chdir(ROOT)
+    assert selection([OPTICS, f"./{CONTEXTUALITY}", OPTICS]) == \
+        [i for i, m in enumerate(MUTANTS) if m.file in (OPTICS, CONTEXTUALITY)]
+
+
+@pytest.mark.parametrize("path", ["README.md", "tests/mutants.py", "src/bosonctx/nothing.py"])
+def test_a_path_that_names_no_listed_file_exits_2_before_any_run(path, monkeypatch, capsys):
+    monkeypatch.chdir(ROOT)
+    with pytest.raises(ValueError, match="names no file of the mutation list"):
+        selection([OPTICS, path])
+    monkeypatch.setattr(subprocess, "run", None)  # a pytest child would fail here
+    assert main([path]) == 2
+    assert "names no file of the mutation list" in capsys.readouterr().out

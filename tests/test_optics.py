@@ -325,6 +325,19 @@ class TestApplyInterferometer:
         for occ, a in expected.items():
             assert out.amplitude(list(occ)) == pytest.approx(a, abs=1e-14)
 
+    def test_an_amplitude_that_overflows_is_refused(self):
+        """The pass checks the amplitudes it forms as ``pure_state`` checks a caller's."""
+        with pytest.raises(ValueError, match="^amplitude must be a finite number"):
+            apply_interferometer(basis_state([3, 0]), [[1e200, 0], [0, 1]])
+
+    def test_terms_up_to_the_prune_threshold_are_dropped(self):
+        u = [[0.3, 0.7], [0.7, 0.3]]
+        out = apply_interferometer(pure_state({(1, 0): 2e-15}), u)
+        assert list(out.terms) == [make_fock([0, 1])]
+        assert out.amplitude([0, 1]) == pytest.approx(1.4e-15, rel=1e-12)
+        dropped = 2e-15 * scattering_amplitude(u, [1, 0], [1, 0])
+        assert dropped == pytest.approx(6e-16, rel=1e-12)
+
     def test_set_up_happens_once_per_call(self, monkeypatch):
         calls = []
         real_fock_basis = optics.fock_basis
@@ -659,12 +672,20 @@ class TestRowWalk:
         u = [[complex(4 * i + j, -j) for j in range(4)] for i in range(4)]
         scattering_amplitude(u, make_fock([1, 2, 0, 3]), make_fock([2, 0, 3, 1]))
         (rows,) = seen
-        assert type(rows) is tuple and all(type(row) is optics._Row for row in rows)
+        assert type(rows) is optics._Matrix and all(type(row) is optics._Row for row in rows)
         modes, cols = (0, 0, 2, 2, 2, 3), (0, 1, 1, 3, 3, 3)
         assert rows == tuple(tuple(u[i][c] for c in cols) for i in modes)
         first = {i: rows[modes.index(i)] for i in modes}
         assert all(row is first[i] for row, i in zip(rows, modes))
         assert len({id(row) for row in rows}) == 3
+
+    def test_checked_rows_pass_through_on_their_type(self):
+        matrix = optics._square_rows([[1, 2j], [3, 4]], "matrix")
+        assert type(matrix) is optics._Matrix
+        assert optics._square_rows(matrix, "matrix") is matrix
+        cut = (matrix[1], matrix[1])  # a caller's own cut of checked rows
+        assert optics._square_rows(cut, "matrix") is cut
+        assert type(optics._square_rows(list(cut), "matrix")) is optics._Matrix
 
     def test_walk_holds_blocks_not_the_whole_walk(self):
         rng = np.random.default_rng(14)
@@ -884,6 +905,20 @@ class TestSharedProducts:
     def test_any_order_of_calls_matches_the_step_walk(self, calls):
         for rows in calls:
             assert _hex(permanent(rows)) == _hex(numpy_ryser_permanent(rows))
+
+    def test_only_a_walk_of_one_block_keeps_its_chain(self):
+        """Each call walks from block 0, so no call reads the chain of a walk of
+        several blocks, and a one-off 12 x 12 keeps none."""
+        rng = np.random.default_rng(12)
+        for n, blocks in ((9, 1), (12, 8)):
+            rows = optics._square_rows(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)),
+                                       "matrix")
+            assert len(optics._walk_getters(n)) == blocks
+            permanent(rows)
+            held, sums, products = rows[0].chain
+            assert (held, len(sums), len(products)) == ((0, n - 1, n - 1) if blocks == 1
+                                                        else (-1, 0, 0))
+        assert rows[0].chain == optics._Row.chain
 
     def test_a_pass_leaves_no_row_to_the_collector(self):
         # a chain that held rows would make a cycle whenever a row repeats, as in (r0, r0, ...)
