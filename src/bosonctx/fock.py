@@ -138,8 +138,10 @@ class PureState:
 
 
 def _kept(amp: complex) -> bool:
-    """|amp| > ``PRUNE``: the one prune rule.  ``complex_number`` refuses a NaN or infinite part."""
-    return abs(amp if cmath.isfinite(amp) else complex_number(amp, "amplitude")) > PRUNE
+    """|amp| > ``PRUNE``: the one prune rule.  ``complex_number`` refuses a NaN or infinite
+    part; finite parts whose modulus passes the float range give ``inf``, so the term stays."""
+    z = amp if cmath.isfinite(amp) else complex_number(amp, "amplitude")
+    return math.hypot(z.real, z.imag) > PRUNE
 
 
 def pure_state(terms: Mapping, *, modes: int | None = None) -> PureState:

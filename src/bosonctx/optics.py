@@ -80,16 +80,15 @@ class _Row(tuple):
 
 
 class _Matrix(tuple):
-    """A checked square matrix of ``_Row``s, made only by ``_square_rows`` and ``_amplitudes``."""
+    """A checked square matrix of ``_Row``s, made by ``_square_rows``, by ``_amplitudes``
+    and by tests that share rows across calls: the one way rows keep their identity."""
     __slots__ = ()
 
 
-def _square_rows(matrix, name: str) -> tuple[_Row, ...]:
-    """The rows of a non-empty square matrix of numbers as a ``_Matrix``, which passes
-    again on one type test, as a tuple of ``_Row``s of its own length passes after a
-    scan of its rows; anything else is a ``ValueError``."""
-    if type(matrix) is _Matrix or type(matrix) is tuple and matrix and all(
-            type(row) is _Row and len(row) == len(matrix) for row in matrix):
+def _square_rows(matrix, name: str) -> _Matrix:
+    """The rows of a non-empty square matrix of numbers as a ``_Matrix``, which passes on its
+    type alone; other input, a tuple of ``_Row``s too, is read afresh, or is a ``ValueError``."""
+    if type(matrix) is _Matrix:
         return matrix
     try:
         rows = _Matrix(_Row(complex_number(x, f"{name} entry") for x in row) for row in matrix)
@@ -137,16 +136,15 @@ def permanent(matrix) -> complex:
 
     The walk runs in blocks of at most ``_WALK_BLOCK`` steps, through the
     getters of :func:`_walk_getters`, so a call holds O(n * _WALK_BLOCK) sums.
-    Each row forms its running sums for a block only if its ``walk`` lacks
-    that block, going on from its previous block's last sum; a row passed
-    again as the same object, as :func:`_amplitudes` passes a bunched output
-    mode's row, or in a later call, reuses them.  Rows are matched by identity,
-    never by equality, since 0.0 == -0.0.  On a walk of one block (n < 10),
-    the first row's ``chain`` keeps the sums it multiplied in its last call
-    and the products through each row but the last; a call goes on from the
-    longest leading run of rows whose sums are those very lists, so the
-    outputs of one input state, which :func:`_amplitudes` passes in
-    lexicographic order, form each shared leading run's products once: 461
+    Each row forms its running sums for a block only if its ``walk`` lacks that
+    block, going on from its previous block's last sum; a row that a
+    ``_Matrix`` holds again, in one call or a later one, reuses them.  Rows are
+    matched by identity, never by equality, since 0.0 == -0.0.  On a walk of
+    one block (n < 10), the first row's ``chain`` keeps the sums it multiplied
+    in its last call and the products through each row but the last; a call
+    goes on from the longest leading run of rows whose sums are those very
+    lists, so the outputs of one input state, which :func:`_amplitudes` passes
+    in lexicographic order, form each shared leading run's products once: 461
     row products, not 1260, for six photons in five modes.  Each term is the
     product of the rows' sums in row order from the int 1, as ``math.prod``
     forms it, and the signed terms are added in walk order; a subtraction is

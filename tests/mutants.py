@@ -43,7 +43,7 @@ class Mutant(NamedTuple):
 
 
 GATES = "tests/test_experiment.py::TestFullTable::test_gates_decide_exactly_at_the_tolerance"
-BLOCKS = "tests/test_optics.py::TestRowWalk::test_walks_of_several_blocks_match_the_step_walk"
+WALK = "tests/test_optics.py::TestStepWalk::test_named_call_sequences_match_the_step_walk"
 PASS = "tests/test_optics.py::TestAmplitudePass"
 SHARED = "tests/test_optics.py::TestSharedWalk"
 PRODUCTS = "tests/test_optics.py::TestSharedProducts"
@@ -106,15 +106,15 @@ MUTANTS = (
     Mutant("src/bosonctx/optics.py",
            "terms[::2] = map(operator.neg, terms[::2])",
            "terms[1::2] = map(operator.neg, terms[1::2])",
-           "tests/test_optics.py::TestRowWalk::test_shared_rows_match_the_step_walk"),
+           f"{WALK}[fresh-1-to-10]"),
     # each block of the permanent's walk starts every row's sum again from 0j
     Mutant("src/bosonctx/optics.py",
            "initial=block[-1] if index else 0j", "initial=0j",
-           f"{BLOCKS}[11]"),
+           f"{WALK}[blocks-11]"),
     # each block of the permanent's walk starts the total again from 0j
     Mutant("src/bosonctx/optics.py",
            "reduce(operator.add, terms, total)", "reduce(operator.add, terms, 0j)",
-           f"{BLOCKS}[11]"),
+           f"{WALK}[blocks-11]"),
     # each output's weight starts again from 1.0, without the input factorials
     Mutant("src/bosonctx/optics.py",
            "weight = weight_in", "weight = 1.0",
@@ -128,7 +128,7 @@ MUTANTS = (
     # a row's kept block of running sums is reused for every block of the walk
     Mutant("src/bosonctx/optics.py",
            "if walked != index:", "if walked < 0:",
-           f"{SHARED}::test_alternating_rows_that_share_walks_match_the_step_walk[11]"),
+           f"{WALK}[alternating-11]"),
     # each output of an input state takes fresh row objects: same results, 126 times the walks
     Mutant("src/bosonctx/optics.py",
            "sub += rows", "sub += [_Row(rows[0])] * m",
@@ -193,6 +193,15 @@ MUTANTS = (
     Mutant("src/bosonctx/optics.py",
            "[out for out, a in out_terms.items() if not _kept(a)]", "[]",
            f"{APPLY}::test_terms_up_to_the_prune_threshold_are_dropped"),
+    # any tuple passes unchecked, also a caller's non-square tuple of rows
+    Mutant("src/bosonctx/optics.py",
+           "if type(matrix) is _Matrix:", "if isinstance(matrix, tuple):",
+           "tests/test_optics.py::TestPermanent::test_a_non_square_tuple_of_rows_is_refused"),
+    # the prune rule takes abs(): finite parts whose modulus passes the float range overflow
+    Mutant("src/bosonctx/fock.py",
+           "math.hypot(z.real, z.imag)", "abs(z)",
+           "tests/test_fock.py::TestPureState::"
+           "test_a_finite_amplitude_whose_modulus_overflows_is_kept"),
 )
 
 

@@ -70,6 +70,15 @@ class TestPureState:
         with pytest.raises(ValueError, match="^amplitude must be a finite number"):
             pure_state({(1, 0): amp})
 
+    @pytest.mark.parametrize("build", [
+        lambda z: pure_state({(1, 0): z}),
+        lambda z: apply_interferometer(basis_state([1, 0]), [[z, 0], [0, 1]]),
+    ], ids=["pure_state", "apply_interferometer"])
+    def test_a_finite_amplitude_whose_modulus_overflows_is_kept(self, build):
+        """Both parts fit a float but |z| does not: the modulus is past ``PRUNE``."""
+        z = complex(1.7e308, 1.7e308)
+        assert build(z).terms == {make_fock([1, 0]): z}
+
     def test_empty_state_needs_modes(self):
         with pytest.raises(ValueError):
             pure_state({})

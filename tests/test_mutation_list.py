@@ -37,8 +37,8 @@ def test_every_killer_id_is_collected():
 OPTICS, CONTEXTUALITY = "src/bosonctx/optics.py", "src/bosonctx/contextuality.py"
 PINNED = {  # id: (file, old, new, killer); mutants.py says what each fault does
     "block-index-check": (OPTICS, "if walked != index:", "if walked < 0:",
-                          "tests/test_optics.py::TestSharedWalk::"
-                          "test_alternating_rows_that_share_walks_match_the_step_walk[11]"),
+                          "tests/test_optics.py::TestStepWalk::"
+                          "test_named_call_sequences_match_the_step_walk[alternating-11]"),
     "walks-shared-across-outputs": (OPTICS, "sub += rows", "sub += [_Row(rows[0])] * m",
                                     "tests/test_optics.py::TestSharedWalk::"
                                     "test_one_input_state_walks_each_mode_row_once"),
@@ -78,6 +78,12 @@ PINNED = {  # id: (file, old, new, killer); mutants.py says what each fault does
     "pass-prune": (OPTICS, "[out for out, a in out_terms.items() if not _kept(a)]", "[]",
                    "tests/test_optics.py::TestApplyInterferometer::"
                    "test_terms_up_to_the_prune_threshold_are_dropped"),
+    "one-pass-through": (OPTICS, "if type(matrix) is _Matrix:", "if isinstance(matrix, tuple):",
+                         "tests/test_optics.py::TestPermanent::"
+                         "test_a_non_square_tuple_of_rows_is_refused"),
+    "prune-overflow": ("src/bosonctx/fock.py", "math.hypot(z.real, z.imag)", "abs(z)",
+                       "tests/test_fock.py::TestPureState::"
+                       "test_a_finite_amplitude_whose_modulus_overflows_is_kept"),
 }
 
 

@@ -143,8 +143,7 @@ class TestPermanent:
         assert permanent(np.eye(3)) == pytest.approx(1.0)
 
     def test_matches_permutation_expansion(self):
-        rng = np.random.default_rng(5)
-        m = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
+        (m,) = _normal_matrices(5, [5])
         expected = naive_permanent(m)
         assert abs(permanent(m) - expected) <= 1e-10 * abs(expected)
 
@@ -170,15 +169,8 @@ class TestPermanent:
                 permanent(bad)
         assert permanent((row, optics._Row((3j, 4j)))) == -10
 
-    def test_bit_identical_to_numpy_ryser(self):
-        rng = np.random.default_rng(17)
-        for n in range(1, 11):
-            m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-            assert permanent(m) == numpy_ryser_permanent(m)
-
     def test_input_forms_agree(self):
-        rng = np.random.default_rng(21)
-        m = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
+        (m,) = _normal_matrices(21, [5])
         forms = [m, m.tolist(), tuple(map(tuple, m.tolist()))]
         results = [permanent(form) for form in forms]
         assert all(type(r) is complex for r in results)
@@ -541,25 +533,86 @@ def _hex(z: complex) -> tuple[str, str]:
     return z.real.hex(), z.imag.hex()
 
 
+def _assert_step_walk(calls: list) -> None:
+    """Each ``permanent`` call, in order, is a complex with every bit of ``numpy_ryser_permanent``
+    and, up to 6 x 6, within rounding of ``naive_permanent``; afterwards each row of a
+    ``_Matrix`` holds the last block of its size's walk."""
+    for matrix in calls:
+        got = permanent(matrix)
+        assert type(got) is complex and _hex(got) == _hex(numpy_ryser_permanent(matrix))
+        if len(matrix) <= 6:  # relative to the largest term the walk can form
+            scale = math.prod(sum(abs(x) for x in row) for row in matrix)
+            assert abs(got - naive_permanent(matrix)) <= 1e-9 * scale
+    shared = [matrix for matrix in calls if type(matrix) is optics._Matrix]
+    assert all(row.walk[0] == len(optics._walk_getters(len(m))) - 1 for m in shared for row in m)
+
+
+def _normal_matrices(seed: int, sizes) -> list[np.ndarray]:
+    """Fresh complex Gaussian n x n arrays, one per size, from one seeded generator."""
+    rng = np.random.default_rng(seed)
+    return [rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)) for n in sizes]
+
+
+def _distinct_then_shared(seed: int, n: int, rounds: int) -> list[optics._Matrix]:
+    """A checked n x n matrix, then its rows three to a row (0, 0, 0, 1, ...), ``rounds`` times."""
+    assert len(optics._walk_getters(n)) > 1
+    distinct = optics._square_rows(_normal_matrices(seed, [n])[0], "matrix")
+    return [distinct, optics._Matrix(distinct[i // 3] for i in range(n))] * rounds
+
+
+CALL_SEQUENCES = {  # id: the calls in order, built afresh for each run
+    "fresh-1-to-10": lambda: _normal_matrices(17, range(1, 11)),
+    "mixed-sizes": lambda: _normal_matrices(29, (6, 3, 6, 1, 10, 6)),
+    "blocks-11": lambda: _distinct_then_shared(11, 11, 1),
+    "blocks-12": lambda: _distinct_then_shared(12, 12, 1),
+    "alternating-11": lambda: _distinct_then_shared(111, 11, 2),
+    "alternating-12": lambda: _distinct_then_shared(112, 12, 2),
+}
+
+
+ALL_FORMS = (optics._Matrix, list, np.array)
+
+
 @st.composite
-def scattering_submatrices(draw) -> list[list]:
-    """A matrix of at most 6 x 6 built like ``scattering_amplitude`` builds
-    its submatrix: the columns of an input occupation and the rows of an
-    output occupation of one drawn mode matrix, each repeated by its count.
-    Entries are all complex or all int."""
+def permanent_calls(draw, most_calls: int = 6, largest: int = 11, forms=ALL_FORMS) -> list:
+    """One to ``most_calls`` ``permanent`` calls over sizes 1 to ``largest``, in any order, so
+    walks of one block and, from n = 10, of several.  Each size's rows are cut from one to
+    four mode rows with the columns of one occupation, as in a scattering submatrix.  A call
+    picks n of them, repeated and often sorted as ``_amplitudes`` passes them, in one of
+    ``forms``: a list of lists, an ndarray or a ``_Matrix`` of the size's shared ``_Row``s,
+    so it reuses, cuts short or drops what an earlier call left.  Entries mix ints and
+    complexes with parts often 0.0 or -0.0."""
+    part = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-2.0, 2.0, allow_subnormal=False))
+    entry = st.one_of(st.integers(-3, 3), st.builds(complex, part, part))
     modes = draw(st.integers(1, 4))
-    if draw(st.booleans()):
-        part = st.floats(-2.0, 2.0, allow_subnormal=False)
-        entry = st.builds(complex, part, part)
-    else:
-        entry = st.integers(-3, 3)
-    u = draw(st.lists(st.lists(entry, min_size=modes, max_size=modes),
-                      min_size=modes, max_size=modes))
-    total = draw(st.integers(1, 6))
-    # each photon's mode, sorted: mode i repeated as often as it is occupied
-    photons = st.lists(st.integers(0, modes - 1), min_size=total, max_size=total).map(sorted)
-    cols = draw(photons)
-    return [[u[i][c] for c in cols] for i in draw(photons)]
+    pools: dict[int, tuple] = {}  # size: its rows as drawn, and as shared checked _Rows
+    calls = []
+    for _ in range(draw(st.integers(1, most_calls))):
+        n = draw(st.integers(1, largest))
+        if n not in pools:
+            cols = sorted(draw(st.lists(st.integers(0, modes - 1), min_size=n, max_size=n)))
+            u = draw(st.lists(st.lists(entry, min_size=modes, max_size=modes),
+                              min_size=1, max_size=4))
+            raw = [[row[c] for c in cols] for row in u]
+            pools[n] = raw, [optics._Row(map(complex, row)) for row in raw]
+        raw, shared = pools[n]
+        pick = st.lists(st.integers(0, len(raw) - 1), min_size=n, max_size=n)
+        picks = draw(pick | pick.map(sorted))
+        form = draw(st.sampled_from(forms))
+        calls.append(optics._Matrix(shared[i] for i in picks) if form is optics._Matrix
+                     else form([raw[i] for i in picks]))
+    return calls
+
+
+class TestStepWalk:
+    """Each call keeps every bit of the step-by-step walk, whatever earlier calls left on rows.
+    The drawn calls are checked the same way by three properties over ``permanent_calls``:
+    ``TestGraySchedule`` (one fresh matrix), ``TestRowWalk`` (one ``_Matrix`` of shared rows)
+    and ``TestSharedProducts`` (sequences in any order)."""
+
+    @pytest.mark.parametrize("calls", CALL_SEQUENCES.values(), ids=CALL_SEQUENCES.keys())
+    def test_named_call_sequences_match_the_step_walk(self, calls):
+        _assert_step_walk(calls())
 
 
 class TestGraySchedule:
@@ -575,22 +628,10 @@ class TestGraySchedule:
         assert len({id(getter) for getter in getters}) == len(set(blocks))
         assert optics._walk_getters(n) is getters
 
-    def test_sizes_in_mixed_order_stay_bit_identical(self):
-        rng = np.random.default_rng(29)
-        for n in (6, 3, 6, 1, 10, 6):
-            m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-            got = permanent(m)
-            assert type(got) is complex
-            assert _hex(got) == _hex(numpy_ryser_permanent(m))
-
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
-    @given(scattering_submatrices())
-    def test_drawn_submatrices_match_both_oracles(self, m):
-        got = permanent(m)
-        assert _hex(got) == _hex(numpy_ryser_permanent(m))
-        # relative to the largest term the walk can form, which bounds its rounding
-        scale = math.prod(sum(abs(x) for x in row) for row in m)
-        assert abs(got - naive_permanent(m)) <= 1e-9 * scale
+    @given(permanent_calls(most_calls=1, largest=6, forms=(list, np.array)))
+    def test_drawn_submatrices_match_both_oracles(self, calls):
+        _assert_step_walk(calls)
 
     @staticmethod
     def _fresh_run(code: str) -> str:
@@ -628,43 +669,14 @@ class TestGraySchedule:
         assert int(self._fresh_run(code)) < 200_000
 
 
-@st.composite
-def shared_row_submatrices(draw) -> tuple[optics._Row, ...]:
-    """A submatrix of at most 6 x 6 as ``scattering_amplitude`` builds it: the
-    columns of an input occupation, and each occupied output mode's row as one
-    ``_Row``, repeated by its count, in a tuple that ``permanent`` takes as it
-    is.  Entries mix ints and complexes whose parts are often 0.0 or -0.0."""
-    modes = draw(st.integers(1, 4))
-    part = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-2.0, 2.0, allow_subnormal=False))
-    entry = st.one_of(st.integers(-3, 3), st.builds(complex, part, part))
-    u = draw(st.lists(st.lists(entry, min_size=modes, max_size=modes),
-                      min_size=modes, max_size=modes))
-    total = draw(st.integers(1, 6))
-    photons = st.lists(st.integers(0, modes - 1), min_size=total, max_size=total).map(sorted)
-    cols = draw(photons)
-    outputs = draw(photons)
-    rows = {i: optics._Row(u[i][c] for c in cols) for i in outputs}
-    return tuple(rows[i] for i in outputs)
-
-
 class TestRowWalk:
-    """``permanent`` walks each distinct row object once, in blocks, and keeps
-    every bit of the step-by-step walk of ``numpy_ryser_permanent``."""
+    """``permanent`` walks each distinct row object of a ``_Matrix`` once, in
+    blocks; every other input is read into fresh rows."""
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-    @given(shared_row_submatrices())
-    def test_shared_rows_match_the_step_walk(self, rows):
-        assert _hex(permanent(rows)) == _hex(numpy_ryser_permanent(rows))
-
-    @pytest.mark.parametrize("n", [11, 12])
-    def test_walks_of_several_blocks_match_the_step_walk(self, n):
-        assert len(optics._walk_getters(n)) > 1
-        rng = np.random.default_rng(n)
-        distinct = optics._square_rows(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)),
-                                       "matrix")
-        shared = tuple(distinct[i // 3] for i in range(n))
-        for rows in (distinct, shared):
-            assert _hex(permanent(rows)) == _hex(numpy_ryser_permanent(rows))
+    @given(permanent_calls(most_calls=1, largest=6, forms=(optics._Matrix,)))
+    def test_shared_rows_match_the_step_walk(self, calls):
+        _assert_step_walk(calls)
 
     def test_scattering_amplitude_passes_each_output_row_as_one_object(self, monkeypatch):
         seen = []
@@ -684,12 +696,12 @@ class TestRowWalk:
         assert type(matrix) is optics._Matrix
         assert optics._square_rows(matrix, "matrix") is matrix
         cut = (matrix[1], matrix[1])  # a caller's own cut of checked rows
-        assert optics._square_rows(cut, "matrix") is cut
-        assert type(optics._square_rows(list(cut), "matrix")) is optics._Matrix
+        for other in (cut, list(cut)):  # is read into fresh rows, a plain tuple too
+            checked = optics._square_rows(other, "matrix")
+            assert type(checked) is optics._Matrix and checked[0] is not cut[0]
 
     def test_walk_holds_blocks_not_the_whole_walk(self):
-        rng = np.random.default_rng(14)
-        m = (rng.normal(size=(14, 14)) + 1j * rng.normal(size=(14, 14))).tolist()
+        m = _normal_matrices(14, [14])[0].tolist()
         permanent(m)  # builds the size's schedule and getters, which outlive the call
         tracemalloc.start()
         try:
@@ -702,8 +714,7 @@ class TestRowWalk:
 
 def _unitary(seed: int, n: int) -> tuple[tuple[complex, ...], ...]:
     """A seeded Haar-like n x n unitary as tuple rows of Python complex."""
-    rng = np.random.default_rng(seed)
-    q, r = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    q, r = np.linalg.qr(*_normal_matrices(seed, [n]))
     return tuple(map(tuple, (q * (np.diag(r) / abs(np.diag(r)))).tolist()))
 
 
@@ -715,8 +726,8 @@ def _reference_amplitude(u, state_in, state_out) -> complex:
     cols = [i for i, n in enumerate(state_in.occupations) for _ in range(n)]
     if not cols:
         return 1 + 0j
-    sub = tuple(row for i, m in enumerate(state_out.occupations) if m
-                for row in [optics._Row(u[i][c] for c in cols)] * m)
+    sub = optics._Matrix(row for i, m in enumerate(state_out.occupations) if m
+                         for row in [optics._Row(u[i][c] for c in cols)] * m)
     weight = 1.0
     for n in state_in.occupations + state_out.occupations:
         weight *= math.factorial(n)
@@ -808,19 +819,6 @@ class TestSharedWalk:
         assert len(walks) == 5  # one per mode row, against one per row of each of 210 outputs
         assert len(out.terms) == 210
 
-    @pytest.mark.parametrize("n", [11, 12])
-    def test_alternating_rows_that_share_walks_match_the_step_walk(self, n):
-        assert len(optics._walk_getters(n)) > 1
-        rng = np.random.default_rng(100 + n)
-        distinct = optics._square_rows(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)),
-                                       "matrix")
-        shared = tuple(distinct[i // 3] for i in range(n))
-        for _ in range(2):
-            for rows in (distinct, shared):
-                assert _hex(permanent(rows)) == _hex(numpy_ryser_permanent(rows))
-        last = len(optics._walk_getters(n)) - 1
-        assert [row.walk[0] for row in distinct] == [last] * n
-
     def test_repeated_passes_leave_nothing_that_grows(self):
         u, state = _unitary(43, 5), basis_state([2, 1, 1, 1, 1])
         apply_interferometer(state, u)  # builds the size's getters, which outlive the call
@@ -852,30 +850,15 @@ class CountingMul:
         return a * b
 
 
-@st.composite
-def call_sequences(draw) -> list[tuple[optics._Row, ...]]:
-    """Submatrices of one size n <= 11 cut from a few shared ``_Row`` objects,
-    in no lexicographic order: the first row drawn from at most two, the others
-    in any order and repeated, so ``permanent`` reuses its chain, cuts it
-    short or drops it, over walks of one block or, for n >= 10, several.
-    Entries mix ints and complexes whose parts are often 0.0 or -0.0."""
-    n = draw(st.integers(1, 11))
-    part = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-2.0, 2.0, allow_subnormal=False))
-    entry = st.one_of(st.integers(-3, 3), st.builds(complex, part, part))
-    pool = draw(st.lists(st.lists(entry, min_size=n, max_size=n).map(optics._Row),
-                         min_size=1, max_size=4))
-    index = st.integers(0, len(pool) - 1)
-    firsts = draw(st.lists(index, min_size=1, max_size=2))
-    calls = draw(st.lists(st.tuples(st.sampled_from(firsts),
-                                    st.lists(index, min_size=n - 1, max_size=n - 1)),
-                          min_size=2, max_size=6))
-    return [tuple(pool[i] for i in (first, *rest)) for first, rest in calls]
-
-
 class TestSharedProducts:
     """The first row of a submatrix keeps the products of its last call, so
     the outputs of one input state form each shared leading run's products
-    once and every bit of the step-by-step walk stays."""
+    once, and every bit of the step-by-step walk stays."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(permanent_calls())
+    def test_any_order_of_calls_matches_the_step_walk(self, calls):
+        _assert_step_walk(calls)
 
     def test_one_input_state_forms_each_leading_run_once(self, monkeypatch):
         counter = CountingMul()
@@ -891,28 +874,22 @@ class TestSharedProducts:
         rows = optics._square_rows(_unitary(53, 3), "matrix")
         twin = optics._Row(rows[1])
         want = permanent(rows)
-        permanent((twin,) * 3)  # twin now carries sums equal, bit for bit, to those of rows[1]
+        # twin now carries sums equal, bit for bit, to those of rows[1]
+        permanent(optics._Matrix((twin,) * 3))
         counter = CountingMul()
         monkeypatch.setattr(optics, "operator", counter)
         assert _hex(permanent(rows)) == _hex(want)
         assert counter.calls == 7  # the same rows again: only the last row's products
-        assert _hex(permanent((rows[0], twin, rows[2]))) == _hex(want)
+        assert _hex(permanent(optics._Matrix((rows[0], twin, rows[2])))) == _hex(want)
         # an equal row that is another object: one check per row, never a pass over its sums
         assert counter.calls == 7 + 2 * 7
-
-    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
-    @given(call_sequences())
-    def test_any_order_of_calls_matches_the_step_walk(self, calls):
-        for rows in calls:
-            assert _hex(permanent(rows)) == _hex(numpy_ryser_permanent(rows))
 
     def test_only_a_walk_of_one_block_keeps_its_chain(self):
         """Each call walks from block 0, so no call reads the chain of a walk of
         several blocks, and a one-off 12 x 12 keeps none."""
-        rng = np.random.default_rng(12)
-        for n, blocks in ((9, 1), (12, 8)):
-            rows = optics._square_rows(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)),
-                                       "matrix")
+        for m, blocks in zip(_normal_matrices(12, (9, 12)), (1, 8)):
+            rows = optics._square_rows(m, "matrix")
+            n = len(rows)
             assert len(optics._walk_getters(n)) == blocks
             permanent(rows)
             held, sums, products = rows[0].chain
