@@ -13,6 +13,7 @@ library refuses (``ValueError``) and every file that cannot be read or written
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import sys
 from typing import Sequence
@@ -224,6 +225,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def entrypoint() -> None:
+    gc.freeze()  # exit's collections then skip the import-time heap, which lives to exit anyway
     sys.exit(main())
 
 

@@ -11,7 +11,9 @@ assignment satisfies both.  Each standard event is one outcome of
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import islice
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
@@ -164,8 +166,9 @@ def event_probability(table: OutcomeTable, event: EventSpec) -> float:
 
 
 def inequality_sum(table: OutcomeTable, events: Sequence[EventSpec]) -> float:
-    """The events' probabilities summed left to right in event order from the int 0."""
-    return sum([event_probability(table, e) for e in _event_list(events)])
+    """The events' probabilities added left to right in event order from the int 0,
+    by ``reduce``: from Python 3.12, ``sum`` adds floats with compensation."""
+    return reduce(operator.add, (event_probability(table, e) for e in _event_list(events)), 0)
 
 
 # -- bounds -----------------------------------------------------------------
@@ -347,7 +350,7 @@ def sweep_eta(test: str, bs: BeamsplitterSpec,
         raise ValueError("eta grid must be strictly increasing")
 
     # each standard entry is a bunching or single-fiber outcome, present at every eta and
-    # never -0.0, so its event's mass sum([p]) is p and these sums are inequality_sum's bits
+    # never -0.0, so its event's mass 0 + p is p and these sums are inequality_sum's bits
     entries = STANDARD_TESTS[test][0]
     sums = []
     for d in params:

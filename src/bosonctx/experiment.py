@@ -34,7 +34,9 @@ from __future__ import annotations
 import csv
 import io
 import json
+import operator
 from dataclasses import dataclass
+from functools import reduce
 from numbers import Real
 from pathlib import Path
 from types import MappingProxyType
@@ -78,9 +80,10 @@ _TOKENS = {ctx: tuple(outcomes) for ctx, outcomes in OUTCOMES.items()}  # to unp
 
 
 def matching_mass(distribution: Mapping[str, float], tokens: frozenset[str]) -> float:
-    """Probability mass of the entries whose token is in ``tokens``, summed left
-    to right from the int 0 in the distribution's own order, so no match is 0."""
-    return sum([p for token, p in distribution.items() if token in tokens])
+    """Probability mass of the entries whose token is in ``tokens``, added left to
+    right from the int 0 in the distribution's own order, so no match is 0.  It
+    adds by ``reduce``: from Python 3.12, ``sum`` adds floats with compensation."""
+    return reduce(operator.add, (p for token, p in distribution.items() if token in tokens), 0)
 
 
 def check_requirements(ctx: str, requirements: Mapping[str, str]) -> frozenset[str]:
@@ -177,8 +180,10 @@ class OutcomeTable:
         return tol
 
     def normalization_deviation(self) -> tuple[float, str]:
-        """The largest ``abs(sum - 1)`` over the contexts, and its context."""
-        return max((abs(sum(dist.values()) - 1.0), ctx) for ctx, dist in self.contexts.items())
+        """The largest ``abs(sum - 1)`` over the contexts, and its context; each sum adds
+        left to right from the int 0, by ``reduce`` as in :func:`matching_mass`."""
+        return max((abs(reduce(operator.add, dist.values(), 0) - 1.0), ctx)
+                   for ctx, dist in self.contexts.items())
 
     def validate(self, tol: float = DEFAULT_TOLERANCE) -> None:
         """:meth:`validate_structure` plus per-context normalization."""

@@ -202,6 +202,16 @@ MUTANTS = (
            "math.hypot(z.real, z.imag)", "abs(z)",
            "tests/test_fock.py::TestPureState::"
            "test_a_finite_amplitude_whose_modulus_overflows_is_kept"),
+    # the entry point leaves the import-time heap to the collections at exit
+    Mutant("src/bosonctx/cli.py",
+           "gc.freeze()", "pass",
+           "tests/test_cli.py::TestEntryPoint::"
+           "test_each_exit_keeps_its_bytes_with_the_heap_frozen_to_the_end"),
+    # a series that meets its bound at an interval's right end is interpolated there
+    Mutant("src/bosonctx/contextuality.py",
+           "if lo * hi < 0.0:", "if lo * hi <= 0.0:",
+           "tests/test_contextuality.py::TestSweepEta::"
+           "test_a_hit_at_an_intervals_right_end_is_that_grid_point"),
 )
 
 

@@ -16,13 +16,17 @@ library itself does not need.  A graph's neighbour lists come from testing every
 ordered vertex pair against its edges, not from a pass over the edges.  Exact
 values come from ``Poly``, a polynomial in the symbols ``T`` and ``ETA`` that
 the library's own table and event code can run on, and ``maximum`` takes one's
-exact maximum over [0, 1]^2 by checking its few candidate points.
+exact maximum over [0, 1]^2 by checking its few candidate points.  The eta
+model's readouts come as ``Poly`` values from expanding its creation operators
+by hand (``internal_mode_model``), with none of the library's scattering code.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations, permutations, product
 
 import numpy as np
@@ -129,8 +133,10 @@ def token_meets(token: str, requirements) -> bool:
 
 def predicate_matching_mass(distribution, requirements) -> float:
     """Mass of the entries whose token meets every requirement
-    (:func:`token_meets`), summed in the distribution's order."""
-    return sum(p for token, p in distribution.items() if token_meets(token, requirements))
+    (:func:`token_meets`), added left to right in the distribution's order from
+    the int 0 (``sum`` adds floats with compensation from Python 3.12)."""
+    return reduce(operator.add,
+                  (p for token, p in distribution.items() if token_meets(token, requirements)), 0)
 
 
 def grid_packing_max(graph, step_denominator: int = 4) -> float:
@@ -268,3 +274,71 @@ def maximum(p: Poly) -> tuple[Fraction, Fraction, int]:
         candidates += [(p(t, eta), t, eta) for t in ts]
     best = max(value for value, _, _ in candidates)
     return next(c for c in candidates if c[0] == best)
+
+
+# a polynomial in c = cos theta, s = sin theta, a = sqrt(eta) and b = sqrt(1 - eta):
+# {(power of c, of s, of a, of b): (real part, imaginary part)}, Gaussian integers
+_C, _S, _A, _B = ({(1, 0, 0, 0): (1, 0)}, {(0, 1, 0, 0): (1, 0)},
+                  {(0, 0, 1, 0): (1, 0)}, {(0, 0, 0, 1): (1, 0)})
+
+
+def _times(p, q):
+    out = {}
+    for k1, (x1, y1) in p.items():
+        for k2, (x2, y2) in q.items():
+            k = tuple(map(operator.add, k1, k2))
+            x, y = out.get(k, (0, 0))
+            out[k] = (x + x1 * x2 - y1 * y2, y + x1 * y2 + y1 * x2)
+    return {k: v for k, v in out.items() if v != (0, 0)}
+
+
+def _plus(p, q):
+    out = dict(p)
+    for k, (x, y) in q.items():
+        x0, y0 = out.get(k, (0, 0))
+        out[k] = (x0 + x, y0 + y)
+    return {k: v for k, v in out.items() if v != (0, 0)}
+
+
+def _probability(amplitude, weight: int) -> Poly:
+    """``weight`` |amplitude|^2 as a ``Poly``: c^2 is T, s^2 is 1 - T, a^2 is eta
+    and b^2 is 1 - eta.  Every power of the modulus must come out even."""
+    conjugate = {k: (x, -y) for k, (x, y) in amplitude.items()}
+    total = Poly.of(0)
+    for (i, j, k, m), (x, y) in _times(amplitude, conjugate).items():
+        assert y == 0 and i % 2 == j % 2 == k % 2 == m % 2 == 0
+        total = total + x * weight * T ** (i // 2) * (1 - T) ** (j // 2) \
+            * ETA ** (k // 2) * (1 - ETA) ** (m // 2)
+    return total
+
+
+def internal_mode_model() -> dict[tuple[str, ...], Poly]:
+    """The eta model of the ``optics`` module docstring, expanded by hand.
+
+    The splitter [[c, i s], [i s, c]] (x) I_2 sends the creation operator of
+    (port p, internal k) to the sum over ports q of U[q][p] times that of
+    (q, k); the modes are numbered 2 port + internal.  One photon in port 1
+    gives c and i s.  Two photons, one in (1, |0>) and one in
+    a (2, |0>) + b (2, |1>), give each output occupation n the coefficient of
+    its product of creation operators, whose probability is its squared
+    modulus times the product of the n_k!.  Each readout, keyed by its labels
+    in context order as ``OUTCOMES`` spells them (the first fiber's photon
+    enters port 1), is a ``Poly`` in ``T`` and ``ETA``: t or r for one photon;
+    tr and rt for both photons in port 1 or in port 2, whatever their internal
+    modes; tt, rr and () for |1,0,0,1>, |0,1,1,0> and |1,0,1,0>."""
+    i_s = _times(_S, {(0, 0, 0, 0): (0, 1)})
+    u = [[_C, i_s], [i_s, _C]]
+    first = {2 * q: u[q][0] for q in range(2)}
+    second = {2 * q + k: _times(amp, u[q][1]) for k, amp in enumerate((_A, _B)) for q in range(2)}
+    pair: dict[tuple[int, ...], dict] = {}
+    for m1, p1 in first.items():
+        for m2, p2 in second.items():
+            n = tuple((m == m1) + (m == m2) for m in range(4))
+            pair[n] = _plus(pair.get(n, {}), _times(p1, p2))
+    probability = {n: _probability(amp, math.prod(map(math.factorial, n)))
+                   for n, amp in pair.items()}
+    return {("t",): _probability(u[0][0], 1), ("r",): _probability(u[1][0], 1),
+            ("t", "r"): sum((p for n, p in probability.items() if n[0] + n[1] == 2), Poly.of(0)),
+            ("r", "t"): sum((p for n, p in probability.items() if n[2] + n[3] == 2), Poly.of(0)),
+            ("t", "t"): probability[1, 0, 0, 1], ("r", "r"): probability[0, 1, 1, 0],
+            (): probability[1, 0, 1, 0]}

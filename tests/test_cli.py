@@ -1,8 +1,14 @@
+import gc
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
+from test_golden import GOLDEN, write_inputs
 
 from bosonctx import __version__
 from bosonctx.cli import main
@@ -540,3 +546,42 @@ class TestUsage:
             main(["--version"])
         assert err.value.code == 0
         assert __version__ in capsys.readouterr().out
+
+
+class TestEntryPoint:
+    """``python -m bosonctx`` and the ``bosonctx`` script run ``entrypoint()``, which
+    freezes the import-time heap before ``main()``, so that no collection walks it,
+    the ones at exit included.  ``main()`` itself never freezes its host."""
+
+    # the freeze count an atexit hook reads after the run, on stderr's last line
+    SCRIPT = ("import atexit, gc, runpy, sys\n"
+              "atexit.register(lambda: print(gc.get_freeze_count(), file=sys.stderr))\n"
+              "runpy.run_module('bosonctx', run_name='__main__')\n")
+
+    @pytest.mark.parametrize(("argv", "code", "golden"), [
+        (["bounds", "--graph", "pentagon"], 0, "bounds-pentagon"),
+        (["verify", "--input", "{dir}/perturbed.json"], 1, "verify-perturbed.json"),
+        (["bounds", "--graph", "cycle:2"], 2, None),
+    ], ids=["exit-0", "exit-1", "exit-2"])
+    def test_each_exit_keeps_its_bytes_with_the_heap_frozen_to_the_end(self, argv, code, golden,
+                                                                       tmp_path):
+        write_inputs(tmp_path)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(Path(__file__).resolve().parent.parent / "src"),
+                          os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", self.SCRIPT,
+                               *(arg.format(dir=tmp_path) for arg in argv)],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == code
+        *errors, frozen = done.stderr.splitlines()
+        assert int(frozen) > 0
+        if golden is None:
+            assert done.stdout == "" and len(errors) == 1 and errors[0].startswith("error: ")
+        else:
+            assert errors == []
+            assert done.stdout.replace(str(tmp_path), "<dir>") == \
+                (GOLDEN / f"{golden}.out").read_text()
+
+    def test_main_leaves_its_host_unfrozen(self, capsys):
+        assert run_cli(capsys, "bounds", "--graph", "pentagon")[0] == 0
+        assert gc.get_freeze_count() == 0

@@ -1,6 +1,8 @@
 import dataclasses
 import math
+import operator
 import random
+from functools import reduce
 from itertools import combinations, repeat
 
 import pytest
@@ -693,6 +695,14 @@ class TestSweepEta:
         # 3/2 + 1/2 = 2 exactly in binary floating point
         assert result.crossings["noncontextual"] == 0.5
 
+    @pytest.mark.parametrize(("etas", "sums"), [([0.18, 0.66, 1.0], [2.58, 2.0, 1.5]),
+                                                ([0.18, 0.66], [2.58, 2.0])],
+                             ids=["inner", "last"])
+    def test_a_hit_at_an_intervals_right_end_is_that_grid_point(self, etas, sums):
+        """The series meets the bound 2 at 0.66, the right end of [0.18, 0.66]:
+        interpolating on that interval would give 0.6599999999999999."""
+        assert _first_crossing(etas, sums, 2.0).hex() == (0.66).hex()
+
     def test_exact_hit_on_the_last_grid_point_is_a_crossing(self):
         result = sweep_eta(PENTAGON, BALANCED, etas=[0.0, 0.25, 0.5])
         assert result.sums == (1.5, 1.75, 2.0)
@@ -724,8 +734,10 @@ class TestCompiledEvents:
                               else sweep_eta(test, bs, grid))
                     etas = list(result.etas)
                     assert math.copysign(1, etas[0]) == 1  # a grid point of -0.0 reads 0.0
-                    sums = [sum(predicate_matching_mass(table.contexts[e.context], e.requirements)
-                                for e in standard_events(test))
+                    sums = [reduce(operator.add,
+                                   (predicate_matching_mass(table.contexts[e.context],
+                                                            e.requirements)
+                                    for e in standard_events(test)), 0)
                             for table in (full_table(bs, DistinguishabilityParam(eta))
                                           for eta in etas)]
                     assert _bits(result.sums) == _bits(sums)

@@ -84,6 +84,12 @@ PINNED = {  # id: (file, old, new, killer); mutants.py says what each fault does
     "prune-overflow": ("src/bosonctx/fock.py", "math.hypot(z.real, z.imag)", "abs(z)",
                        "tests/test_fock.py::TestPureState::"
                        "test_a_finite_amplitude_whose_modulus_overflows_is_kept"),
+    "entry-freeze": ("src/bosonctx/cli.py", "gc.freeze()", "pass",
+                     "tests/test_cli.py::TestEntryPoint::"
+                     "test_each_exit_keeps_its_bytes_with_the_heap_frozen_to_the_end"),
+    "crossing-strict-sign": (CONTEXTUALITY, "if lo * hi < 0.0:", "if lo * hi <= 0.0:",
+                             "tests/test_contextuality.py::TestSweepEta::"
+                             "test_a_hit_at_an_intervals_right_end_is_that_grid_point"),
 }
 
 

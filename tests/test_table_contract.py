@@ -7,17 +7,21 @@ matching entry of the tuples that ``single_outcome_distribution`` (T, R) and
 ``pair_outcome_distribution``, the one pair rule, return; both bunch ports
 hold its one p_bunch.  It refuses anything that is not a context with
 ``ValueError``.  A table without a context refuses it with ``ValueError``.
-``matching_mass`` and ``inequality_sum`` add left to right from the int 0, so
-their bits are those of ``0 + p1 + ... + pk``.
+``matching_mass``, ``inequality_sum`` and each context's sum in
+``normalization_deviation`` add left to right from the int 0, so their bits are
+those of ``0 + p1 + ... + pk`` on every Python, also where ``sum`` compensates.
 
 Every ``run_context`` entry is also the readout of the internal-mode model in
-the ``optics`` module docstring, computed through ``apply_interferometer``.
+the ``optics`` module docstring: in floats through ``apply_interferometer``,
+and exactly, as a polynomial in T and eta, from expanding the model by hand
+(``oracles.internal_mode_model``).
 """
 
 from __future__ import annotations
 
 import math
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -26,6 +30,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracles
+from bosonctx import contextuality, experiment
 from bosonctx.contextuality import (
     PENTAGON,
     TRIANGLE,
@@ -138,6 +144,21 @@ def test_run_context_is_the_internal_mode_model_through_the_permanent(theta, eta
             assert abs(got - readout[tuple(labels.values())]) <= 1e-12
 
 
+def test_run_context_is_the_exact_internal_mode_model():
+    """On ``Poly`` stand-ins for T, 1 - T and eta, every entry equals the hand
+    expansion's readout with no tolerance, and the pair readouts sum to 1."""
+    model = oracles.internal_mode_model()
+    bs = SimpleNamespace(transmittance=oracles.T, reflectance=1 - oracles.T)
+    d = SimpleNamespace(eta=oracles.ETA)
+    for ctx in ALL_CONTEXTS:
+        dist = run_context(ctx, bs, d)
+        assert list(dist) == list(OUTCOMES[ctx])
+        for token, labels in OUTCOMES[ctx].items():
+            assert dist[token].terms == model[tuple(labels.values())].terms, (ctx, token)
+    pairs = [p for labels, p in model.items() if len(labels) != 1]
+    assert sum(pairs, oracles.Poly.of(0)).terms == {(0, 0): 1}
+
+
 @pytest.mark.parametrize("ctx", ["XY", "", None, ["AB"]], ids=["XY", "empty", "None", "list"])
 def test_run_context_refuses_what_is_no_context(ctx):
     with pytest.raises(ValueError, match="unknown context"):
@@ -152,6 +173,21 @@ def test_a_table_without_the_context_refuses_it():
 def test_matching_mass_of_no_match_is_the_int_zero():
     total = matching_mass({"at": 0.25, "ar": 0.75}, frozenset())
     assert total == 0 and type(total) is int
+
+
+def test_the_sums_add_left_to_right_where_sum_compensates(monkeypatch):
+    """From Python 3.12 ``sum`` adds floats with compensation; ``math.fsum``
+    stands in for it here, in both modules, and changes no bit."""
+    for module in (contextuality, experiment):
+        monkeypatch.setattr(module, "sum", math.fsum, raising=False)
+    table = full_table(BeamsplitterSpec(0.045558512065073664),
+                       DistinguishabilityParam(0.46562265437810535))
+    # fsum gives 1.010060277186432, 0.6 and a deviation of 0.0
+    assert inequality_sum(table, standard_events(PENTAGON)).hex() == (1.0100602771864322).hex()
+    assert matching_mass({"x": 0.1, "y": 0.2, "z": 0.3}, frozenset("xyz")).hex() == \
+        (0.6000000000000001).hex()
+    uneven = OutcomeTable(0.0, 1.0, {"A": {"at": 0.7, "ar": 0.2, "x": 0.1}})
+    assert uneven.normalization_deviation() == (1.1102230246251565e-16, "A")
 
 
 @SETTINGS
