@@ -5,9 +5,11 @@ sum vs bounds), ``bounds`` (graph bound hierarchy), ``sweep`` (sum vs eta
 with bound crossings), ``verify`` (consistency checks on a table file).
 
 Exit codes: 0 success, 1 a verification check failed, 2 usage or parse error.
-Data goes to stdout (or ``--output``), diagnostics to stderr.  Every input the
-library refuses (``ValueError``) and every file that cannot be read or written
-(``OSError``) is exit 2 with one ``error:`` line and no usage text.
+Data goes to stdout (or ``--output``), diagnostics to stderr.  Each option's text
+goes as given to the library rule that reads it, so every value the library refuses
+(``ValueError``) and every file that cannot be read or written (``OSError``) is exit 2
+with one ``error:`` line.  Only argparse's own faults print usage first: an unknown or
+missing command, option or value, a bad ``--format``, and ``--theta`` with ``--theta-deg``.
 """
 
 from __future__ import annotations
@@ -44,24 +46,25 @@ from .experiment import (
     load_table,
     write_csv,
 )
+from .fock import real_number
 from .optics import BeamsplitterSpec, DistinguishabilityParam
 
 
 def _add_angle_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--theta", type=float, default=None,
-                        help="beamsplitter angle in radians (default: pi/4, a 50-50 splitter)")
-    parser.add_argument("--theta-deg", type=float, default=None,
-                        help="beamsplitter angle in degrees (overrides --theta)")
+    angle = parser.add_mutually_exclusive_group()
+    angle.add_argument("--theta",
+                       help="beamsplitter angle in radians (default: pi/4, a 50-50 splitter)")
+    angle.add_argument("--theta-deg", help="beamsplitter angle in degrees (instead of --theta)")
 
 
 def _add_eta_arg(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--eta", type=float, default=None,
+    parser.add_argument("--eta",
                         help="photon overlap in [0, 1]; 1 = identical photons (default: 1)")
 
 
 def _resolve_beamsplitter(args: argparse.Namespace) -> BeamsplitterSpec:
     if args.theta_deg is not None:
-        return BeamsplitterSpec(math.radians(args.theta_deg))
+        return BeamsplitterSpec(math.radians(real_number(args.theta_deg, "--theta-deg")))
     return BeamsplitterSpec(math.pi / 4 if args.theta is None else args.theta)
 
 
@@ -138,7 +141,8 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    result = sweep_eta(args.test, _resolve_beamsplitter(args), steps=args.steps)
+    result = sweep_eta(args.test, _resolve_beamsplitter(args),
+                       steps=real_number(args.steps, "steps"))
     if args.format == "json":
         text = dump_json(_header(**result.to_dict()))
     else:
@@ -151,11 +155,11 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    tol = args.tolerance
     table = load_table(args.input)
-    # each checker validates the tolerance and the table's structure before it
-    # compares anything
-    reports = [check_no_disturbance(table, tol), check_indistinguishability(table, tol)]
+    # each checker reads the tolerance and validates the table before it compares anything
+    reports = [check_no_disturbance(table, args.tolerance),
+               check_indistinguishability(table, args.tolerance)]
+    tol = reports[0].tolerance
     normalization, _ = table.normalization_deviation()
     norm_ok = normalization <= tol
     passed = norm_ok and all(r.passed for r in reports)
@@ -187,11 +191,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_simulate)
 
     p = sub.add_parser("analyze", help="evaluate an inequality sum against its bounds")
-    p.add_argument("--test", choices=tuple(STANDARD_TESTS), required=True)
+    p.add_argument("--test", required=True, help="pentagon or triangle")
     _add_angle_args(p)
     _add_eta_arg(p)
-    p.add_argument("--input", default=None,
-                   help="analyze a stored table file instead of simulating")
+    p.add_argument("--input", help="analyze a stored table file instead of simulating")
     p.set_defaults(handler=cmd_analyze)
 
     p = sub.add_parser("bounds", help="bound hierarchy of an exclusivity graph")
@@ -200,15 +203,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_bounds)
 
     p = sub.add_parser("sweep", help="inequality sum vs photon overlap, with bound crossings")
-    p.add_argument("--test", choices=tuple(STANDARD_TESTS), required=True)
+    p.add_argument("--test", required=True, help="pentagon or triangle")
     _add_angle_args(p)
-    p.add_argument("--steps", type=int, default=101, help="grid points in [0, 1] (default: 101)")
+    p.add_argument("--steps", default=101, help="grid points in [0, 1] (default: 101)")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(handler=cmd_sweep)
 
     p = sub.add_parser("verify", help="run consistency checks on a stored table")
     p.add_argument("--input", required=True, help="table file (JSON or CSV)")
-    p.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
+    p.add_argument("--tolerance", default=DEFAULT_TOLERANCE)
     p.set_defaults(handler=cmd_verify)
     for p in sub.choices.values():
         p.add_argument("--output", "-o", default=None, help="write to a file instead of stdout")

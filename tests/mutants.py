@@ -212,6 +212,10 @@ MUTANTS = (
            "if lo * hi < 0.0:", "if lo * hi <= 0.0:",
            "tests/test_contextuality.py::TestSweepEta::"
            "test_a_hit_at_an_intervals_right_end_is_that_grid_point"),
+    # verify reports the tolerance as its argv text, not the float the checkers read
+    Mutant("src/bosonctx/cli.py",
+           "tol = reports[0].tolerance", "tol = args.tolerance",
+           "tests/test_cli.py::TestVerify::test_tolerance_text_is_read_as_its_float"),
 )
 
 

@@ -4,12 +4,13 @@ library's parameter types fed junk.
 
 ``parse_table`` may refuse a text only with ``ValueError`` and reads the
 header of a JSON and a CSV table alike, ``main`` must end with exit code 0, 1
-or 2 whatever its arguments, and a table that ``verify`` passes also passes
-``OutcomeTable.validate``.  The argv grammar keeps ``--steps`` at most 200 and
-``cycle:N`` at most 30, so no case does much work.  ``check_requirements``
-picks exactly the context's tokens whose spelled labels meet the requirements
-(``oracles.token_meets``), and refuses exactly the empty set and the sets no
-outcome of the context meets.  The library's constructors and readers
+or 2 whatever its arguments (with usage text only for a fault of argparse's
+grammar, and any other refusal one ``error:`` line), and a table that
+``verify`` passes also passes ``OutcomeTable.validate``.  The argv grammar
+keeps ``--steps`` at most 200 and ``cycle:N`` at most 30, so no case does much
+work.  ``check_requirements`` picks exactly the context's tokens whose spelled
+labels meet the requirements (``oracles.token_meets``), and refuses exactly
+the empty set and the sets no outcome of the context meets.  The library's constructors and readers
 (``BeamsplitterSpec``, ``DistinguishabilityParam``, ``OutcomeTable.validate(tol)``,
 ``parse_table``, ``EventSpec``, ``ExclusivityGraph``, ``make_fock``,
 ``pure_state``, ``fock_basis``, ``cycle_graph`` and ``lovasz_theta_odd_cycle``)
@@ -26,6 +27,7 @@ import contextlib
 import io
 import json
 import math
+import re
 from decimal import Decimal
 from fractions import Fraction
 
@@ -191,7 +193,7 @@ def inputs(tmp_path_factory) -> dict[str, str]:
 
 NUMBERS = st.sampled_from(["0", "0.3", "1", "1.2", "-7", "1e308", "nan", "inf", "-inf", "x", ""])
 ETAS = st.sampled_from(["0", "0.37", "1", "1.5", "-0.1", "nan", "x"])
-STEPS = st.integers(-3, 200).map(str) | st.sampled_from(["x", ""])
+STEPS = st.integers(-3, 200).map(str) | st.sampled_from(["x", "", "2.5", "7.0", "1e2"])
 GRAPHS = (st.sampled_from(["pentagon", "triangle", "square", "cycle:", "cycle:x", ""])
           | st.integers(-2, 30).map(lambda n: f"cycle:{n}"))
 TESTS = st.sampled_from(["pentagon", "triangle", "hexagon"])
@@ -228,16 +230,53 @@ def argvs(draw, paths: dict[str, str]) -> list[str]:
     return argv
 
 
+def syntax_fault(argv: list[str]) -> bool:
+    """Whether argparse's own grammar refuses ``argv``, the one refusal that prints
+    usage: an unknown command or option, an option with no value, a missing
+    required option, ``--format xml``, or ``--theta`` with ``--theta-deg``.  An
+    option's next token is no value when argparse takes it for an option: it
+    starts with ``-`` and is not a negative number, as ``-inf`` or ``-h``."""
+    command, *rest = argv
+    if command not in OPTIONS:
+        return True
+    given, i = set(), 0
+    while i < len(rest):
+        flag = rest[i]
+        if flag == "-h":
+            i += 1
+            continue
+        if flag not in OPTIONS[command] and flag != "-o":
+            return True
+        if i + 1 == len(rest) or (rest[i + 1].startswith("-")
+                                  and not re.fullmatch(r"-\d+|-\d*\.\d+", rest[i + 1])):
+            return True
+        if flag == "--format" and rest[i + 1] not in ("json", "csv"):
+            return True
+        given.add(flag)
+        i += 2
+    required = {"analyze": "--test", "bounds": "--graph", "sweep": "--test", "verify": "--input"}
+    missing = command in required and required[command] not in given
+    return missing or {"--theta", "--theta-deg"} <= given
+
+
 @SETTINGS
 @given(data=st.data())
 def test_main_exits_with_a_contract_code(inputs, data):
+    """Exit 0, 1 or 2; usage text only for a fault of argparse's grammar, and any
+    other refusal one ``error:`` line with nothing on stdout."""
     argv = data.draw(argvs(inputs))
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(argv)
         except SystemExit as exc:
             code = exc.code
     assert code in (0, 1, 2)
+    if code == 2 and "usage:" in err.getvalue():
+        assert syntax_fault(argv), err.getvalue()
+    elif code == 2:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
 
 
 @SETTINGS

@@ -90,6 +90,10 @@ PINNED = {  # id: (file, old, new, killer); mutants.py says what each fault does
     "crossing-strict-sign": (CONTEXTUALITY, "if lo * hi < 0.0:", "if lo * hi <= 0.0:",
                              "tests/test_contextuality.py::TestSweepEta::"
                              "test_a_hit_at_an_intervals_right_end_is_that_grid_point"),
+    "tolerance-from-checkers": ("src/bosonctx/cli.py", "tol = reports[0].tolerance",
+                                "tol = args.tolerance",
+                                "tests/test_cli.py::TestVerify::"
+                                "test_tolerance_text_is_read_as_its_float"),
 }
 
 
