@@ -83,6 +83,10 @@ class TestSimulate:
         table = parse_table(out)
         assert table.contexts["B"]["bt"] == 1.0
 
+    def test_eta_out_of_range_is_usage_error(self, capsys):
+        assert refusal(capsys, ["simulate", "--eta", "2"]) == (
+            "error: eta must lie in [0, 1], got 2.0\n")
+
     def test_writes_to_file(self, capsys, tmp_path):
         target = tmp_path / "table.json"
         code, out = run_cli(capsys, "simulate", "-o", str(target))
@@ -124,6 +128,11 @@ class TestAnalyze:
             _, direct = run_cli(capsys, "analyze", "--test", "pentagon", "--eta", "0.8")
             _, loaded = run_cli(capsys, "analyze", "--test", "pentagon", "--input", str(path))
             assert abs(json.loads(direct)["sum"] - json.loads(loaded)["sum"]) <= 1e-12
+
+    def test_missing_input_file_is_usage_error(self, capsys, tmp_path):
+        missing = tmp_path / "missing.json"
+        assert refusal(capsys, ["analyze", "--test", "pentagon", "--input", str(missing)]) == (
+            f"error: [Errno 2] No such file or directory: {str(missing)!r}\n")
 
 
 class TestBoundTolerance:
@@ -186,6 +195,10 @@ class TestBounds:
         report = json.loads(out)
         assert report["alpha"] == 6
         assert report["fractional_max"] == 6.5
+
+    def test_graph_beyond_alpha_search_is_usage_error(self, capsys):
+        assert refusal(capsys, ["bounds", "--graph", "cycle:25"]) == (
+            "error: exact search limited to 24 vertices, got 25\n")
 
     def test_oversized_cycle_is_refused_before_it_is_built(self, capsys):
         tracemalloc.start()
@@ -259,6 +272,10 @@ class TestSweep:
         assert peak < 1_000_000
         assert error == "error: sweep limited to 100001 grid points, got 100000000\n"
 
+    def test_bad_steps_is_usage_error(self, capsys):
+        assert refusal(capsys, ["sweep", "--test", "pentagon", "--steps", "1"]) == (
+            "error: steps must be a whole number from 2 up that fits a float, got 1.0\n")
+
 
 class TestVerify:
     def test_simulated_table_passes(self, capsys, tmp_path):
@@ -291,6 +308,13 @@ class TestVerify:
         names = [f["name"] for check in report["checks"] for f in check["failures"]]
         assert any("A=r" in name and "AB" in name for name in names)
 
+    def test_malformed_file_is_parse_error(self, capsys, tmp_path):
+        path = tmp_path / "garbage.json"
+        path.write_text("this is not a table")
+        assert refusal(capsys, ["verify", "--input", str(path)]) == (
+            "error: CSV header must be context,outcome,probability,"
+            " got ['this is not a table']\n")
+
     def test_omitted_zero_entry_counts_as_zero(self, capsys, tmp_path):
         full, partial = tmp_path / "full.json", tmp_path / "partial.json"
         run_cli(capsys, "simulate", "--theta", "0", "--eta", "0.5", "-o", str(full))
@@ -317,6 +341,14 @@ class TestVerify:
         report = json.loads(out)
         assert report["tolerance"] == 0.001
         assert [check["tolerance"] for check in report["checks"]] == [0.001, 0.001]
+
+    @pytest.mark.parametrize("tolerance", ["nan", "inf", "-1"])
+    def test_non_finite_or_negative_tolerance_is_usage_error(self, capsys, tmp_path,
+                                                             tolerance):
+        path = tmp_path / "table.json"
+        run_cli(capsys, "simulate", "-o", str(path))
+        assert refusal(capsys, ["verify", "--input", str(path), "--tolerance", tolerance]) == (
+            f"error: tolerance must be finite and positive, got {float(tolerance)}\n")
 
     def test_reports_are_strict_json(self):
         with pytest.raises(ValueError):
@@ -390,8 +422,6 @@ REFUSALS = {  # id: argv, with {name} for a file of ``refusal_inputs``
     "analyze_hexagon": ["analyze", "--test", "hexagon"],
     "sweep_hexagon": ["sweep", "--test", "hexagon"],
     "tolerance_0": ["verify", "--input", "{table}", "--tolerance", "0"],
-    "tolerance_inf": ["verify", "--input", "{table}", "--tolerance", "inf"],
-    "tolerance_-1": ["verify", "--input", "{table}", "--tolerance", "-1"],
     "analyze_probability_5": ["analyze", "--test", "pentagon", "--input", "{probability_5}"],
     "verify_no_bc_context": ["verify", "--input", "{no_bc}"],
 }
