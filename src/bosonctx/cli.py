@@ -5,9 +5,10 @@ sum vs bounds), ``bounds`` (graph bound hierarchy), ``sweep`` (sum vs eta
 with bound crossings), ``verify`` (consistency checks on a table file).
 
 Exit codes: 0 success, 1 a verification check failed, 2 usage or parse error.
-Data goes to stdout (or ``--output``), diagnostics to stderr.  Each option's text
-goes as given to the library rule that reads it, so every value the library refuses
-(``ValueError``) and every file that cannot be read or written (``OSError``) is exit 2
+Data goes to stdout (or ``--output``), diagnostics to stderr.  Each option has one
+spelling: argparse takes no prefix of it.  Each option's text goes as given to the
+library rule that reads it, so every value the library refuses (``ValueError``) and
+every file that cannot be read or written (``OSError``), stdout included, is exit 2
 with one ``error:`` line.  Only argparse's own faults print usage first: an unknown or
 missing command, option or value, a bad ``--format``, and ``--theta`` with ``--theta-deg``.
 """
@@ -17,6 +18,7 @@ from __future__ import annotations
 import argparse
 import gc
 import math
+import os
 import sys
 from typing import Sequence
 
@@ -215,6 +217,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_verify)
     for p in sub.choices.values():
         p.add_argument("--output", "-o", default=None, help="write to a file instead of stdout")
+    for p in (parser, *sub.choices.values()):
+        p.allow_abbrev = False  # one spelling per option: a prefix of it is an unknown option
     return parser
 
 
@@ -229,7 +233,20 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 def entrypoint() -> None:
     gc.freeze()  # exit's collections then skip the import-time heap, which lives to exit anyway
-    sys.exit(main())
+    try:
+        code = main()
+    except SystemExit as exc:  # argparse's exits, --help and --version included
+        code = exc.code
+    try:
+        sys.stdout.flush()  # what main() or argparse left in the buffer
+    except OSError as exc:
+        # the interpreter's flush at exit would fail again, outside any handler: send
+        # the rest to devnull, as the Python docs do for SIGPIPE
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if code != 2:  # a 2 has printed its one line already
+            print(f"error: {exc}", file=sys.stderr)
+            code = 2
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -216,6 +216,10 @@ MUTANTS = (
     Mutant("src/bosonctx/cli.py",
            "tol = reports[0].tolerance", "tol = args.tolerance",
            "tests/test_cli.py::TestVerify::test_tolerance_text_is_read_as_its_float"),
+    # argparse reads a prefix of an option as the option, so each has many spellings
+    Mutant("src/bosonctx/cli.py",
+           "p.allow_abbrev = False", "p.allow_abbrev = True",
+           "tests/test_cli.py::TestUsage::test_a_prefix_of_an_option_is_no_spelling_of_it"),
 )
 
 

@@ -15,41 +15,37 @@ from bosonctx.cli import main
 from bosonctx.experiment import DEFAULT_TOLERANCE, dump_json, full_table, parse_table
 from bosonctx.optics import BeamsplitterSpec, DistinguishabilityParam
 
-OUT_OF_RANGE_ERROR = "error: probability 1.5 of 'at' in 'A' is outside [0, 1]\n"
-
 
 def run_cli(capsys, *argv):
-    code = main(list(argv))
-    captured = capsys.readouterr()
-    return code, captured.out
+    return main(list(argv)), capsys.readouterr().out
 
 
-def refusal(capsys, argv: list[str]) -> str:
+def refusal(capsys, argv: list[str], usage: bool = False) -> str:
     """Run ``main(argv)``, which must refuse it: exit 2, nothing on stdout, and on
-    stderr one ``error:`` line (so no usage text), which is returned."""
+    stderr one ``error:`` line (so no usage text), which is returned.  With ``usage``
+    argparse's grammar refuses it instead, and stderr is its usage, then its error."""
     with pytest.raises(SystemExit) as err:
         main(argv)
     assert err.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    if usage:
+        assert captured.err.startswith("usage: bosonctx")
+    else:
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert captured.err.endswith("\n")
     return captured.err
 
 
-def out_of_range_table() -> str:
-    """JSON table with p(t) = 1.5 and p(r) = -0.5 in each single-fiber context.
-
-    The pair contexts are simulated at theta = 0.3, eta = 0.37.  They hold
-    unresolved coincidence mass, so no single-context identity is checked and
-    both checkers pass; only the range check refuses the table.
-    """
-    table = full_table(BeamsplitterSpec(0.3), DistinguishabilityParam(0.37))
-    payload = json.loads(table.to_json())
-    for record in payload["records"]:
-        if len(record["context"]) == 1:
-            record["probability"] = 1.5 if record["outcome"].endswith("t") else -0.5
-    return json.dumps(payload)
+def python(args: list[str], stdout) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter on ``args`` with this checkout's ``src`` on its path and
+    its stdout buffered, as it is when PYTHONUNBUFFERED is not set."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(Path(__file__).resolve().parent.parent / "src"),
+                      os.environ.get("PYTHONPATH")])))
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.run([sys.executable, *args], stdout=stdout, stderr=subprocess.PIPE,
+                          text=True, env=env, timeout=120)
 
 
 class TestSimulate:
@@ -308,10 +304,8 @@ class TestVerify:
         names = [f["name"] for check in report["checks"] for f in check["failures"]]
         assert any("A=r" in name and "AB" in name for name in names)
 
-    def test_malformed_file_is_parse_error(self, capsys, tmp_path):
-        path = tmp_path / "garbage.json"
-        path.write_text("this is not a table")
-        assert refusal(capsys, ["verify", "--input", str(path)]) == (
+    def test_malformed_file_is_parse_error(self, capsys, refusal_inputs):
+        assert refusal(capsys, ["verify", "--input", str(refusal_inputs["garbage"])]) == (
             "error: CSV header must be context,outcome,probability,"
             " got ['this is not a table']\n")
 
@@ -327,27 +321,24 @@ class TestVerify:
         _, full_out = run_cli(capsys, "verify", "--input", str(full))
         assert json.loads(out)["checks"] == json.loads(full_out)["checks"]
 
-    def test_out_of_range_table_is_refused_like_analyze_input(self, capsys, tmp_path):
-        path = tmp_path / "table.json"
-        path.write_text(out_of_range_table())
+    def test_out_of_range_table_is_refused_like_analyze_input(self, capsys, refusal_inputs):
         for argv in (["verify"], ["analyze", "--test", "pentagon"]):
-            assert refusal(capsys, [*argv, "--input", str(path)]) == OUT_OF_RANGE_ERROR
+            assert refusal(capsys, [*argv, "--input", str(refusal_inputs["out_of_range"])]) == (
+                "error: probability 1.5 of 'at' in 'A' is outside [0, 1]\n")
 
-    def test_tolerance_text_is_read_as_its_float(self, capsys, tmp_path):
-        path = tmp_path / "table.json"
-        run_cli(capsys, "simulate", "-o", str(path))
-        code, out = run_cli(capsys, "verify", "--input", str(path), "--tolerance", "1e-3")
+    def test_tolerance_text_is_read_as_its_float(self, capsys, refusal_inputs):
+        code, out = run_cli(capsys, "verify", "--input", str(refusal_inputs["table"]),
+                            "--tolerance", "1e-3")
         assert code == 0
         report = json.loads(out)
         assert report["tolerance"] == 0.001
         assert [check["tolerance"] for check in report["checks"]] == [0.001, 0.001]
 
     @pytest.mark.parametrize("tolerance", ["nan", "inf", "-1"])
-    def test_non_finite_or_negative_tolerance_is_usage_error(self, capsys, tmp_path,
+    def test_non_finite_or_negative_tolerance_is_usage_error(self, capsys, refusal_inputs,
                                                              tolerance):
-        path = tmp_path / "table.json"
-        run_cli(capsys, "simulate", "-o", str(path))
-        assert refusal(capsys, ["verify", "--input", str(path), "--tolerance", tolerance]) == (
+        table = str(refusal_inputs["table"])
+        assert refusal(capsys, ["verify", "--input", table, "--tolerance", tolerance]) == (
             f"error: tolerance must be finite and positive, got {float(tolerance)}\n")
 
     def test_reports_are_strict_json(self):
@@ -355,36 +346,8 @@ class TestVerify:
             dump_json({"tolerance": math.nan})
 
 
-class TestStrictNumbers:
-    @pytest.mark.parametrize("command", [["analyze", "--test", "pentagon"], ["verify"]],
-                             ids=["analyze", "verify"])
-    @pytest.mark.parametrize("field,value", [("theta", True), ("theta", 10 ** 400),
-                                             ("probability", 10 ** 400)],
-                             ids=["bool_theta", "huge_theta", "huge_probability"])
-    def test_non_float_number_is_parse_error(self, capsys, tmp_path, command, field, value):
-        path = tmp_path / "table.json"
-        run_cli(capsys, "simulate", "-o", str(path))
-        payload = json.loads(path.read_text())
-        (payload["records"][0] if field == "probability" else payload)[field] = value
-        path.write_text(json.dumps(payload))
-        refusal(capsys, [*command, "--input", str(path)])
-
-
-class TestOutputPath:
-    @pytest.mark.parametrize("argv", [
-        ["simulate"],
-        ["analyze", "--test", "pentagon"],
-        ["bounds", "--graph", "pentagon"],
-        ["sweep", "--test", "triangle", "--steps", "3"],
-        ["verify", "--input", "{table}"],
-    ], ids=["simulate", "analyze", "bounds", "sweep", "verify"])
-    @pytest.mark.parametrize("target", ["missing/out.json", "."], ids=["missing_dir", "a_dir"])
-    def test_unwritable_output_is_usage_error(self, capsys, tmp_path, argv, target):
-        table = tmp_path / "table.json"
-        run_cli(capsys, "simulate", "-o", str(table))
-        refusal(capsys, [*(arg.format(table=table) for arg in argv), "-o", str(tmp_path / target)])
-
-
+OUTPUT_RUNS = (["simulate"], ["analyze", "--test", "pentagon"], ["bounds", "--graph", "pentagon"],
+               ["sweep", "--test", "triangle", "--steps", "3"], ["verify", "--input", "{table}"])
 REFUSALS = {  # id: argv, with {name} for a file of ``refusal_inputs``
     "eta_2": ["simulate", "--eta", "2"],
     "theta_nan": ["simulate", "--theta", "nan"],
@@ -424,6 +387,14 @@ REFUSALS = {  # id: argv, with {name} for a file of ``refusal_inputs``
     "tolerance_0": ["verify", "--input", "{table}", "--tolerance", "0"],
     "analyze_probability_5": ["analyze", "--test", "pentagon", "--input", "{probability_5}"],
     "verify_no_bc_context": ["verify", "--input", "{no_bc}"],
+    # a table number that is no float: a boolean, or an integer past the float range
+    **{f"{name}_{argv[0]}": [*argv, "--input", "{%s}" % name]
+       for name in ("bool_theta", "huge_theta", "huge_probability")
+       for argv in (["analyze", "--test", "pentagon"], ["verify"])},
+    # an --output path that cannot be written, for each command (simulate's first)
+    **{f"output_is_a_dir_{argv[0]}": [*argv, "-o", "{dir}"] for argv in OUTPUT_RUNS},
+    **{f"output_in_missing_dir_{argv[0]}": [*argv, "-o", "{dir}/missing/out.json"]
+       for argv in OUTPUT_RUNS[1:]},  # simulate's is the row output_in_missing_dir
 }
 
 
@@ -434,10 +405,16 @@ def refusal_inputs(tmp_path) -> dict[str, Path]:
     table = full_table(BeamsplitterSpec(math.pi / 4), DistinguishabilityParam(1.0))
     payload = json.loads(table.to_json())
     simulated = full_table(BeamsplitterSpec(0.3), DistinguishabilityParam(0.37))
+    simulated_payload = json.loads(simulated.to_json())
     texts = {
         "table": table.to_json(),
         "garbage": "this is not a table",
-        "out_of_range": out_of_range_table(),
+        # p(t) = 1.5 and p(r) = -0.5 in each single-fiber context.  The pair contexts hold
+        # unresolved coincidence mass, so no single-context identity is checked and both
+        # checkers pass; only the range check refuses the table.
+        "out_of_range": json.dumps({**simulated_payload, "records": [
+            {**r, "probability": 1.5 if r["outcome"].endswith("t") else -0.5}
+            if len(r["context"]) == 1 else r for r in simulated_payload["records"]]}),
         "csv_schema_2": simulated.to_csv().replace("# schema=1", "# schema=2"),
         "json_schema_true": simulated.to_json().replace('"schema": 1', '"schema": true'),
         "probability_5": json.dumps({**payload, "records": [  # p(at) = 5 in context A
@@ -445,6 +422,11 @@ def refusal_inputs(tmp_path) -> dict[str, Path]:
             for r in payload["records"]]}),
         "no_bc": json.dumps({**payload, "records": [
             r for r in payload["records"] if r["context"] != "BC"]}),
+        "bool_theta": json.dumps({**payload, "theta": True}),
+        "huge_theta": json.dumps({**payload, "theta": 10**400}),
+        "huge_probability": json.dumps({**payload, "records": [
+            {**payload["records"][0], "probability": 10**400}, *payload["records"][1:]]}),
+        "eta_5000_digits": '{"schema": 1, "theta": 0.3, "eta": ' + "9" * 5000 + ', "records": []}',
     }
     for name, text in texts.items():
         (tmp_path / name).write_text(text)
@@ -460,12 +442,11 @@ class TestErrorPath:
 
     @pytest.mark.parametrize("command", [["analyze", "--test", "pentagon"], ["verify"]],
                              ids=["analyze", "verify"])
-    def test_an_integer_past_the_digit_limit_is_not_valid_json(self, capsys, tmp_path, command):
+    def test_an_integer_past_the_digit_limit_is_not_valid_json(self, capsys, refusal_inputs,
+                                                               command):
         """``json`` refuses an integer of over 4300 digits with a plain ``ValueError``."""
-        path = tmp_path / "table.json"
-        path.write_text('{"schema": 1, "theta": 0.3, "eta": ' + "9" * 5000 + ', "records": []}')
-        assert refusal(capsys, [*command, "--input", str(path)]).startswith(
-            "error: not valid JSON: ")
+        path = str(refusal_inputs["eta_5000_digits"])
+        assert refusal(capsys, [*command, "--input", path]).startswith("error: not valid JSON: ")
 
     @pytest.mark.parametrize("field, message", [
         ("context", "unknown context"),
@@ -498,23 +479,27 @@ class TestErrorPath:
 
 
 class TestUsage:
-    def test_unknown_command(self):
-        with pytest.raises(SystemExit) as err:
-            main(["frobnicate"])
-        assert err.value.code == 2
+    def test_unknown_command(self, capsys):
+        refusal(capsys, ["frobnicate"], usage=True)
 
     @pytest.mark.parametrize("command", [["simulate"], ["analyze", "--test", "pentagon"],
                                          ["sweep", "--test", "pentagon"]],
                              ids=["simulate", "analyze", "sweep"])
     def test_theta_with_theta_deg_is_a_usage_error(self, capsys, command):
         """The two angle options are one choice, never one silently dropped."""
-        with pytest.raises(SystemExit) as err:
-            main([*command, "--theta", "0.3", "--theta-deg", "30"])
-        assert err.value.code == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "[--theta THETA | --theta-deg THETA_DEG]" in captured.err
-        assert captured.err.endswith("argument --theta-deg: not allowed with argument --theta\n")
+        error = refusal(capsys, [*command, "--theta", "0.3", "--theta-deg", "30"], usage=True)
+        assert "[--theta THETA | --theta-deg THETA_DEG]" in error
+        assert error.endswith("argument --theta-deg: not allowed with argument --theta\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--et", "0.5", "--form", "csv"], ["analyze", "--te", "pentagon"],
+        ["verify", "--in", "{table}", "--tol", "1e-3"], ["simulate", "--out", "{dir}/out.json"],
+        ["--vers"],
+    ], ids=["simulate_et_form", "analyze_te", "verify_in_tol", "simulate_out", "vers"])
+    def test_a_prefix_of_an_option_is_no_spelling_of_it(self, capsys, refusal_inputs, argv):
+        """Each option has one spelling: argparse reads a prefix of it as no option."""
+        refusal(capsys, [arg.format(**refusal_inputs) for arg in argv], usage=True)
+        assert not (refusal_inputs["dir"] / "out.json").exists()
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as err:
@@ -541,12 +526,8 @@ class TestEntryPoint:
     def test_each_exit_keeps_its_bytes_with_the_heap_frozen_to_the_end(self, argv, code, golden,
                                                                        tmp_path):
         write_inputs(tmp_path)
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [str(Path(__file__).resolve().parent.parent / "src"),
-                          os.environ.get("PYTHONPATH")])))
-        done = subprocess.run([sys.executable, "-c", self.SCRIPT,
-                               *(arg.format(dir=tmp_path) for arg in argv)],
-                              capture_output=True, text=True, env=env, timeout=120)
+        done = python(["-c", self.SCRIPT, *(arg.format(dir=tmp_path) for arg in argv)],
+                      subprocess.PIPE)
         assert done.returncode == code
         *errors, frozen = done.stderr.splitlines()
         assert int(frozen) > 0
@@ -560,3 +541,21 @@ class TestEntryPoint:
     def test_main_leaves_its_host_unfrozen(self, capsys):
         assert run_cli(capsys, "bounds", "--graph", "pentagon")[0] == 0
         assert gc.get_freeze_count() == 0
+
+    @pytest.mark.parametrize("argv", [["bounds", "--graph", "pentagon"], ["--version"]],
+                             ids=["report", "version"])
+    @pytest.mark.parametrize("sink", ["dev_full", "closed_pipe"])
+    def test_a_stdout_that_takes_nothing_is_one_error_line(self, argv, sink):
+        """Exit 2 with one ``error:`` line, never the interpreter's ``Exception ignored``
+        and exit 120 from its own flush of a buffered stdout at exit."""
+        if sink == "closed_pipe":
+            read, stdout = os.pipe()
+            os.close(read)  # the reader has gone: a write raises BrokenPipeError
+        elif os.path.exists("/dev/full"):  # a write raises OSError: no space left
+            stdout = os.open("/dev/full", os.O_WRONLY)
+        else:
+            pytest.skip("this system has no /dev/full")
+        done = python(["-m", "bosonctx", *argv], stdout)
+        os.close(stdout)
+        assert done.returncode == 2
+        assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1

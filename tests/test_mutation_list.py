@@ -94,6 +94,10 @@ PINNED = {  # id: (file, old, new, killer); mutants.py says what each fault does
                                 "tol = args.tolerance",
                                 "tests/test_cli.py::TestVerify::"
                                 "test_tolerance_text_is_read_as_its_float"),
+    "one-spelling-per-option": ("src/bosonctx/cli.py", "p.allow_abbrev = False",
+                                "p.allow_abbrev = True",
+                                "tests/test_cli.py::TestUsage::"
+                                "test_a_prefix_of_an_option_is_no_spelling_of_it"),
 }
 
 
