@@ -365,7 +365,7 @@ REFUSALS = {  # id: argv, with {name} for a file of ``refusal_inputs``
     "tolerance_nan": ["verify", "--input", "{table}", "--tolerance", "nan"],
     "missing_input": ["analyze", "--test", "pentagon", "--input", "{dir}/missing.json"],
     "garbage_table": ["verify", "--input", "{garbage}"],
-    "output_in_missing_dir": ["simulate", "-o", "{dir}/missing/out.json"],
+    "output_in_missing_dir": ["simulate", "--output", "{dir}/missing/out.json"],
     "verify_out_of_range": ["verify", "--input", "{out_of_range}"],
     "csv_schema_2": ["verify", "--input", "{csv_schema_2}"],
     "json_schema_true": ["verify", "--input", "{json_schema_true}"],
@@ -391,10 +391,10 @@ REFUSALS = {  # id: argv, with {name} for a file of ``refusal_inputs``
     **{f"{name}_{argv[0]}": [*argv, "--input", "{%s}" % name]
        for name in ("bool_theta", "huge_theta", "huge_probability")
        for argv in (["analyze", "--test", "pentagon"], ["verify"])},
-    # an --output path that cannot be written, for each command (simulate's first)
+    # an --output path that cannot be written, for each command
     **{f"output_is_a_dir_{argv[0]}": [*argv, "-o", "{dir}"] for argv in OUTPUT_RUNS},
     **{f"output_in_missing_dir_{argv[0]}": [*argv, "-o", "{dir}/missing/out.json"]
-       for argv in OUTPUT_RUNS[1:]},  # simulate's is the row output_in_missing_dir
+       for argv in OUTPUT_RUNS},
 }
 
 
