@@ -5,12 +5,15 @@ sum vs bounds), ``bounds`` (graph bound hierarchy), ``sweep`` (sum vs eta
 with bound crossings), ``verify`` (consistency checks on a table file).
 
 Exit codes: 0 success, 1 a verification check failed, 2 usage or parse error.
-Data goes to stdout (or ``--output``), diagnostics to stderr.  Each option has one
-spelling: argparse takes no prefix of it.  Each option's text goes as given to the
-library rule that reads it, so every value the library refuses (``ValueError``) and
-every file that cannot be read or written (``OSError``), stdout included, is exit 2
-with one ``error:`` line.  Only argparse's own faults print usage first: an unknown or
-missing command, option or value, a bad ``--format``, and ``--theta`` with ``--theta-deg``.
+``main`` returns one for every argv, argparse's usage errors, ``--help`` and
+``--version`` included.  Each handler returns its exit code and report, and ``main``
+writes the report once, to ``--output`` or stdout; diagnostics go to stderr.  Each
+option has one spelling: argparse takes no prefix of it.  Each option's text goes as
+given to the library rule that reads it, so every value the library refuses
+(``ValueError``) and every file that cannot be read or written (``OSError``), a closed
+or full stdout included, is exit 2 with one ``error:`` line.  Only argparse's own
+faults print usage first: an unknown or missing command, option or value, a bad
+``--format``, and ``--theta`` with ``--theta-deg``.
 """
 
 from __future__ import annotations
@@ -74,23 +77,13 @@ def _resolve_overlap(args: argparse.Namespace) -> DistinguishabilityParam:
     return DistinguishabilityParam(1.0 if args.eta is None else args.eta)
 
 
-def _emit(text: str, output: str | None) -> None:
-    if output is None:
-        sys.stdout.write(text)
-        return
-    with open(output, "w", newline="") as handle:
-        handle.write(text)
-
-
 def _header(**fields) -> dict:
     return {"schema": SCHEMA_VERSION, "version": __version__, **fields}
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> tuple[int, str]:
     table = full_table(_resolve_beamsplitter(args), _resolve_overlap(args))
-    text = table.to_json() if args.format == "json" else table.to_csv()
-    _emit(text, args.output)
-    return 0
+    return 0, table.to_json() if args.format == "json" else table.to_csv()
 
 
 def _table_for_analysis(args) -> OutcomeTable:
@@ -105,7 +98,7 @@ def _table_for_analysis(args) -> OutcomeTable:
     return table
 
 
-def cmd_analyze(args) -> int:
+def cmd_analyze(args) -> tuple[int, str]:
     table = _table_for_analysis(args)
     events = standard_events(args.test)
     total = inequality_sum(table, events)
@@ -119,11 +112,10 @@ def cmd_analyze(args) -> int:
     for key, bound in zip(("nc", "q"), standard_bounds(args.test).values()):
         payload[f"{key}_bound"] = bound
         payload[f"violates_{key}"] = total > bound + DEFAULT_TOLERANCE
-    _emit(dump_json(payload), args.output)
-    return 0
+    return 0, dump_json(payload)
 
 
-def cmd_bounds(args) -> int:
+def cmd_bounds(args) -> tuple[int, str]:
     spec: str = args.graph
     if spec in STANDARD_TESTS:
         graph = derive_exclusivity(standard_events(spec))
@@ -138,11 +130,10 @@ def cmd_bounds(args) -> int:
     if cycle is not None and cycle % 2 == 1:
         payload["theta_lovasz"] = lovasz_theta_odd_cycle(cycle)
     payload["fractional_max"] = fractional_packing_max(graph)
-    _emit(dump_json(payload), args.output)
-    return 0
+    return 0, dump_json(payload)
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args) -> tuple[int, str]:
     result = sweep_eta(args.test, _resolve_beamsplitter(args),
                        steps=real_number(args.steps, "steps"))
     if args.format == "json":
@@ -152,11 +143,10 @@ def cmd_sweep(args) -> int:
                 **{f"bound_{name}": value for name, value in result.bounds.items()},
                 **{f"crossing_{name}": value for name, value in result.crossings.items()}}
         text = write_csv(meta, ("eta", "sum"), zip(result.etas, result.sums))
-    _emit(text, args.output)
-    return 0
+    return 0, text
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple[int, str]:
     table = load_table(args.input)
     # each checker reads the tolerance and validates the table before it compares anything
     reports = [check_no_disturbance(table, args.tolerance),
@@ -174,8 +164,7 @@ def cmd_verify(args) -> int:
         normalization={"passed": norm_ok, "max_deviation": normalization},
         checks=[r.to_dict() for r in reports],
     )
-    _emit(dump_json(payload), args.output)
-    return 0 if passed else 1
+    return (0 if passed else 1), dump_json(payload)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -224,21 +213,30 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        return args.handler(args)
-    except (OSError, ValueError) as exc:
-        parser.exit(2, f"error: {exc}\n")
+        try:
+            args = parser.parse_args(argv)
+            code, text = args.handler(args)
+            if args.output is not None:
+                with open(args.output, "w", newline="") as handle:
+                    handle.write(text)
+            elif sys.stdout is None:  # the process started with fd 1 closed
+                raise OSError("stdout is closed")
+            else:
+                sys.stdout.write(text)
+            return code
+        except (OSError, ValueError) as exc:
+            parser.exit(2, f"error: {exc}\n")  # argparse's writer survives a closed stderr (3.11+)
+    except SystemExit as exc:  # argparse's exits: usage errors, --help, --version and the above
+        return exc.code
 
 
 def entrypoint() -> None:
     gc.freeze()  # exit's collections then skip the import-time heap, which lives to exit anyway
+    code = main()
     try:
-        code = main()
-    except SystemExit as exc:  # argparse's exits, --help and --version included
-        code = exc.code
-    try:
-        sys.stdout.flush()  # what main() or argparse left in the buffer
+        if sys.stdout is not None:  # None when the process started with fd 1 closed
+            sys.stdout.flush()  # what main() or argparse left in the buffer
     except OSError as exc:
         # the interpreter's flush at exit would fail again, outside any handler: send
         # the rest to devnull, as the Python docs do for SIGPIPE

@@ -220,6 +220,10 @@ MUTANTS = (
     Mutant("src/bosonctx/cli.py",
            "p.allow_abbrev = False", "p.allow_abbrev = True",
            "tests/test_cli.py::TestUsage::test_a_prefix_of_an_option_is_no_spelling_of_it"),
+    # argparse's exits leave main() as SystemExit, not as the exit code it returns
+    Mutant("src/bosonctx/cli.py",
+           "return exc.code", "raise",
+           "tests/test_cli.py::TestUsage::test_unknown_command"),
 )
 
 

@@ -8,8 +8,6 @@ gives alpha = floor(N/2) and alpha* = N/2 on every cycle it accepts.
 
 from __future__ import annotations
 
-import contextlib
-import io
 import json
 import math
 
@@ -20,13 +18,12 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from bosonctx.cli import main
-
 from oracles import (
     linear_crossing,
     standard_event_closed_forms,
     standard_sum_closed_form,
 )
+from test_golden import run
 
 SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
@@ -37,17 +34,10 @@ BOUNDS = {"pentagon": {"noncontextual": 2.0, "quantum": math.sqrt(5)},
           "triangle": {"noncontextual": 1.0}}
 
 
-def run(*argv: str) -> tuple[int, str]:
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = main(list(argv))
-    return code, out.getvalue()
-
-
 @SETTINGS
 @given(TESTS, THETAS, ETAS)
 def test_analyze_matches_the_closed_forms(test, theta, eta):
-    code, out = run("analyze", "--test", test, f"--theta={theta!r}", "--eta", repr(eta))
+    code, out = run(["analyze", "--test", test, f"--theta={theta!r}", "--eta", repr(eta)])
     report = json.loads(out)
     assert code == 0
     assert report["sum"] == pytest.approx(standard_sum_closed_form(test, theta, eta), abs=1e-12)
@@ -58,7 +48,7 @@ def test_analyze_matches_the_closed_forms(test, theta, eta):
 @SETTINGS
 @given(TESTS, THETAS, st.integers(2, 60))
 def test_sweep_crossings_match_the_linear_closed_form(test, theta, steps):
-    code, out = run("sweep", "--test", test, f"--theta={theta!r}", "--steps", str(steps))
+    code, out = run(["sweep", "--test", test, f"--theta={theta!r}", "--steps", str(steps)])
     report = json.loads(out)
     assert code == 0 and report["bounds"] == pytest.approx(BOUNDS[test], abs=1e-15)
     s0, s1 = (standard_sum_closed_form(test, theta, eta) for eta in (0.0, 1.0))
@@ -82,16 +72,16 @@ def tmp_table(tmp_path_factory):
 @SETTINGS
 @given(THETAS, ETAS, st.sampled_from(["json", "csv"]))
 def test_verify_passes_every_simulated_table(tmp_table, theta, eta, fmt):
-    code, text = run("simulate", f"--theta={theta!r}", "--eta", repr(eta), "--format", fmt)
+    code, table = run(["simulate", f"--theta={theta!r}", "--eta", repr(eta), "--format", fmt])
     assert code == 0
-    tmp_table.write_text(text)
-    code, out = run("verify", "--input", str(tmp_table))
+    tmp_table.write_bytes(table)
+    code, out = run(["verify", "--input", str(tmp_table)])
     assert code == 0 and json.loads(out)["passed"] is True
 
 
 @pytest.mark.parametrize("n", range(3, 25))
 def test_bounds_of_every_accepted_cycle(n):
-    code, out = run("bounds", "--graph", f"cycle:{n}")
+    code, out = run(["bounds", "--graph", f"cycle:{n}"])
     report = json.loads(out)
     assert code == 0
     assert report["alpha"] == n // 2

@@ -83,10 +83,7 @@ def run(argv: list[str]) -> tuple[int, bytes]:
     """Exit code and stdout bytes of one in-process CLI call."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            code = exc.code
+        code = main(argv)
     return code, out.getvalue().encode()
 
 

@@ -98,6 +98,8 @@ PINNED = {  # id: (file, old, new, killer); mutants.py says what each fault does
                                 "p.allow_abbrev = True",
                                 "tests/test_cli.py::TestUsage::"
                                 "test_a_prefix_of_an_option_is_no_spelling_of_it"),
+    "argparse-exit-returned": ("src/bosonctx/cli.py", "return exc.code", "raise",
+                               "tests/test_cli.py::TestUsage::test_unknown_command"),
 }
 
 
